@@ -34,7 +34,7 @@ from .models import (
     predict_logits,
     train_submodel,
 )
-from .nn import ParamSet, TrainHyper, adam_step, finite_diff_check, init_params, softmax_xent
+from .nn import TrainHyper, adam_step, finite_diff_check, init_params, softmax_xent
 from .views import Embedding, knn_graph, laplacian_eigenmaps, smlp_features
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "NodeSplit",
-    "ParamSet",
     "Quota",
     "ReliabilityBins",
     "SubModelSpec",

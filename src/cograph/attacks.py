@@ -6,12 +6,13 @@ flips binary feature bits along the victim's loss gradient. Externally
 produced perturbed adjacencies are ingested from edge-list files. All
 perturbers preserve the node count and labels; structural ones leave X
 untouched and the feature attack leaves the edge set untouched.
+AttackSetting is the one description of an attack run, shared by the CLI,
+the experiment runner and the provenance sidecar.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,34 +20,42 @@ import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import Graph, with_edges, with_features
-from .io import parse_edge_list
+from .io import parse_edge_list, write_json
 from .models import FEATURE_KINDS, TrainedSubModel, input_gradient
 
-ATTACK_METHODS = ("random", "dice", "grad-feat", "external")
+ATTACK_METHODS = ("none", "random", "dice", "grad-feat", "external")
 _FLIP_BATCH = 32
+_INSERT_TRIES = 200
 
 
 @dataclass(frozen=True)
-class PerturbationPlan:
-    """Budget split and method for one attack run.
+class AttackSetting:
+    """One attack run: method, budget and its split, named for reports.
 
-    total_rate is a fraction of the clean edge count; ratio assigns that
-    budget to feature-bit flips (the rest goes to edge flips, keeping the
-    two commensurable in edge-count units).
+    method names the structural perturber; feature_ratio > 0 diverts that
+    share of the budget to gradient-guided feature-bit flips (grad-feat is
+    shorthand for feature_ratio = 1). rate is a fraction of the clean edge
+    count. external replaces the edge set with the file at path.
     """
 
-    total_rate: float
-    ratio: float = 0.0
-    method: str = "random"
-    seed: int = 0
+    name: str
+    method: str = "none"
+    rate: float = 0.0
+    feature_ratio: float = 0.0
+    path: str | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.total_rate <= 1.0:
-            raise ValidationError(f"total_rate must lie in [0, 1], got {self.total_rate}")
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValidationError(f"ratio must lie in [0, 1], got {self.ratio}")
         if self.method not in ATTACK_METHODS:
-            raise ValidationError(f"method must be one of {ATTACK_METHODS}, got {self.method!r}")
+            raise ValidationError(f"attack method must be one of {ATTACK_METHODS}, got {self.method!r}")
+        if not 0.0 <= self.rate <= 1.0 or not 0.0 <= self.feature_ratio <= 1.0:
+            raise ValidationError("attack rate and feature_ratio must lie in [0, 1]")
+        if self.method == "external" and not self.path:
+            raise ValidationError("external attack setting needs a path")
+
+    @property
+    def effective_feature_ratio(self) -> float:
+        """Share of the budget spent on feature-bit flips."""
+        return 1.0 if self.method == "grad-feat" else self.feature_ratio
 
 
 def mixed_budget(total_rate: float, feature_ratio: float, n_edges: int) -> tuple[int, int]:
@@ -96,17 +105,35 @@ def random_structure_perturb(g: Graph, rate: float, seed: int) -> Graph:
     return with_edges(g, edges)
 
 
+def _cross_class_non_edges(labels: np.ndarray, edges: set) -> np.ndarray:
+    """Every pair (i < j) of differently labeled nodes that is not an edge,
+    as sorted rows of an (k, 2) array."""
+    n = labels.size
+    keys = []
+    for c in np.unique(labels):
+        a = np.flatnonzero(labels == c)
+        b = np.flatnonzero(labels > c)
+        i, j = np.repeat(a, b.size), np.tile(b, a.size)
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+    keys = np.sort(np.concatenate(keys))
+    present = np.fromiter((i * n + j for i, j in edges), dtype=np.int64, count=len(edges))
+    keys = keys[~np.isin(keys, present)]
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
 def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) -> Graph:
     """Label-aware structural attack: delete internal, insert cross-class.
 
     Each budget unit deletes a random same-class edge or inserts a random
     cross-class non-edge with equal probability. When one kind of candidate
-    runs out the remaining budget goes to the other kind.
+    runs out the remaining budget goes to the other kind. Insertions draw
+    random node pairs; after 200 misses in a row they draw from the exact
+    list of cross-class non-edges instead.
     """
     if rate < 0:
         raise ValidationError(f"rate must be nonnegative, got {rate}")
     labels = np.asarray(labels if labels is not None else g.labels)
-    if labels is None or labels.shape != (g.n,):
+    if labels.shape != (g.n,):
         raise ValidationError("dice_perturb needs one label per node")
     budget = int(round(rate * g.num_edges))
     if budget == 0:
@@ -115,24 +142,33 @@ def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) ->
     rng = np.random.default_rng(seed)
     edges = set(g.edges)
     same_class = [e for e in sorted(edges) if labels[e[0]] == labels[e[1]]]
-    insert_exhausted = False
+    _, class_sizes = np.unique(labels, return_counts=True)
+    cross_pairs = (g.n * g.n - int((class_sizes**2).sum())) // 2
+    cross_free = cross_pairs - (len(edges) - len(same_class))
+    candidates = None
 
     def try_insert() -> bool:
-        nonlocal insert_exhausted
-        if insert_exhausted:
+        nonlocal cross_free, candidates
+        if cross_free == 0:
             return False
-        for _ in range(200):
-            i = int(rng.integers(g.n))
-            j = int(rng.integers(g.n))
-            if i == j or labels[i] == labels[j]:
-                continue
-            pair = (i, j) if i < j else (j, i)
-            if pair in edges:
-                continue
-            edges.add(pair)
-            return True
-        insert_exhausted = True
-        return False
+        if candidates is None:
+            for _ in range(_INSERT_TRIES):
+                i = int(rng.integers(g.n))
+                j = int(rng.integers(g.n))
+                if i == j or labels[i] == labels[j]:
+                    continue
+                pair = (i, j) if i < j else (j, i)
+                if pair in edges:
+                    continue
+                edges.add(pair)
+                cross_free -= 1
+                return True
+            candidates = _cross_class_non_edges(labels, edges)
+        idx = int(rng.integers(cross_free))
+        edges.add((int(candidates[idx, 0]), int(candidates[idx, 1])))
+        cross_free -= 1
+        candidates[idx] = candidates[cross_free]
+        return True
 
     def try_delete() -> bool:
         if not same_class:
@@ -176,10 +212,9 @@ def feature_flip_attack(
     del seed  # greedy selection is fully deterministic
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
-    if victim.spec.kind not in FEATURE_KINDS:
-        raise ValidationError(
-            f"feature attack needs a feature-dominant victim, got {victim.spec.kind!r}"
-        )
+    kind = victim.model.spec.kind
+    if kind not in FEATURE_KINDS:
+        raise ValidationError(f"feature attack needs a feature-dominant victim, got {kind!r}")
     X = np.array(g.X)
     if not np.isin(X, (0.0, 1.0)).all():
         raise ValidationError("feature attack requires binary features")
@@ -188,12 +223,13 @@ def feature_flip_attack(
     targets = np.asarray(targets if targets is not None else np.arange(g.n), dtype=np.int64)
     target_labels = g.labels[targets]
 
-    was_sparse = sp.issparse(victim.inputs)
+    was_sparse = sp.issparse(victim.model.inputs)
     flipped = np.zeros(X.shape, dtype=bool)
     remaining = budget
     while remaining > 0:
         inputs = sp.csr_matrix(X) if was_sparse else X
-        grad = input_gradient(replace(victim, inputs=inputs), targets, target_labels)
+        moved = replace(victim, model=replace(victim.model, inputs=inputs))
+        grad = input_gradient(moved, targets, target_labels)
         score = grad * (1.0 - 2.0 * X)
         score[flipped] = -np.inf
         flat = score.ravel()
@@ -230,18 +266,16 @@ def flip_log_hash(original: Graph, perturbed: Graph) -> str:
     return h.hexdigest()
 
 
-def write_sidecar(path, plan: PerturbationPlan, original: Graph, perturbed: Graph) -> None:
+def write_sidecar(path, setting: AttackSetting, seed: int, original: Graph, perturbed: Graph) -> None:
     """Provenance record emitted next to a perturbed dataset."""
     record = {
-        "method": plan.method,
-        "rate": plan.total_rate,
-        "ratio": plan.ratio,
-        "seed": plan.seed,
+        "method": setting.method,
+        "rate": setting.rate,
+        "ratio": setting.effective_feature_ratio,
+        "seed": seed,
         "flip_log_hash": flip_log_hash(original, perturbed),
         "edges_before": original.num_edges,
         "edges_after": perturbed.num_edges,
         "feature_bits_changed": int((original.X != perturbed.X).sum()),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(record, path)

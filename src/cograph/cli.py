@@ -13,19 +13,13 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import attacks as _attacks
+from .attacks import ATTACK_METHODS, AttackSetting, write_sidecar
 from .calibration import calibrate, fit_temperature, nll, reliability, reliability_rows
-from .cotrain import cotrain, ensemble_predict
+from .cotrain import cotrain
 from .errors import ValidationError
-from .experiment import (
-    AttackSetting,
-    ExperimentConfig,
-    apply_attack,
-    emit_report,
-    run_experiment,
-)
-from .graph import generate_synthetic, split_nodes
-from .io import load_graph_dir, save_dataset_dir
+from .experiment import ExperimentConfig, apply_attack, emit_report, run_experiment
+from .graph import generate_synthetic, labeled_map, split_nodes
+from .io import load_graph_dir, save_dataset_dir, write_json
 from .models import (
     ALL_KINDS,
     SubModelSpec,
@@ -74,6 +68,19 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _load_split(args):
+    g = load_graph_dir(args.data)
+    return g, split_nodes(g, args.train_frac, args.val_frac, args.seed)
+
+
+def _train_one(args):
+    """Load, split and train the single sub-model that args describe."""
+    g, split = _load_split(args)
+    spec = _spec(args.model, args.k, args.hidden, _hyper_from_args(args))
+    model = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=args.seed)
+    return g, split, model
+
+
 def cmd_gen_synthetic(args) -> int:
     g = generate_synthetic(
         n=args.nodes,
@@ -96,22 +103,13 @@ def cmd_gen_synthetic(args) -> int:
         "feature_noise": args.feature_noise,
         "seed": args.seed,
     }
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, out / "meta.json")
     _emit(meta)
     return 0
 
 
 def cmd_train(args) -> int:
-    g = load_graph_dir(args.data)
-    split = split_nodes(g, args.train_frac, args.val_frac, args.seed)
-    spec = _spec(args.model, args.k, args.hidden, _hyper_from_args(args))
-    model = train_submodel(
-        build_submodel(spec, g),
-        {int(i): int(g.labels[i]) for i in split.labeled},
-        seed=args.seed,
-    )
+    g, split, model = _train_one(args)
     metrics = {
         "model": args.model,
         "seed": args.seed,
@@ -124,16 +122,13 @@ def cmd_train(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         save_params_csv(model.params, out / "checkpoint.csv")
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(metrics, out / "metrics.json")
     _emit(metrics)
     return 0
 
 
 def cmd_cotrain(args) -> int:
-    g = load_graph_dir(args.data)
-    split = split_nodes(g, args.train_frac, args.val_frac, args.seed)
+    g, split = _load_split(args)
     hyper = _hyper_from_args(args)
     spec_struct = _spec(args.struct, args.struct_k, None, hyper)
     spec_feat = _spec(args.feat, args.feat_k, None, hyper)
@@ -148,7 +143,6 @@ def cmd_cotrain(args) -> int:
         calibration=not args.no_calibration,
         class_balancing=not args.no_class_balancing,
     )
-    pred, _ = ensemble_predict(f_struct, f_feat, split.test)
     metrics = {
         "struct": args.struct,
         "feat": args.feat,
@@ -156,7 +150,7 @@ def cmd_cotrain(args) -> int:
         "labeled_final": state.s_size,
         "acc_struct": state.history[-1].acc_struct,
         "acc_feat": state.history[-1].acc_feat,
-        "acc_ensemble": float((pred == g.labels[split.test]).mean()),
+        "acc_ensemble": state.history[-1].acc_ensemble,
         "temperature_struct": f_struct.temperature,
         "temperature_feat": f_feat.temperature,
     }
@@ -168,9 +162,7 @@ def cmd_cotrain(args) -> int:
                 fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
         save_params_csv(f_struct.params, out / "struct_checkpoint.csv")
         save_params_csv(f_feat.params, out / "feat_checkpoint.csv")
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(metrics, out / "metrics.json")
     _emit(metrics)
     return 0
 
@@ -187,13 +179,7 @@ def cmd_attack(args) -> int:
     perturbed = apply_attack(g, setting, args.seed, args.train_frac, args.val_frac)
     out = Path(args.out or "perturbed")
     save_dataset_dir(perturbed, out)
-    plan = _attacks.PerturbationPlan(
-        total_rate=args.rate,
-        ratio=args.feature_ratio if args.method != "grad-feat" else 1.0,
-        method=args.method if args.method != "none" else "random",
-        seed=args.seed,
-    )
-    _attacks.write_sidecar(out / "perturbation.json", plan, g, perturbed)
+    write_sidecar(out / "perturbation.json", setting, args.seed, g, perturbed)
     _emit(
         {
             "method": args.method,
@@ -209,14 +195,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    g = load_graph_dir(args.data)
-    split = split_nodes(g, args.train_frac, args.val_frac, args.seed)
-    spec = _spec(args.model, args.k, None, _hyper_from_args(args))
-    model = train_submodel(
-        build_submodel(spec, g),
-        {int(i): int(g.labels[i]) for i in split.labeled},
-        seed=args.seed,
-    )
+    g, split, model = _train_one(args)
     val_logits = predict_logits(model, split.validation)
     val_labels = g.labels[split.validation]
     T = fit_temperature(val_logits, val_labels)
@@ -316,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="write a perturbed copy of a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=("random", "dice", "grad-feat", "external"), required=True)
+    p.add_argument(
+        "--method", choices=[m for m in ATTACK_METHODS if m != "none"], required=True
+    )
     p.add_argument("--rate", type=float, default=0.0)
     p.add_argument("--feature-ratio", type=float, default=0.0)
     p.add_argument("--external-path", default=None)
@@ -330,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=10)
     _add_split_flags(p)
     _add_hyper_flags(p)
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, hidden=None)
 
     p = sub.add_parser("experiment", help="run a config-driven experiment sweep")
     p.add_argument("--seed-offset", type=int, default=0)

@@ -26,6 +26,7 @@ from .models import (
     predict_logits,
     train_submodel,
 )
+from .nn import derive_seeds
 
 PROV_TRUTH = "ground-truth"
 PROV_STRUCT = "pseudo:struct"
@@ -232,10 +233,6 @@ def ensemble_predict(
     return probs.argmax(axis=1), probs
 
 
-def _iteration_seed(seed: int, iteration: int, role: int) -> int:
-    return int(np.random.SeedSequence((seed, iteration, role)).generate_state(1)[0])
-
-
 def _confusion(true_labels: np.ndarray, pred: np.ndarray, C: int):
     mat = np.zeros((C, C), dtype=np.int64)
     np.add.at(mat, (true_labels, pred), 1)
@@ -293,9 +290,8 @@ def cotrain(
     quota = class_quota(split.class_histogram, n_add) if class_balancing else None
 
     def fit(model: SubModel, iteration: int, role: int) -> TrainedSubModel:
-        trained = train_submodel(
-            model, state.labeled_map(), seed=_iteration_seed(seed, iteration, role)
-        )
+        (fit_seed,) = derive_seeds(seed, iteration, role)
+        trained = train_submodel(model, state.labeled_map(), seed=fit_seed)
         if calibration and val_nodes.size:
             T = fit_temperature(predict_logits(trained, val_nodes), val_labels)
             trained = trained.with_temperature(T)

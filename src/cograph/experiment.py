@@ -10,13 +10,15 @@ and are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import json
+import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .attacks import (
+    AttackSetting,
     dice_perturb,
     feature_flip_attack,
     load_perturbed_adjacency,
@@ -26,8 +28,8 @@ from .attacks import (
 from .calibration import calibrate, reliability, reliability_rows
 from .cotrain import cotrain
 from .errors import ValidationError
-from .graph import Graph, generate_synthetic, split_nodes
-from .io import load_graph_dir
+from .graph import Graph, generate_synthetic, labeled_map, split_nodes
+from .io import load_graph_dir, write_json
 from .models import (
     KIND_FMLP,
     SubModelSpec,
@@ -35,49 +37,30 @@ from .models import (
     predict_logits,
     train_submodel,
 )
-from .nn import TrainHyper
+from .nn import TrainHyper, derive_seeds
 
-_ATTACK_METHODS = ("none", "random", "dice", "grad-feat", "external")
 _SEED_ROLE_ATTACK = 7
 _SEED_ROLE_VICTIM = 8
 
 
-@dataclass(frozen=True)
-class AttackSetting:
-    """One column of the evaluation sweep.
-
-    method names the structural perturber; feature_ratio > 0 diverts that
-    share of the budget to gradient-guided feature-bit flips (grad-feat is
-    shorthand for feature_ratio = 1). external replaces the edge set with
-    the file at path.
-    """
-
-    name: str
-    method: str = "none"
-    rate: float = 0.0
-    feature_ratio: float = 0.0
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.method not in _ATTACK_METHODS:
-            raise ValidationError(f"attack method must be one of {_ATTACK_METHODS}")
-        if not 0.0 <= self.rate <= 1.0 or not 0.0 <= self.feature_ratio <= 1.0:
-            raise ValidationError("attack rate and feature_ratio must lie in [0, 1]")
-        if self.method == "external" and not self.path:
-            raise ValidationError("external attack setting needs a path")
+def _checked(raw: dict, cls, where: str) -> dict:
+    """raw itself, once each key names a field of the dataclass cls and no
+    field without a default is missing; config typos fail here."""
+    known = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ValidationError(f"{where}: unknown key {key!r}; expected one of {sorted(known)}")
+    for f in known.values():
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ValidationError(f"{where}: missing key {f.name!r}")
+    return raw
 
 
-def _spec_from_dict(d: dict) -> SubModelSpec:
-    d = dict(d)
-    hyper = TrainHyper(**d.pop("hyper", {}))
+def _spec_from_dict(d: dict, where: str) -> SubModelSpec:
+    d = dict(_checked(d, SubModelSpec, where))
+    hyper = TrainHyper(**_checked(d.pop("hyper", {}), TrainHyper, f"{where}.hyper"))
     hidden = d.pop("hidden", None)
-    return SubModelSpec(
-        kind=d.pop("kind"),
-        hidden=tuple(hidden) if hidden is not None else None,
-        k=d.pop("k", 50),
-        hyper=hyper,
-        **d,
-    )
+    return SubModelSpec(hidden=tuple(hidden) if hidden is not None else None, hyper=hyper, **d)
 
 
 @dataclass(frozen=True)
@@ -113,14 +96,16 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "ExperimentConfig":
         raw = dict(raw)
         raw.update(overrides or {})
-        attacks = tuple(
-            AttackSetting(**a) for a in raw.pop("attacks", [{"name": "clean"}])
-        )
         seed_offset = raw.pop("seed_offset", 0)
+        _checked(raw, cls, "config")
+        attacks = tuple(
+            AttackSetting(**_checked(a, AttackSetting, f"attacks[{i}]"))
+            for i, a in enumerate(raw.pop("attacks", [{"name": "clean"}]))
+        )
         return cls(
             seeds=tuple(int(s) + seed_offset for s in raw.pop("seeds")),
-            struct_model=_spec_from_dict(raw.pop("struct_model")),
-            feat_model=_spec_from_dict(raw.pop("feat_model")),
+            struct_model=_spec_from_dict(raw.pop("struct_model"), "struct_model"),
+            feat_model=_spec_from_dict(raw.pop("feat_model"), "feat_model"),
             attacks=attacks,
             **raw,
         )
@@ -166,10 +151,6 @@ def load_base_graph(config: ExperimentConfig) -> Graph:
     return generate_synthetic(**config.synthetic)
 
 
-def _derived_seed(seed: int, role: int) -> int:
-    return int(np.random.SeedSequence((seed, role)).generate_state(1)[0])
-
-
 def apply_attack(
     g: Graph,
     setting: AttackSetting,
@@ -189,8 +170,8 @@ def apply_attack(
     if setting.method == "external":
         return load_perturbed_adjacency(g, setting.path)
 
-    attack_seed = _derived_seed(seed, _SEED_ROLE_ATTACK)
-    ratio = 1.0 if setting.method == "grad-feat" else setting.feature_ratio
+    (attack_seed,) = derive_seeds(seed, _SEED_ROLE_ATTACK)
+    ratio = setting.effective_feature_ratio
     feature_bits, _ = mixed_budget(setting.rate, ratio, g.num_edges)
     structure_rate = (1.0 - ratio) * setting.rate
 
@@ -203,10 +184,9 @@ def apply_attack(
     if feature_bits > 0:
         split = split_nodes(g, train_frac, val_frac, seed)
         victim_spec = SubModelSpec(kind=KIND_FMLP, hyper=victim_hyper or TrainHyper())
+        (victim_seed,) = derive_seeds(seed, _SEED_ROLE_VICTIM)
         victim = train_submodel(
-            build_submodel(victim_spec, g),
-            {int(i): int(g.labels[i]) for i in split.labeled},
-            seed=_derived_seed(seed, _SEED_ROLE_VICTIM),
+            build_submodel(victim_spec, g), labeled_map(g, split.labeled), seed=victim_seed
         )
         perturbed = feature_flip_attack(
             perturbed, victim, feature_bits, attack_seed, targets=split.test
@@ -222,7 +202,8 @@ class CellResult:
     reliability: list[dict] = field(default_factory=list)
     temperature_struct: float = 1.0
     temperature_feat: float = 1.0
-    error: str | None = None
+    error: str | None = None  # "Type: message", as summary.json reports it
+    traceback: str | None = None
 
 
 def _run_cell(args) -> CellResult:
@@ -266,6 +247,7 @@ def _run_cell(args) -> CellResult:
                     )
     except Exception as exc:  # noqa: BLE001 -- cell failures are data, not crashes
         cell.error = f"{type(exc).__name__}: {exc}"
+        cell.traceback = traceback.format_exc()
     return cell
 
 
@@ -419,14 +401,7 @@ def emit_report(report: Report, out_dir) -> list[Path]:
         results_rows,
     )
     summary_path = out / "summary.json"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {"config": report.config, "summary": report.summary},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json({"config": report.config, "summary": report.summary}, summary_path)
     reliability_path = out / "reliability.csv"
     _write_csv(
         reliability_path,

@@ -30,8 +30,8 @@ class Graph:
     """Undirected graph with node features and optional labels.
 
     edges holds pairs (i, j) with i < j; the implied adjacency is symmetric
-    with zero diagonal. X has one row per node. labels, when present, are
-    class ids in [0, C).
+    with zero diagonal. X has one row of finite values per node. labels,
+    when present, are class ids in [0, C).
     """
 
     n: int
@@ -47,6 +47,8 @@ class Graph:
             raise ValidationError(
                 f"feature matrix must be ({self.n}, m>=1), got {self.X.shape}"
             )
+        if not np.isfinite(self.X).all():
+            raise ValidationError("feature matrix holds NaN or infinite values")
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={self.n}")
@@ -217,6 +219,11 @@ class NodeSplit:
             raise ValidationError("split sets must be pairwise disjoint")
         if int(self.class_histogram.sum()) != len(self.labeled):
             raise ValidationError("class_histogram must sum to the labeled-set size")
+
+
+def labeled_map(g: Graph, nodes) -> dict[int, int]:
+    """Node -> true label for the given nodes, the form training consumes."""
+    return {int(i): int(g.labels[i]) for i in nodes}
 
 
 def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> NodeSplit:

@@ -1,4 +1,4 @@
-"""Dataset file formats.
+"""Dataset and report file formats.
 
 Edge lists are UTF-8 text with one "src<TAB>dst" pair per line ('#' starts
 a comment). Features are a dense CSV (row i = node i) or Matrix Market
@@ -8,6 +8,7 @@ CSV with an optional header line.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,9 @@ def save_dataset_dir(g: Graph, dataset_dir) -> None:
         save_labels_csv(g.labels, d / "labels.csv")
 
 
-def save_embedding_csv(coords: np.ndarray, path) -> None:
-    """Dense CSV export of an embedding for external inspection."""
-    np.savetxt(path, np.asarray(coords), delimiter=",", fmt="%.17g")
+def write_json(payload: dict, path) -> None:
+    """Pretty JSON with sorted keys and a final newline, so equal payloads
+    give byte-identical files."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -18,9 +18,9 @@ from .errors import TrainingError, ValidationError
 from .graph import Graph, adjacency, normalize_adjacency_matrix, normalized_adjacency
 from .nn import (
     AdamState,
-    ParamSet,
     TrainHyper,
     adam_step,
+    derive_seeds,
     dropout_input,
     init_params,
     sgd_step,
@@ -100,12 +100,10 @@ class SubModel:
 
 @dataclass(frozen=True, eq=False)
 class TrainedSubModel:
-    spec: SubModelSpec
-    n: int
-    n_classes: int
-    inputs: object
-    prop: sp.csr_matrix | None
-    params: ParamSet
+    """Fitted parameters for the sub-model they were trained on."""
+
+    model: SubModel
+    params: dict[str, np.ndarray]
     temperature: float = 1.0
     loss_history: tuple[float, ...] = ()
 
@@ -140,7 +138,7 @@ def build_submodel(spec: SubModelSpec, g: Graph) -> SubModel:
     return SubModel(spec=spec, n=g.n, n_classes=g.C, inputs=inputs, prop=prop)
 
 
-def _forward(inputs, prop, params: ParamSet, n_layers: int, hyper: TrainHyper, rng, training):
+def _forward(inputs, prop, params: dict, n_layers: int, hyper: TrainHyper, rng, training):
     """Forward pass; returns logits and per-layer caches for backprop.
 
     Hidden-layer dropout masks are cached; the input-layer mask is not
@@ -168,7 +166,7 @@ def _forward(inputs, prop, params: ParamSet, n_layers: int, hyper: TrainHyper, r
     return h, caches
 
 
-def _backward(grad_logits, caches, prop, params: ParamSet, hyper: TrainHyper, want_input_grad=False):
+def _backward(grad_logits, caches, prop, params: dict, hyper: TrainHyper, want_input_grad=False):
     """Reverse pass; returns parameter gradients (and optionally dL/dinput)."""
     n_layers = len(caches)
     grads: dict[str, np.ndarray] = {}
@@ -188,12 +186,20 @@ def _backward(grad_logits, caches, prop, params: ParamSet, hyper: TrainHyper, wa
             g = da * (caches[l - 1][1] > 0.0)
         elif want_input_grad:
             input_grad = g @ params[f"W{l}"].T
-    return ParamSet(grads), input_grad
+    return grads, input_grad
 
 
-def _train_seeds(seed: int) -> tuple[int, int]:
-    state = np.random.SeedSequence(seed).generate_state(2)
-    return int(state[0]), int(state[1])
+def _rows(model: SubModel, nodes: np.ndarray):
+    """(forward input, its node rows, output rows) for a pass that needs nodes.
+
+    A row-wise model maps each input row to its own output row, so only the
+    rows of nodes go forward and the output rows are 0..len(nodes)-1. A
+    propagated model mixes neighbours, so the whole graph goes forward and
+    the output rows are the nodes themselves.
+    """
+    if model.prop is None:
+        return model.inputs[nodes], nodes, np.arange(nodes.size)
+    return model.inputs, slice(None), nodes
 
 
 def train_submodel(model: SubModel, labeled, seed: int | None = None) -> TrainedSubModel:
@@ -212,23 +218,16 @@ def train_submodel(model: SubModel, labeled, seed: int | None = None) -> Trained
     hyper = model.spec.hyper
     if seed is None:
         seed = hyper.seed
-    init_seed, dropout_seed = _train_seeds(seed)
+    init_seed, dropout_seed = derive_seeds(seed, words=2)
     rng = np.random.default_rng(dropout_seed)
 
     params = init_params(model.layer_plan(), init_seed)
     n_layers = len(model.layer_plan())
     state = AdamState.for_params(params)
 
-    if model.prop is None:
-        # row-wise model: only labeled rows participate in training
-        inputs = model.inputs[idx]
-        mask = np.arange(idx.size)
-        targets = np.array([labeled[i] for i in idx], dtype=np.int64)
-    else:
-        inputs = model.inputs
-        mask = idx
-        targets = np.zeros(model.n, dtype=np.int64)
-        targets[idx] = [labeled[i] for i in idx]
+    inputs, _, mask = _rows(model, idx)
+    targets = np.zeros(inputs.shape[0], dtype=np.int64)
+    targets[mask] = [labeled[i] for i in idx]
 
     losses = []
     for epoch in range(1, hyper.epochs + 1):
@@ -247,58 +246,44 @@ def train_submodel(model: SubModel, labeled, seed: int | None = None) -> Trained
             sgd_step(params, grads, hyper)
         losses.append(loss)
 
-    return TrainedSubModel(
-        spec=model.spec,
-        n=model.n,
-        n_classes=model.n_classes,
-        inputs=model.inputs,
-        prop=model.prop,
-        params=params,
-        loss_history=tuple(losses),
-    )
+    return TrainedSubModel(model=model, params=params, loss_history=tuple(losses))
 
 
-def predict_logits(model: TrainedSubModel, nodes) -> np.ndarray:
+def predict_logits(trained: TrainedSubModel, nodes) -> np.ndarray:
     """Deterministic (dropout-off) logits, one row per requested node."""
+    model = trained.model
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= model.n):
         raise ValidationError(f"node index out of range for n={model.n}")
+    inputs, _, rows = _rows(model, nodes)
     n_layers = len(model.spec.hidden_dims) + 1
-    if model.prop is None:
-        logits, _ = _forward(model.inputs[nodes], None, model.params, n_layers, model.spec.hyper, None, False)
-        return logits
-    logits, _ = _forward(model.inputs, model.prop, model.params, n_layers, model.spec.hyper, None, False)
-    return logits[nodes]
+    logits, _ = _forward(inputs, model.prop, trained.params, n_layers, model.spec.hyper, None, False)
+    return logits[rows]
 
 
-def input_gradient(model: TrainedSubModel, nodes, labels) -> np.ndarray:
+def input_gradient(trained: TrainedSubModel, nodes, labels) -> np.ndarray:
     """Gradient of the masked cross-entropy w.r.t. the raw input matrix.
 
     Used by gradient-guided feature attacks; evaluation mode, so the
     returned array is the exact input gradient of the deterministic
     forward. Only meaningful for models consuming raw features.
     """
+    model = trained.model
     nodes = np.asarray(nodes, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
     n_layers = len(model.spec.hidden_dims) + 1
     hyper = model.spec.hyper
-    if model.prop is None:
-        inputs = model.inputs[nodes]
-        logits, caches = _forward(inputs, None, model.params, n_layers, hyper, None, False)
-        _, grad_logits = softmax_xent(logits, labels, np.arange(nodes.size))
-        _, d_in = _backward(grad_logits, caches, None, model.params, hyper, want_input_grad=True)
-        full = np.zeros((model.n, model.inputs.shape[1]))
-        full[nodes] = d_in
-        return full
-    logits, caches = _forward(model.inputs, model.prop, model.params, n_layers, hyper, None, False)
-    targets = np.zeros(model.n, dtype=np.int64)
-    targets[nodes] = labels
-    _, grad_logits = softmax_xent(logits, targets, nodes)
-    _, d_in = _backward(grad_logits, caches, model.prop, model.params, hyper, want_input_grad=True)
-    return np.asarray(d_in)
+    inputs, in_rows, rows = _rows(model, nodes)
+    logits, caches = _forward(inputs, model.prop, trained.params, n_layers, hyper, None, False)
+    targets = np.zeros(inputs.shape[0], dtype=np.int64)
+    targets[rows] = np.asarray(labels, dtype=np.int64)
+    _, grad_logits = softmax_xent(logits, targets, rows)
+    _, d_in = _backward(grad_logits, caches, model.prop, trained.params, hyper, want_input_grad=True)
+    full = np.zeros((model.n, model.input_dim))
+    full[in_rows] = d_in
+    return full
 
 
-def accuracy(model: TrainedSubModel, nodes, labels) -> float:
+def accuracy(trained: TrainedSubModel, nodes, labels) -> float:
     """Fraction of nodes whose argmax logit matches the given labels."""
-    pred = predict_logits(model, nodes).argmax(axis=1)
+    pred = predict_logits(trained, nodes).argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())

@@ -43,50 +43,24 @@ class TrainHyper:
             raise ValidationError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
-class ParamSet:
-    """Ordered, named collection of dense parameter arrays.
-
-    Names starting with 'W' are weight matrices (subject to weight decay);
-    names starting with 'b' are bias vectors.
-    """
-
-    def __init__(self, params: dict[str, np.ndarray]):
-        self._params = dict(params)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._params[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        if name in self._params and self._params[name].shape != value.shape:
-            raise ValidationError(
-                f"shape mismatch for {name}: {self._params[name].shape} vs {value.shape}"
-            )
-        self._params[name] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __iter__(self):
-        return iter(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self._params.items()})
-
-    def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self._params.items()})
-
-
 LayerPlan = list[tuple[int, int, bool]]
 
 
-def init_params(layer_plan: LayerPlan, seed: int) -> ParamSet:
-    """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
+def derive_seeds(*keys: int, words: int = 1) -> tuple[int, ...]:
+    """words independent 32-bit seeds derived from the key tuple.
+
+    One SeedSequence per key tuple, so runs that differ in any key (seed,
+    iteration, role) draw unrelated streams.
+    """
+    return tuple(int(w) for w in np.random.SeedSequence(keys).generate_state(words))
+
+
+def init_params(layer_plan: LayerPlan, seed: int) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases.
+
+    Layer l holds the weight matrix "W{l}" (subject to weight decay) and,
+    when the plan asks for one, the bias vector "b{l}".
+    """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for l, (d_in, d_out, has_bias) in enumerate(layer_plan):
@@ -96,7 +70,7 @@ def init_params(layer_plan: LayerPlan, seed: int) -> ParamSet:
         params[f"W{l}"] = rng.uniform(-limit, limit, size=(d_in, d_out))
         if has_bias:
             params[f"b{l}"] = np.zeros(d_out)
-    return ParamSet(params)
+    return params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -163,7 +137,7 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: ParamSet) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
@@ -178,8 +152,12 @@ def _decayed(name: str, grad: np.ndarray, param: np.ndarray, weight_decay: float
 
 
 def adam_step(
-    params: ParamSet, grads: ParamSet, state: AdamState, t: int, hyper: TrainHyper
-) -> tuple[ParamSet, AdamState]:
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    t: int,
+    hyper: TrainHyper,
+) -> tuple[dict[str, np.ndarray], AdamState]:
     """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8), in place.
 
     Weight decay enters as an additive lambda*W term in the gradient before
@@ -204,7 +182,9 @@ def adam_step(
     return params, state
 
 
-def sgd_step(params: ParamSet, grads: ParamSet, hyper: TrainHyper) -> ParamSet:
+def sgd_step(
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], hyper: TrainHyper
+) -> dict[str, np.ndarray]:
     """Plain gradient descent with the same weight-decay convention."""
     for name, p in params.items():
         g = _decayed(name, grads[name], p, hyper.weight_decay)
@@ -212,17 +192,17 @@ def sgd_step(params: ParamSet, grads: ParamSet, hyper: TrainHyper) -> ParamSet:
     return params
 
 
-def finite_diff_check(loss_fn, grad_fn, params: ParamSet, eps: float = 1e-4) -> float:
+def finite_diff_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    loss_fn maps a ParamSet to a scalar; grad_fn returns the analytic
-    gradient ParamSet. The forward must be deterministic (dropout off) and
+    loss_fn maps a parameter dict to a scalar; grad_fn returns the analytic
+    gradient dict. The forward must be deterministic (dropout off) and
     smooth at the probe point; ReLU models should be probed away from
     kinks. Relative error uses max(|a|, |b|, 1e-6) as denominator.
     """
     analytic = grad_fn(params)
     worst = 0.0
-    work = params.copy()
+    work = {k: v.copy() for k, v in params.items()}
     for name, p in work.items():
         flat = p.reshape(-1)
         g_flat = analytic[name].reshape(-1)
@@ -239,7 +219,7 @@ def finite_diff_check(loss_fn, grad_fn, params: ParamSet, eps: float = 1e-4) -> 
     return worst
 
 
-def save_params_csv(params: ParamSet, path) -> None:
+def save_params_csv(params: dict[str, np.ndarray], path) -> None:
     """Checkpoint as CSV rows: name, shape ('RxC'), row-major values."""
     with open(path, "w", encoding="utf-8") as fh:
         for name, p in params.items():
@@ -248,7 +228,7 @@ def save_params_csv(params: ParamSet, path) -> None:
             fh.write(f"{name},{shape},{values}\n")
 
 
-def load_params_csv(path) -> ParamSet:
+def load_params_csv(path) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -258,4 +238,4 @@ def load_params_csv(path) -> ParamSet:
             name, shape, *values = line.split(",")
             dims = tuple(int(d) for d in shape.split("x"))
             params[name] = np.array([float(v) for v in values]).reshape(dims)
-    return ParamSet(params)
+    return params

@@ -1,12 +1,15 @@
 """Shared test utilities."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from cograph.graph import Graph, make_graph
+from cograph.graph import Graph, labeled_map, make_graph  # noqa: F401 -- re-exported for tests
 
 
-def labeled_map(g: Graph, nodes) -> dict[int, int]:
-    return {int(i): int(g.labels[i]) for i in nodes}
+def with_inputs(trained, inputs):
+    """The trained model with its sub-model's input matrix swapped."""
+    return replace(trained, model=replace(trained.model, inputs=inputs))
 
 
 def merge_classes(g: Graph, mapping: dict[int, int]) -> Graph:

@@ -3,7 +3,7 @@ import pytest
 
 from cograph import SubModelSpec, ValidationError, build_submodel, graphs_equal, predict_logits, train_submodel
 from cograph.attacks import (
-    PerturbationPlan,
+    AttackSetting,
     dice_perturb,
     feature_flip_attack,
     flip_log_hash,
@@ -16,7 +16,7 @@ from cograph.graph import make_graph
 from cograph.io import save_edge_list
 from cograph.models import accuracy
 from cograph.nn import TrainHyper
-from helpers import labeled_map
+from helpers import labeled_map, with_inputs
 
 FAST = TrainHyper(epochs=60)
 
@@ -100,6 +100,29 @@ def test_dice_exhaustion_spends_other_kind():
     assert not (perturbed.edges - g.edges)
 
 
+def test_dice_keeps_inserting_on_imbalanced_labels():
+    # 1980 nodes of class 0 and 20 of class 1: a random pair is cross-class
+    # 2% of the time, so 200 missed draws in a row are common while 39,600
+    # cross-class non-edges remain; about half the budget must still insert
+    rng = np.random.default_rng(0)
+    n = 2000
+    labels = np.zeros(n, dtype=np.int64)
+    labels[-20:] = 1
+    edges = set()
+    while len(edges) < 4000:
+        i, j = rng.integers(1980, size=2)
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    g = make_graph(n, edges, np.zeros((n, 1)), labels)
+    for seed in range(5):
+        perturbed = dice_perturb(g, labels, 0.2, seed)  # budget 800
+        inserted = perturbed.edges - g.edges
+        deleted = g.edges - perturbed.edges
+        assert len(inserted) + len(deleted) == 800
+        assert all(labels[i] != labels[j] for i, j in inserted)
+        assert 340 <= len(inserted) <= 460
+
+
 # --- gradient feature flips -----------------------------------------------------
 
 
@@ -159,9 +182,7 @@ def test_structural_attack_never_touches_fmlp_logits(attack_graph, attack_split,
     # rebinding the same features over new edges is a no-op for f-mlp
     spec = SubModelSpec(kind="f-mlp", hyper=FAST)
     rebuilt = build_submodel(spec, perturbed_graph)
-    from dataclasses import replace
-
-    moved = replace(fmlp_victim, inputs=rebuilt.inputs)
+    moved = with_inputs(fmlp_victim, rebuilt.inputs)
     nodes = attack_split.test
     assert np.array_equal(predict_logits(fmlp_victim, nodes), predict_logits(moved, nodes))
 
@@ -173,9 +194,7 @@ def test_feature_attack_never_touches_smlp_logits(attack_graph, attack_split, fm
     )
     flipped = feature_flip_attack(attack_graph, fmlp_victim, 200, seed=0, targets=attack_split.test)
     rebuilt = build_submodel(spec, flipped)
-    from dataclasses import replace
-
-    moved = replace(smodel, inputs=rebuilt.inputs)
+    moved = with_inputs(smodel, rebuilt.inputs)
     nodes = attack_split.test
     assert np.array_equal(predict_logits(smodel, nodes), predict_logits(moved, nodes))
 
@@ -224,8 +243,8 @@ def test_load_perturbed_rejects_out_of_range(tmp_path, attack_graph):
 
 def test_sidecar_written(tmp_path, attack_graph):
     perturbed = random_structure_perturb(attack_graph, 0.05, seed=2)
-    plan = PerturbationPlan(total_rate=0.05, ratio=0.0, method="random", seed=2)
-    write_sidecar(tmp_path / "sidecar.json", plan, attack_graph, perturbed)
+    setting = AttackSetting("sidecar", method="random", rate=0.05)
+    write_sidecar(tmp_path / "sidecar.json", setting, 2, attack_graph, perturbed)
     import json
 
     record = json.loads((tmp_path / "sidecar.json").read_text())
@@ -236,6 +255,6 @@ def test_sidecar_written(tmp_path, attack_graph):
 
 def test_plan_validation():
     with pytest.raises(ValidationError):
-        PerturbationPlan(total_rate=2.0)
+        AttackSetting("x", method="random", rate=2.0)
     with pytest.raises(ValidationError):
-        PerturbationPlan(total_rate=0.1, method="nuke")
+        AttackSetting("x", method="nuke", rate=0.1)

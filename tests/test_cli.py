@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from cograph.cli import main
 
 
@@ -115,6 +118,44 @@ def test_bad_config_exits_2(capsys, tmp_path):
     cfg.write_text("{not json")
     rc = main(["--config", str(cfg), "experiment"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "level, key",
+    [("config", "max_iter"), ("spec", "epochs"), ("hyper", "epoch"), ("attack", "methd")],
+)
+def test_config_typo_exits_2_naming_the_key(capsys, tmp_path, level, key):
+    config = {
+        "synthetic": dict(n=60, C=2, p_in=0.2, p_out=0.05, m=8, feature_noise=0.1, seed=5),
+        "seeds": [0],
+        "struct_model": {"kind": "gcn", "hyper": {"epochs": 10}},
+        "feat_model": {"kind": "f-mlp", "hyper": {"epochs": 10}},
+        "attacks": [{"name": "dice", "method": "dice", "rate": 0.1}],
+        "out_dir": str(tmp_path / "out"),
+    }
+    target = {
+        "config": config,
+        "spec": config["struct_model"],
+        "hyper": config["struct_model"]["hyper"],
+        "attack": config["attacks"][0],
+    }[level]
+    target[key] = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["--config", str(cfg_path), "experiment"])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_feature_file_exits_2(capsys, tmp_path):
+    data = gen_dataset(capsys, tmp_path)
+    X = np.loadtxt(data / "features.csv", delimiter=",")
+    X[3, 2] = np.nan
+    np.savetxt(data / "features.csv", X, delimiter=",")
+    rc = main(["train", "--data", str(data), "--model", "f-mlp", "--epochs", "5"])
+    assert rc == 2
+    assert "NaN or infinite" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(capsys):

@@ -240,13 +240,14 @@ def test_cotrain_zero_iterations_is_plain_ensemble(easy_graph, easy_split):
     assert state.s_size == len(easy_split.labeled)
 
     # oracle: train the two models directly with the same derived seeds
-    from cograph.cotrain import _iteration_seed
+    from cograph.nn import derive_seeds
 
     lab = labeled_map(easy_graph, easy_split.labeled)
-    ref_s = train_submodel(build_submodel(spec_s, easy_graph), lab, seed=_iteration_seed(4, 0, 0))
-    ref_f = train_submodel(build_submodel(spec_f, easy_graph), lab, seed=_iteration_seed(4, 0, 1))
-    assert all(np.array_equal(fs.params[k], ref_s.params[k]) for k in fs.params.names())
-    assert all(np.array_equal(ff.params[k], ref_f.params[k]) for k in ff.params.names())
+    (seed_s,), (seed_f,) = derive_seeds(4, 0, 0), derive_seeds(4, 0, 1)
+    ref_s = train_submodel(build_submodel(spec_s, easy_graph), lab, seed=seed_s)
+    ref_f = train_submodel(build_submodel(spec_f, easy_graph), lab, seed=seed_f)
+    assert all(np.array_equal(fs.params[k], ref_s.params[k]) for k in fs.params)
+    assert all(np.array_equal(ff.params[k], ref_f.params[k]) for k in ff.params)
 
 
 def test_cotrain_stops_when_pool_empties(easy_graph):

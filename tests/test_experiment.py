@@ -43,6 +43,13 @@ def test_config_rejects_both_dataset_sources():
         tiny_config(dataset_dir="somewhere")
 
 
+def test_config_names_a_missing_required_key():
+    with pytest.raises(ValidationError, match="'kind'"):
+        tiny_config(struct_model={"hyper": FAST_HYPER})
+    with pytest.raises(ValidationError, match="'name'"):
+        tiny_config(attacks=[{"method": "dice", "rate": 0.1}])
+
+
 def test_config_rejects_duplicate_setting_names():
     with pytest.raises(ValidationError):
         tiny_config(attacks=[{"name": "a"}, {"name": "a"}])
@@ -126,6 +133,22 @@ def test_failed_cell_recorded_not_raised(tmp_path):
     assert not report.summary["complete"]
     assert report.summary["settings"]["broken"]["seeds_failed"] == 2
     emit_report(report, tmp_path)  # still writes, with empty result rows
+
+
+def test_failed_cell_keeps_traceback(tmp_path):
+    cfg = tiny_config(
+        seeds=[0],
+        attacks=[{"name": "broken", "method": "external", "path": "missing.tsv"}],
+    )
+    report = run_experiment(cfg)
+    (cell,) = report.cells
+    assert cell.error.startswith("FileNotFoundError: ")
+    assert cell.traceback.startswith("Traceback (most recent call last):")
+    assert "load_perturbed_adjacency" in cell.traceback
+    emit_report(report, tmp_path)
+    summary = (tmp_path / "summary.json").read_text()
+    assert json.loads(summary)["summary"]["settings"]["broken"]["errors"] == [cell.error]
+    assert "Traceback" not in summary
 
 
 def test_calibration_toggle_only_changes_temperatures():

@@ -26,6 +26,14 @@ def test_feature_matrix_shape_checked():
         make_graph(3, [], np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_graph_rejects_non_finite_features(bad):
+    X = np.ones((3, 2))
+    X[1, 0] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        make_graph(3, [(0, 1)], X, [0, 1, 0])
+
+
 def test_graph_is_immutable():
     g = make_graph(2, [(0, 1)], np.eye(2))
     with pytest.raises(ValueError):

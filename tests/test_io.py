@@ -97,12 +97,3 @@ def test_missing_dataset_file_reports_path(tmp_path):
     with pytest.raises(ValidationError) as exc:
         load_graph_dir(tmp_path)
     assert str(tmp_path) in str(exc.value)
-
-
-def test_embedding_csv_export(tmp_path, rng):
-    from cograph.io import save_embedding_csv
-
-    coords = rng.normal(size=(5, 3))
-    save_embedding_csv(coords, tmp_path / "emb.csv")
-    back = np.loadtxt(tmp_path / "emb.csv", delimiter=",")
-    assert back == pytest.approx(coords)

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from cograph import ValidationError
 from cograph.nn import (
     AdamState,
-    ParamSet,
     TrainHyper,
     adam_step,
     finite_diff_check,
@@ -30,7 +29,7 @@ def test_glorot_range_bound():
 def test_init_determinism():
     a = init_params([(4, 5, True), (5, 2, True)], seed=9)
     b = init_params([(4, 5, True), (5, 2, True)], seed=9)
-    assert all(np.array_equal(a[k], b[k]) for k in a.names())
+    assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_biases_init_to_zero():
@@ -118,59 +117,59 @@ def test_softmax_rows_sum_to_one(logits):
 
 
 def test_adam_zero_grad_is_fixed_point():
-    params = ParamSet({"W0": np.array([[1.0, -2.0]])})
+    params = {"W0": np.array([[1.0, -2.0]])}
     state = AdamState.for_params(params)
     hyper = TrainHyper(weight_decay=0.0)
-    adam_step(params, params.zeros_like(), state, 1, hyper)
+    adam_step(params, {k: np.zeros_like(v) for k, v in params.items()}, state, 1, hyper)
     assert np.array_equal(params["W0"], np.array([[1.0, -2.0]]))
 
 
 def test_adam_first_step_is_lr_times_sign():
     hyper = TrainHyper(learning_rate=0.01, weight_decay=0.0)
     for g in (3.0, -0.25, 1e-3):
-        params = ParamSet({"W0": np.array([[0.0]])})
+        params = {"W0": np.array([[0.0]])}
         state = AdamState.for_params(params)
-        adam_step(params, ParamSet({"W0": np.array([[g]])}), state, 1, hyper)
+        adam_step(params, {"W0": np.array([[g]])}, state, 1, hyper)
         assert params["W0"].item() == pytest.approx(-0.01 * np.sign(g), rel=1e-4)
 
 
 def test_adam_quadratic_bowl_converges():
     # f(w) = w^2 from w=1: 200 steps at lr 0.01 must reach |w| < 0.1
-    params = ParamSet({"W0": np.array([[1.0]])})
+    params = {"W0": np.array([[1.0]])}
     state = AdamState.for_params(params)
     hyper = TrainHyper(learning_rate=0.01, weight_decay=0.0)
     for t in range(1, 201):
-        adam_step(params, ParamSet({"W0": 2.0 * params["W0"]}), state, t, hyper)
+        adam_step(params, {"W0": 2.0 * params["W0"]}, state, t, hyper)
     assert abs(params["W0"].item()) < 0.1
 
 
 def test_adam_weight_decay_on_weights_not_biases():
-    params = ParamSet({"W0": np.array([[1.0]]), "b0": np.array([1.0])})
+    params = {"W0": np.array([[1.0]]), "b0": np.array([1.0])}
     state = AdamState.for_params(params)
     hyper = TrainHyper(learning_rate=0.01, weight_decay=0.1)
-    adam_step(params, params.zeros_like(), state, 1, hyper)
+    adam_step(params, {k: np.zeros_like(v) for k, v in params.items()}, state, 1, hyper)
     assert params["W0"].item() < 1.0  # decayed
     assert params["b0"].item() == 1.0  # untouched
 
 
 def test_adam_shape_mismatch_rejected():
-    params = ParamSet({"W0": np.zeros((2, 2))})
+    params = {"W0": np.zeros((2, 2))}
     state = AdamState.for_params(params)
     with pytest.raises(ValidationError):
-        adam_step(params, ParamSet({"W0": np.zeros((3, 3))}), state, 1, TrainHyper())
+        adam_step(params, {"W0": np.zeros((3, 3))}, state, 1, TrainHyper())
 
 
 def test_sgd_step():
-    params = ParamSet({"W0": np.array([[1.0]])})
+    params = {"W0": np.array([[1.0]])}
     hyper = TrainHyper(learning_rate=0.5, weight_decay=0.0)
-    sgd_step(params, ParamSet({"W0": np.array([[1.0]])}), hyper)
+    sgd_step(params, {"W0": np.array([[1.0]])}, hyper)
     assert params["W0"].item() == pytest.approx(0.5)
 
 
 def test_finite_diff_linear_model_exact(rng):
     X = rng.normal(size=(6, 3))
     y = rng.normal(size=6)
-    params = ParamSet({"W0": rng.normal(size=(3, 1))})
+    params = {"W0": rng.normal(size=(3, 1))}
 
     def loss_fn(p):
         r = X @ p["W0"].ravel() - y
@@ -178,7 +177,7 @@ def test_finite_diff_linear_model_exact(rng):
 
     def grad_fn(p):
         r = X @ p["W0"].ravel() - y
-        return ParamSet({"W0": (2.0 / 6.0) * (X.T @ r)[:, None]})
+        return {"W0": (2.0 / 6.0) * (X.T @ r)[:, None]}
 
     assert finite_diff_check(loss_fn, grad_fn, params, eps=1e-5) < 1e-8
 
@@ -186,9 +185,7 @@ def test_finite_diff_linear_model_exact(rng):
 def test_finite_diff_two_layer_tanh(rng):
     X = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5)
-    params = ParamSet(
-        {"W0": 0.5 * rng.normal(size=(4, 6)), "W1": 0.5 * rng.normal(size=(6, 3))}
-    )
+    params = {"W0": 0.5 * rng.normal(size=(4, 6)), "W1": 0.5 * rng.normal(size=(6, 3))}
 
     def forward(p):
         h = np.tanh(X @ p["W0"])
@@ -204,13 +201,13 @@ def test_finite_diff_two_layer_tanh(rng):
         gW1 = h.T @ gl
         gh = gl @ p["W1"].T
         gz = gh * (1.0 - h * h)
-        return ParamSet({"W0": X.T @ gz, "W1": gW1})
+        return {"W0": X.T @ gz, "W1": gW1}
 
     assert finite_diff_check(loss_fn, grad_fn, params, eps=1e-4) < 1e-4
 
 
 def test_params_csv_roundtrip(tmp_path, rng):
-    params = ParamSet({"W0": rng.normal(size=(3, 2)), "b0": rng.normal(size=2)})
+    params = {"W0": rng.normal(size=(3, 2)), "b0": rng.normal(size=2)}
     save_params_csv(params, tmp_path / "ckpt.csv")
     back = load_params_csv(tmp_path / "ckpt.csv")
-    assert all(np.array_equal(params[k], back[k]) for k in params.names())
+    assert all(np.array_equal(params[k], back[k]) for k in params)
