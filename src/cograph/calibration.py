@@ -120,8 +120,12 @@ def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> Reliab
     )
 
 
+# what each position of a reliability_rows tuple holds
+RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "confidence", "accuracy")
+
+
 def reliability_rows(bins: ReliabilityBins) -> list[tuple[float, float, int, float, float]]:
-    """CSV-ready rows: (bin_low, bin_high, count, confidence, accuracy)."""
+    """CSV-ready rows, one per bin, in RELIABILITY_COLUMNS order."""
     return [
         (
             float(bins.edges[i]),
@@ -131,4 +135,14 @@ def reliability_rows(bins: ReliabilityBins) -> list[tuple[float, float, int, flo
             float(bins.accuracy[i]),
         )
         for i in range(bins.counts.size)
+    ]
+
+
+def reliability_by_phase(logits: np.ndarray, labels: np.ndarray, T: float, bins: int) -> list[dict]:
+    """Reliability rows before and after temperature T, each a mapping of
+    "phase" ("uncalibrated" or "calibrated") and RELIABILITY_COLUMNS."""
+    return [
+        {"phase": phase, **dict(zip(RELIABILITY_COLUMNS, row))}
+        for phase, temp in (("uncalibrated", 1.0), ("calibrated", T))
+        for row in reliability_rows(reliability(calibrate(logits, temp), labels, bins))
     ]

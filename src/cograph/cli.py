@@ -11,15 +11,23 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 from .attacks import ATTACK_METHODS, AttackSetting, write_sidecar
-from .calibration import calibrate, fit_temperature, nll, reliability, reliability_rows
+from .calibration import (
+    RELIABILITY_COLUMNS,
+    calibrate,
+    fit_temperature,
+    nll,
+    reliability,
+    reliability_by_phase,
+)
 from .cotrain import cotrain
 from .errors import ValidationError
 from .experiment import ExperimentConfig, apply_attack, emit_report, run_experiment
 from .graph import generate_synthetic, labeled_map, split_nodes
-from .io import load_graph_dir, save_dataset_dir, write_json
+from .io import load_graph_dir, save_dataset_dir, write_csv, write_json
 from .models import (
     ALL_KINDS,
     SubModelSpec,
@@ -41,17 +49,23 @@ def _hyper_from_args(args) -> TrainHyper:
     )
 
 
+def _default(cls, name: str):
+    """The library's default for the field name of the dataclass cls."""
+    return {f.name: f.default for f in fields(cls)}[name]
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
+    d = TrainHyper()
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--lr", type=float, default=d.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=d.weight_decay)
+    p.add_argument("--dropout", type=float, default=d.dropout)
+    p.add_argument("--optimizer", choices=("adam", "sgd"), default=d.optimizer)
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-frac", type=float, default=0.1)
-    p.add_argument("--val-frac", type=float, default=0.1)
+    p.add_argument("--train-frac", type=float, default=_default(ExperimentConfig, "train_frac"))
+    p.add_argument("--val-frac", type=float, default=_default(ExperimentConfig, "val_frac"))
 
 
 def _spec(kind: str, k: int, hidden, hyper: TrainHyper) -> SubModelSpec:
@@ -217,18 +231,15 @@ def cmd_calibrate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "reliability.csv", "w", encoding="utf-8") as fh:
-            fh.write("split,phase,bin_low,bin_high,count,confidence,accuracy\n")
+        rows = [
+            {"split": split_name, **row}
             for split_name, logits, labels in (
                 ("validation", val_logits, val_labels),
                 ("test", test_logits, test_labels),
-            ):
-                for phase, temp in (("uncalibrated", 1.0), ("calibrated", T)):
-                    bins = reliability(calibrate(logits, temp), labels, args.bins)
-                    for row in reliability_rows(bins):
-                        fh.write(
-                            f"{split_name},{phase},{row[0]!r},{row[1]!r},{row[2]},{row[3]!r},{row[4]!r}\n"
-                        )
+            )
+            for row in reliability_by_phase(logits, labels, T, args.bins)
+        ]
+        write_csv(("split", "phase", *RELIABILITY_COLUMNS), rows, out / "reliability.csv")
     _emit(metrics)
     return 0
 
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single sub-model and report accuracy")
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=ALL_KINDS, required=True)
-    p.add_argument("--k", type=int, default=50)
+    p.add_argument("--k", type=int, default=_default(SubModelSpec, "k"))
     p.add_argument("--hidden", type=int, nargs="*", default=None)
     _add_split_flags(p)
     _add_hyper_flags(p)
@@ -283,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--struct", choices=("gcn", "s-mlp"), default="gcn")
     p.add_argument("--feat", choices=("f-mlp", "knn-gcn"), default="f-mlp")
-    p.add_argument("--struct-k", type=int, default=50)
-    p.add_argument("--feat-k", type=int, default=50)
-    p.add_argument("--n-add", type=int, default=250)
-    p.add_argument("--max-iters", type=int, default=4)
+    p.add_argument("--struct-k", type=int, default=_default(SubModelSpec, "k"))
+    p.add_argument("--feat-k", type=int, default=_default(SubModelSpec, "k"))
+    p.add_argument("--n-add", type=int, default=_default(ExperimentConfig, "n_add"))
+    p.add_argument("--max-iters", type=int, default=_default(ExperimentConfig, "max_iters"))
     p.add_argument("--no-calibration", action="store_true")
     p.add_argument("--no-class-balancing", action="store_true")
     _add_split_flags(p)
@@ -307,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit a temperature and report calibration stats")
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=ALL_KINDS, default="gcn")
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--k", type=int, default=_default(SubModelSpec, "k"))
+    p.add_argument("--bins", type=int, default=_default(ExperimentConfig, "reliability_bins"))
     _add_split_flags(p)
     _add_hyper_flags(p)
     p.set_defaults(func=cmd_calibrate, hidden=None)

@@ -1,8 +1,9 @@
 """Two-view co-training with class-balanced pseudo-labeling.
 
 Each iteration retrains both sub-models from scratch on the current
-labeled set, refits their temperatures on the untouched validation set,
-scores the unlabeled pool with calibrated confidence, and moves the
+labeled set and scores every node once with each. From that one pass it
+refits their temperatures on the untouched validation rows, measures test
+accuracy, ranks the unlabeled pool by calibrated confidence, and moves the
 per-class most confident nodes into the labeled set under quotas derived
 from the initial label distribution. Inference averages the two calibrated
 probability vectors.
@@ -10,7 +11,7 @@ probability vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -169,19 +170,19 @@ class IterationRecord:
     confusion: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
+        """Every field under its history key, tuples as lists."""
         return {
-            "iter": self.iteration,
-            "S_size": self.s_size,
-            "added_per_class_struct": list(self.added_per_class_struct),
-            "added_per_class_feat": list(self.added_per_class_feat),
-            "shortfall_struct": list(self.shortfall_struct),
-            "shortfall_feat": list(self.shortfall_feat),
-            "conflicts": self.conflicts,
-            "acc_struct": self.acc_struct,
-            "acc_feat": self.acc_feat,
-            "acc_ensemble": self.acc_ensemble,
-            "confusion_matrix": [list(r) for r in self.confusion],
+            _HISTORY_KEYS.get(f.name, f.name): _as_lists(getattr(self, f.name))
+            for f in fields(self)
         }
+
+
+# fields whose history key differs from the field name
+_HISTORY_KEYS = {"iteration": "iter", "s_size": "S_size", "confusion": "confusion_matrix"}
+
+
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass
@@ -222,15 +223,21 @@ def audit_state(state: CoTrainState, g: Graph, split: NodeSplit) -> None:
         raise ValidationError("labeled-set size decreased across iterations")
 
 
+def _average(probs_s: np.ndarray, probs_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble rule: mean of the two calibrated probability rows;
+    argmax ties take the smaller class id."""
+    probs = (probs_s + probs_f) / 2.0
+    return probs.argmax(axis=1), probs
+
+
 def ensemble_predict(
     f_struct: TrainedSubModel, f_feat: TrainedSubModel, nodes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average the two calibrated probability rows; argmax ties take the
-    smaller class id."""
-    probs_s = calibrate(predict_logits(f_struct, nodes), f_struct.temperature)
-    probs_f = calibrate(predict_logits(f_feat, nodes), f_feat.temperature)
-    probs = (probs_s + probs_f) / 2.0
-    return probs.argmax(axis=1), probs
+    """Ensemble labels and probabilities for nodes."""
+    return _average(
+        calibrate(predict_logits(f_struct, nodes), f_struct.temperature),
+        calibrate(predict_logits(f_feat, nodes), f_feat.temperature),
+    )
 
 
 def _confusion(true_labels: np.ndarray, pred: np.ndarray, C: int):
@@ -276,6 +283,7 @@ def cotrain(
 
     model_s = build_submodel(spec_struct, g)
     model_f = build_submodel(spec_feat, g)
+    all_nodes = np.arange(g.n)
     val_nodes = split.validation
     val_labels = g.labels[val_nodes] if val_nodes.size else None
     test_nodes = split.test
@@ -289,13 +297,18 @@ def cotrain(
     )
     quota = class_quota(split.class_histogram, n_add) if class_balancing else None
 
-    def fit(model: SubModel, iteration: int, role: int) -> TrainedSubModel:
+    def fit(model: SubModel, iteration: int, role: int):
+        """The trained model, its raw logits for every node (row = node id)
+        and their calibrated probabilities: its only forward pass."""
         (fit_seed,) = derive_seeds(seed, iteration, role)
         trained = train_submodel(model, state.labeled_map(), seed=fit_seed)
+        logits = predict_logits(trained, all_nodes)
         if calibration and val_nodes.size:
-            T = fit_temperature(predict_logits(trained, val_nodes), val_labels)
-            trained = trained.with_temperature(T)
-        return trained
+            trained = trained.with_temperature(fit_temperature(logits[val_nodes], val_labels))
+        return trained, logits, calibrate(logits, trained.temperature)
+
+    def test_accuracy(pred: np.ndarray) -> float:
+        return float((pred == test_labels).mean())
 
     added_s: tuple[int, ...] = (0,) * g.C
     added_f: tuple[int, ...] = (0,) * g.C
@@ -305,10 +318,10 @@ def cotrain(
 
     while True:
         it = state.iteration
-        f_struct = fit(model_s, it, 0)
-        f_feat = fit(model_f, it, 1)
+        f_struct, logits_s, probs_s = fit(model_s, it, 0)
+        f_feat, logits_f, probs_f = fit(model_f, it, 1)
 
-        pred, _ = ensemble_predict(f_struct, f_feat, test_nodes)
+        pred, _ = _average(probs_s[test_nodes], probs_f[test_nodes])
         record = IterationRecord(
             iteration=it,
             s_size=state.s_size,
@@ -317,13 +330,9 @@ def cotrain(
             shortfall_struct=short_s,
             shortfall_feat=short_f,
             conflicts=conflicts,
-            acc_struct=float(
-                (predict_logits(f_struct, test_nodes).argmax(axis=1) == test_labels).mean()
-            ),
-            acc_feat=float(
-                (predict_logits(f_feat, test_nodes).argmax(axis=1) == test_labels).mean()
-            ),
-            acc_ensemble=float((pred == test_labels).mean()),
+            acc_struct=test_accuracy(logits_s[test_nodes].argmax(axis=1)),
+            acc_feat=test_accuracy(logits_f[test_nodes].argmax(axis=1)),
+            acc_ensemble=test_accuracy(pred),
             confusion=_confusion(test_labels, pred, g.C),
         )
         state.history.append(record)
@@ -333,10 +342,8 @@ def cotrain(
             return f_struct, f_feat, state
 
         pool = np.array(sorted(state.unlabeled), dtype=np.int64)
-        probs_s = calibrate(predict_logits(f_struct, pool), f_struct.temperature)
-        probs_f = calibrate(predict_logits(f_feat, pool), f_feat.temperature)
-        sel_s, short_s = select_confident(pool, probs_s, quota, n_add)
-        sel_f, short_f = select_confident(pool, probs_f, quota, n_add)
+        sel_s, short_s = select_confident(pool, probs_s[pool], quota, n_add)
+        sel_f, short_f = select_confident(pool, probs_f[pool], quota, n_add)
         merged, conflicts = resolve_conflicts(sel_s, sel_f)
 
         next_iter = it + 1

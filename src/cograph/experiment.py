@@ -9,10 +9,11 @@ and are byte-identical across reruns of the same config.
 
 from __future__ import annotations
 
+import inspect
 import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,11 @@ from .attacks import (
     mixed_budget,
     random_structure_perturb,
 )
-from .calibration import calibrate, reliability, reliability_rows
+from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
 from .cotrain import cotrain
 from .errors import ValidationError
 from .graph import Graph, generate_synthetic, labeled_map, split_nodes
-from .io import load_graph_dir, write_json
+from .io import load_graph_dir, write_csv, write_json
 from .models import (
     KIND_FMLP,
     SubModelSpec,
@@ -42,17 +43,26 @@ from .nn import TrainHyper, derive_seeds
 _SEED_ROLE_ATTACK = 7
 _SEED_ROLE_VICTIM = 8
 
+# report tables: each row mapping is read by these keys, in this order
+RESULT_COLUMNS = (
+    "setting", "seed", "iter", "S_size", "conflicts", "acc_struct", "acc_feat", "acc_ensemble",
+    "added_per_class_struct", "added_per_class_feat", "shortfall_struct", "shortfall_feat",
+)
+CELL_RELIABILITY_COLUMNS = ("setting", "seed", "model", "phase", *RELIABILITY_COLUMNS)
+CONFUSION_COLUMNS = ("setting", "seed", "iter", "true_class", "pred_class", "count")
 
-def _checked(raw: dict, cls, where: str) -> dict:
-    """raw itself, once each key names a field of the dataclass cls and no
-    field without a default is missing; config typos fail here."""
-    known = {f.name: f for f in fields(cls)}
+
+def _checked(raw: dict, target, where: str) -> dict:
+    """raw itself, once each key names a parameter of target (a dataclass
+    or a function) and no parameter without a default is missing; config
+    typos fail here."""
+    params = inspect.signature(target).parameters
     for key in raw:
-        if key not in known:
-            raise ValidationError(f"{where}: unknown key {key!r}; expected one of {sorted(known)}")
-    for f in known.values():
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
-            raise ValidationError(f"{where}: missing key {f.name!r}")
+        if key not in params:
+            raise ValidationError(f"{where}: unknown key {key!r}; expected one of {sorted(params)}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in raw:
+            raise ValidationError(f"{where}: missing key {name!r}")
     return raw
 
 
@@ -86,6 +96,8 @@ class ExperimentConfig:
             raise ValidationError("config needs at least one seed")
         if (self.dataset_dir is None) == (self.synthetic is None):
             raise ValidationError("config needs exactly one of dataset_dir or synthetic")
+        if self.synthetic is not None:
+            _checked(self.synthetic, generate_synthetic, "synthetic")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
         names = [a.name for a in self.attacks]
@@ -116,23 +128,13 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh), overrides)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "seeds": list(self.seeds),
-            "struct_model": _spec_to_dict(self.struct_model),
-            "feat_model": _spec_to_dict(self.feat_model),
-            "dataset_dir": self.dataset_dir,
-            "synthetic": self.synthetic,
-            "train_frac": self.train_frac,
-            "val_frac": self.val_frac,
-            "n_add": self.n_add,
-            "max_iters": self.max_iters,
-            "attacks": [asdict(a) for a in self.attacks],
-            "out_dir": self.out_dir,
-            "calibration": self.calibration,
-            "class_balancing": self.class_balancing,
-            "threads": self.threads,
-            "reliability_bins": self.reliability_bins,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            seeds=list(self.seeds),
+            struct_model=_spec_to_dict(self.struct_model),
+            feat_model=_spec_to_dict(self.feat_model),
+            attacks=[asdict(a) for a in self.attacks],
+        )
         return out
 
 
@@ -231,20 +233,9 @@ def _run_cell(args) -> CellResult:
         test_labels = perturbed.labels[split.test]
         for role, model in (("struct", f_struct), ("feat", f_feat)):
             logits = predict_logits(model, split.test)
-            for phase, T in (("uncalibrated", 1.0), ("calibrated", model.temperature)):
-                bins = reliability(calibrate(logits, T), test_labels, config.reliability_bins)
-                for row in reliability_rows(bins):
-                    cell.reliability.append(
-                        {
-                            "model": role,
-                            "phase": phase,
-                            "bin_low": row[0],
-                            "bin_high": row[1],
-                            "count": row[2],
-                            "confidence": row[3],
-                            "accuracy": row[4],
-                        }
-                    )
+            bins = config.reliability_bins
+            rows = reliability_by_phase(logits, test_labels, model.temperature, bins)
+            cell.reliability.extend({"model": role, **row} for row in rows)
     except Exception as exc:  # noqa: BLE001 -- cell failures are data, not crashes
         cell.error = f"{type(exc).__name__}: {exc}"
         cell.traceback = traceback.format_exc()
@@ -314,21 +305,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
     )
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
 def emit_report(report: Report, out_dir) -> list[Path]:
     """Write results.csv, summary.json, reliability.csv, confusion.csv.
 
@@ -338,80 +314,25 @@ def emit_report(report: Report, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results_rows = []
-    confusion_rows = []
-    reliability_rows_out = []
+    results, confusion, reliability_out = [], [], []
     for cell in report.cells:
         if cell.error is not None:
             continue
+        key = {"setting": cell.setting, "seed": cell.seed}
         for rec in cell.history:
-            results_rows.append(
-                [
-                    cell.setting,
-                    cell.seed,
-                    rec["iter"],
-                    rec["S_size"],
-                    rec["conflicts"],
-                    rec["acc_struct"],
-                    rec["acc_feat"],
-                    rec["acc_ensemble"],
-                    rec["added_per_class_struct"],
-                    rec["added_per_class_feat"],
-                    rec["shortfall_struct"],
-                    rec["shortfall_feat"],
-                ]
-            )
+            results.append({**key, **rec})
+            at = {**key, "iter": rec["iter"]}
             for true_c, row in enumerate(rec["confusion_matrix"]):
-                for pred_c, count in enumerate(row):
-                    confusion_rows.append(
-                        [cell.setting, cell.seed, rec["iter"], true_c, pred_c, count]
-                    )
-        for row in cell.reliability:
-            reliability_rows_out.append(
-                [
-                    cell.setting,
-                    cell.seed,
-                    row["model"],
-                    row["phase"],
-                    row["bin_low"],
-                    row["bin_high"],
-                    row["count"],
-                    row["confidence"],
-                    row["accuracy"],
-                ]
-            )
+                confusion.extend(
+                    {**at, "true_class": true_c, "pred_class": pred_c, "count": count}
+                    for pred_c, count in enumerate(row)
+                )
+        reliability_out.extend({**key, **row} for row in cell.reliability)
 
-    results_path = out / "results.csv"
-    _write_csv(
-        results_path,
-        [
-            "setting",
-            "seed",
-            "iter",
-            "S_size",
-            "conflicts",
-            "acc_struct",
-            "acc_feat",
-            "acc_ensemble",
-            "added_per_class_struct",
-            "added_per_class_feat",
-            "shortfall_struct",
-            "shortfall_feat",
-        ],
-        results_rows,
-    )
-    summary_path = out / "summary.json"
+    names = ("results.csv", "summary.json", "reliability.csv", "confusion.csv")
+    results_path, summary_path, reliability_path, confusion_path = paths = [out / n for n in names]
+    write_csv(RESULT_COLUMNS, results, results_path)
     write_json({"config": report.config, "summary": report.summary}, summary_path)
-    reliability_path = out / "reliability.csv"
-    _write_csv(
-        reliability_path,
-        ["setting", "seed", "model", "phase", "bin_low", "bin_high", "count", "confidence", "accuracy"],
-        reliability_rows_out,
-    )
-    confusion_path = out / "confusion.csv"
-    _write_csv(
-        confusion_path,
-        ["setting", "seed", "iter", "true_class", "pred_class", "count"],
-        confusion_rows,
-    )
-    return [results_path, summary_path, reliability_path, confusion_path]
+    write_csv(CELL_RELIABILITY_COLUMNS, reliability_out, reliability_path)
+    write_csv(CONFUSION_COLUMNS, confusion, confusion_path)
+    return paths

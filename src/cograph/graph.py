@@ -229,8 +229,9 @@ def labeled_map(g: Graph, nodes) -> dict[int, int]:
 def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> NodeSplit:
     """Seeded uniform split into labeled/validation/test index sets.
 
-    Sizes are floor(frac * n); all remaining nodes go to the test set.
-    The split is uniform random, not class-stratified.
+    Sizes are floor(frac * n); all remaining nodes go to the test set,
+    which must not be empty. The split is uniform random, not
+    class-stratified.
     """
     if train_frac <= 0 or val_frac <= 0 or train_frac + val_frac > 1:
         raise ValidationError(
@@ -238,11 +239,13 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
         )
     if g.labels is None:
         raise ValidationError("split_nodes requires a labeled graph")
+    n_train = int(train_frac * g.n)
+    n_val = int(val_frac * g.n)
+    if n_train + n_val >= g.n:
+        raise ValidationError(f"fractions {train_frac}, {val_frac} leave no test node of {g.n}")
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n)
-    n_train = int(train_frac * g.n)
-    n_val = int(val_frac * g.n)
     labeled = np.sort(perm[:n_train])
     validation = np.sort(perm[n_train : n_train + n_val])
     test = np.sort(perm[n_train + n_val :])

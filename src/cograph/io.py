@@ -138,3 +138,21 @@ def write_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def write_csv(columns, rows, path) -> None:
+    """CSV of the given columns, one line per row mapping, with floats as
+    repr and sequences joined by ';', so equal rows give byte-identical
+    files."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")

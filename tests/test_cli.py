@@ -1,9 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cograph.cli import main
+from cograph import SubModelSpec
+from cograph.cli import build_parser, main
+from cograph.experiment import ExperimentConfig
+from cograph.nn import TrainHyper
 
 
 def run_cli(capsys, *argv):
@@ -122,7 +126,13 @@ def test_bad_config_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "level, key",
-    [("config", "max_iter"), ("spec", "epochs"), ("hyper", "epoch"), ("attack", "methd")],
+    [
+        ("config", "max_iter"),
+        ("spec", "epochs"),
+        ("hyper", "epoch"),
+        ("attack", "methd"),
+        ("synthetic", "sed"),
+    ],
 )
 def test_config_typo_exits_2_naming_the_key(capsys, tmp_path, level, key):
     config = {
@@ -138,6 +148,7 @@ def test_config_typo_exits_2_naming_the_key(capsys, tmp_path, level, key):
         "spec": config["struct_model"],
         "hyper": config["struct_model"]["hyper"],
         "attack": config["attacks"][0],
+        "synthetic": config["synthetic"],
     }[level]
     target[key] = 1
     cfg_path = tmp_path / "cfg.json"
@@ -156,6 +167,36 @@ def test_non_finite_feature_file_exits_2(capsys, tmp_path):
     rc = main(["train", "--data", str(data), "--model", "f-mlp", "--epochs", "5"])
     assert rc == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_split_without_test_nodes_exits_2(capsys, tmp_path):
+    data = gen_dataset(capsys, tmp_path)
+    rc = main(["cotrain", "--data", str(data), "--train-frac", "0.5", "--val-frac", "0.5"])
+    assert rc == 2
+    assert "no test node" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_the_library_defaults():
+    hyper = TrainHyper()
+    config = {f.name: f.default for f in fields(ExperimentConfig)}
+    k = SubModelSpec(kind="gcn").k
+    parser = build_parser()
+    for argv in (["train", "--data", "d", "--model", "gcn"], ["calibrate", "--data", "d"]):
+        args = parser.parse_args(argv)
+        assert args.k == k
+        assert args.train_frac == config["train_frac"]
+        assert args.val_frac == config["val_frac"]
+        assert (args.epochs, args.lr, args.weight_decay, args.dropout, args.optimizer) == (
+            hyper.epochs,
+            hyper.learning_rate,
+            hyper.weight_decay,
+            hyper.dropout,
+            hyper.optimizer,
+        )
+    args = parser.parse_args(["cotrain", "--data", "d"])
+    assert (args.struct_k, args.feat_k) == (k, k)
+    assert (args.n_add, args.max_iters) == (config["n_add"], config["max_iters"])
+    assert parser.parse_args(["calibrate", "--data", "d"]).bins == config["reliability_bins"]
 
 
 def test_missing_config_exits_2(capsys):

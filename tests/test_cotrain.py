@@ -1,3 +1,6 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,8 @@ from cograph.nn import TrainHyper
 from helpers import labeled_map
 
 FAST = TrainHyper(epochs=60)
+# the package exports the cotrain function under the submodule's name
+cotrain_module = importlib.import_module("cograph.cotrain")
 
 
 # --- quotas ----------------------------------------------------------------
@@ -293,3 +298,29 @@ def test_confusion_matrix_sums_to_test_size(small_run, easy_split):
     _, _, state = small_run
     for rec in state.history:
         assert np.array(rec.confusion).sum() == len(easy_split.test)
+
+
+def test_cotrain_scores_each_fit_once(monkeypatch, easy_graph, easy_split):
+    calls = {"predict_logits": 0, "train_submodel": 0}
+    for name in calls:
+        original = getattr(cotrain_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cotrain_module, name, counted)
+    spec_s = SubModelSpec(kind="gcn", hyper=TrainHyper(epochs=20))
+    spec_f = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=20))
+    _, _, state = cotrain(easy_graph, easy_split, spec_s, spec_f, n_add=15, max_iters=2, seed=0)
+    assert calls["train_submodel"] == 2 * len(state.history) == 6
+    assert calls["predict_logits"] == calls["train_submodel"]
+
+
+def test_cotrain_reads_scores_by_node_id(easy_graph, easy_split, small_run):
+    """The test set need not be sorted: every score is looked up by node id."""
+    shuffled = replace(easy_split, test=easy_split.test[::-1].copy())
+    spec_s = SubModelSpec(kind="gcn", hyper=FAST)
+    spec_f = SubModelSpec(kind="f-mlp", hyper=FAST)
+    _, _, state = cotrain(easy_graph, shuffled, spec_s, spec_f, n_add=15, max_iters=3, seed=0)
+    assert [r.to_json() for r in state.history] == [r.to_json() for r in small_run[2].history]

@@ -182,6 +182,10 @@ def test_split_rejects_bad_fractions():
         split_nodes(g, 0.0, 0.1, seed=0)
     with pytest.raises(ValidationError):
         split_nodes(g, 0.7, 0.5, seed=0)
+    for train_frac, val_frac in ((0.5, 0.5), (0.3, 0.7)):
+        with pytest.raises(ValidationError, match="no test node"):
+            split_nodes(g, train_frac, val_frac, seed=0)
+    assert split_nodes(g, 0.5, 0.45, seed=0).test.size == 1
 
 
 def test_with_edges_preserves_everything_else(easy_graph):
