@@ -49,11 +49,22 @@ class Embedding:
         return self.coords.shape[1]
 
 
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; rows of all zeros stay zero.
+
+    Each row is first divided by its largest magnitude so the squared norm
+    cannot underflow into the subnormal range, where it loses precision and
+    the "unit" rows come out longer than 1.
+    """
+    peak = np.abs(X).max(axis=1)
+    Xs = X / np.where(peak > 0, peak, 1.0)[:, None]
+    norms = np.linalg.norm(Xs, axis=1)
+    return Xs / np.where(norms > 0, norms, 1.0)[:, None]
+
+
 def cosine_similarity(X: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity; rows of all zeros score 0 against everything."""
-    X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
-    Xn = X / np.where(norms > 0, norms, 1.0)[:, None]
+    Xn = _unit_rows(np.asarray(X, dtype=np.float64))
     return Xn @ Xn.T
 
 
@@ -70,8 +81,7 @@ def knn_graph(X: np.ndarray, k: int) -> sp.csr_matrix:
     if k >= n:
         raise ValidationError(f"k must be < n, got k={k} n={n}")
 
-    norms = np.linalg.norm(X, axis=1)
-    Xn = X / np.where(norms > 0, norms, 1.0)[:, None]
+    Xn = _unit_rows(X)
 
     srcs = []
     dsts = []

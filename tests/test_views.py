@@ -77,6 +77,12 @@ def test_knn_zero_row_defined_as_zero_similarity():
     knn_graph(X, 1)  # still well-defined, no NaNs
 
 
+def test_cosine_of_tiny_rows_stays_unit():
+    # squared norm of these rows is subnormal; identical rows must score 1
+    X = np.full((3, 2), 5.5368726e-159)
+    assert np.abs(cosine_similarity(X) - 1.0).max() <= 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     arrays(
