@@ -23,6 +23,7 @@ from .nn import (
     derive_seeds,
     dropout_input,
     init_params,
+    masked_scale,
     sgd_step,
     softmax_xent,
 )
@@ -142,7 +143,10 @@ def _forward(inputs, prop, params: dict, n_layers: int, hyper: TrainHyper, rng, 
     """Forward pass; returns logits and per-layer caches for backprop.
 
     Hidden-layer dropout masks are cached; the input-layer mask is not
-    (training never needs the gradient w.r.t. the data).
+    (training never needs the gradient w.r.t. the data). In training, the
+    masks follow the dropout RNG contract of ``nn``: the input layer draws
+    one uniform per stored value (CSR) or per element (dense) first, then
+    each hidden layer one per element, in layer order.
     """
     h = inputs
     caches = []
@@ -153,7 +157,7 @@ def _forward(inputs, prop, params: dict, n_layers: int, hyper: TrainHyper, rng, 
         elif training and hyper.dropout > 0.0:
             keep = 1.0 - hyper.dropout
             mask = rng.random(h.shape) < keep
-            a = np.where(mask, h / keep, 0.0)
+            a = masked_scale(h, mask, keep)
         else:
             a, mask = h, None
         z = a @ params[f"W{l}"]
@@ -182,7 +186,7 @@ def _backward(grad_logits, caches, prop, params: dict, hyper: TrainHyper, want_i
         if l > 0:
             da = g @ params[f"W{l}"].T
             if mask is not None:
-                da = np.where(mask, da / (1.0 - hyper.dropout), 0.0)
+                da = masked_scale(da, mask, 1.0 - hyper.dropout)
             g = da * (caches[l - 1][1] > 0.0)
         elif want_input_grad:
             input_grad = g @ params[f"W{l}"].T

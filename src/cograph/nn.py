@@ -5,10 +5,17 @@ Glorot-uniform initialization, masked softmax cross-entropy with its
 gradient, Adam with L2 weight decay on weight matrices, inverted dropout,
 and a central-finite-difference gradient oracle. Everything is seeded
 numpy; no GPU, no general autodiff.
+
+Dropout RNG contract, on which bitwise reproducible training rests: each
+dropout draws its mask from the generator with one ``rng.random`` call,
+one uniform per stored value of a CSR input (in CSR order) or per element
+of a dense one, and a value is kept when its uniform is below 1 - rate.
+Within an epoch the input layer draws first, then the hidden layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +40,14 @@ class TrainHyper:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValidationError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}"
+            )
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 1:
@@ -101,32 +114,50 @@ def softmax_xent(
     y = targets[mask]
     if y.min() < 0 or y.max() >= logits.shape[1]:
         raise ValidationError("target class out of range")
-    logp = log_softmax(z)
+    # one shift, exp and row sum serve both the loss (log_softmax's
+    # expression) and the gradient (softmax's expression)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
     rows = np.arange(mask.size)
-    loss = float(-logp[rows, y].mean())
-    grad_rows = softmax(z)
+    loss = float(-(shifted[rows, y] - np.log(total[:, 0])).mean())
+    grad_rows = e / total
     grad_rows[rows, y] -= 1.0
+    grad_rows /= mask.size
     grad = np.zeros_like(logits)
-    grad[mask] = grad_rows / mask.size
+    grad[mask] = grad_rows
     return loss, grad
 
 
-def dropout_input(x, rate: float, rng: np.random.Generator, training: bool):
-    """Inverted dropout on a layer input; identity when evaluating.
+def masked_scale(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
+    """x / keep where mask is set and +0.0 elsewhere, without branching.
 
-    Sparse inputs get their stored values masked (structural zeros stay
-    zero either way, so the semantics match the dense path).
+    Same bits as np.where(mask, x / keep, 0.0) for finite x, except that a
+    kept -0.0 comes out as +0.0: multiplying by the mask leaves -0.0 where
+    a negative value was dropped, and adding 0.0 turns it into +0.0.
+    """
+    out = x / keep
+    out *= mask
+    out += 0.0
+    return out
+
+
+def dropout_input(x, rate: float, rng: np.random.Generator, training: bool):
+    """Inverted dropout on a layer input; x itself when evaluating.
+
+    Sparse inputs get the stored values of their CSR form masked (other
+    formats are converted once; structural zeros stay zero either way, so
+    the semantics match the dense path). The CSR output shares indices and
+    indptr with the input, which is left untouched.
     """
     if not training or rate == 0.0:
         return x
     keep = 1.0 - rate
     if sp.issparse(x):
-        out = x.copy()
-        mask = rng.random(out.data.shape[0]) < keep
-        out.data = np.where(mask, out.data / keep, 0.0)
-        return out
-    mask = rng.random(x.shape) < keep
-    return np.where(mask, x / keep, 0.0)
+        x = x.tocsr()
+        mask = rng.random(x.data.shape[0]) < keep
+        return type(x)((masked_scale(x.data, mask, keep), x.indices, x.indptr), shape=x.shape)
+    return masked_scale(x, rng.random(x.shape) < keep, keep)
 
 
 @dataclass
@@ -165,6 +196,8 @@ def adam_step(
     """
     if t < 1:
         raise ValidationError(f"step counter must be >= 1, got {t}")
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -172,13 +205,23 @@ def adam_step(
         g = _decayed(name, g, p, hyper.weight_decay)
         m = state.m[name]
         v = state.v[name]
+        # two scratch buffers per parameter, reused in place; the step stays
+        # (lr * m_hat) / (sqrt(v_hat) + eps): regrouping it as
+        # lr * (m_hat / denom) changes the last bits of the parameters
+        step = np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += step
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        step *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p -= hyper.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += step
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, c1, out=step)
+        step *= hyper.learning_rate
+        step /= denom
+        p -= step
     return params, state
 
 

@@ -169,6 +169,41 @@ def test_non_finite_feature_file_exits_2(capsys, tmp_path):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+BAD_HYPER = [
+    ("learning_rate", "nan"),
+    ("learning_rate", "inf"),
+    ("weight_decay", "nan"),
+    ("weight_decay", "inf"),
+    ("weight_decay", "-1"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_HYPER)
+def test_bad_hyper_flag_exits_2_naming_the_field(capsys, tmp_path, field, value):
+    data = gen_dataset(capsys, tmp_path)
+    flag = {"learning_rate": "--lr", "weight_decay": "--weight-decay"}[field]
+    rc = main(["train", "--data", str(data), "--model", "f-mlp", "--epochs", "5", flag, value])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", BAD_HYPER)
+def test_bad_hyper_in_config_exits_2_naming_the_field(capsys, tmp_path, field, value):
+    config = {
+        "synthetic": dict(n=60, C=2, p_in=0.2, p_out=0.05, m=8, feature_noise=0.1, seed=5),
+        "seeds": [0],
+        "struct_model": {"kind": "gcn", "hyper": {"epochs": 10}},
+        "feat_model": {"kind": "f-mlp", "hyper": {"epochs": 10, field: float(value)}},
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))  # NaN and Infinity literals
+    rc = main(["--config", str(cfg_path), "experiment"])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_split_without_test_nodes_exits_2(capsys, tmp_path):
     data = gen_dataset(capsys, tmp_path)
     rc = main(["cotrain", "--data", str(data), "--train-frac", "0.5", "--val-frac", "0.5"])

@@ -1,10 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cograph import SubModelSpec, TrainingError, ValidationError, build_submodel, predict_logits, train_submodel
 from cograph.graph import make_graph, with_edges, with_features
 from cograph.models import ALL_KINDS, _backward, _forward, accuracy, input_gradient
-from cograph.nn import TrainHyper, finite_diff_check, init_params, softmax_xent
+from cograph.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    TrainHyper,
+    derive_seeds,
+    finite_diff_check,
+    init_params,
+    log_softmax,
+    softmax,
+    softmax_xent,
+)
 from helpers import labeled_map, with_inputs
 
 FAST = TrainHyper(epochs=60)
@@ -229,3 +243,89 @@ def test_input_gradient_matches_finite_differences():
             fd = (lu - ld) / (2 * eps)
             worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), 1e-6))
     assert worst < 1e-4
+
+
+def _reference_params(model, labeled, seed):
+    """train_submodel's parameters from the first-written epoch formulas:
+    np.where dropout masks, separate log_softmax and softmax, and Adam on
+    fresh arrays. The optimized epoch must reproduce them bit for bit."""
+    hyper = model.spec.hyper
+    init_seed, dropout_seed = derive_seeds(seed, words=2)
+    rng = np.random.default_rng(dropout_seed)
+    params = init_params(model.layer_plan(), init_seed)
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    idx = np.array(sorted(labeled))
+    y = np.array([labeled[i] for i in idx])
+    if model.prop is None:
+        inputs, rows = model.inputs[idx], np.arange(idx.size)
+    else:
+        inputs, rows = model.inputs, idx
+    keep = 1.0 - hyper.dropout
+    n_layers = len(model.layer_plan())
+    for t in range(1, hyper.epochs + 1):
+        caches, h = [], inputs
+        for l in range(n_layers):
+            mask = None
+            if l == 0 and sp.issparse(h):
+                a = h.copy()
+                a.data = np.where(rng.random(a.data.shape[0]) < keep, a.data / keep, 0.0)
+            elif l == 0:
+                a = np.where(rng.random(h.shape) < keep, h / keep, 0.0)
+            else:
+                mask = rng.random(h.shape) < keep
+                a = np.where(mask, h / keep, 0.0)
+            z = a @ params[f"W{l}"]
+            if f"b{l}" in params:
+                z = z + params[f"b{l}"]
+            if model.prop is not None:
+                z = model.prop @ z
+            caches.append((a, z, mask))
+            h = np.maximum(z, 0.0) if l < n_layers - 1 else z
+        assert np.isfinite(-log_softmax(h[rows])[np.arange(idx.size), y].mean())
+        grad_rows = softmax(h[rows])
+        grad_rows[np.arange(idx.size), y] -= 1.0
+        g = np.zeros_like(h)
+        g[rows] = grad_rows / idx.size
+        grads = {}
+        for l in reversed(range(n_layers)):
+            a, z, mask = caches[l]
+            if model.prop is not None:
+                g = model.prop @ g
+            grads[f"W{l}"] = np.asarray(a.T @ g)
+            if f"b{l}" in params:
+                grads[f"b{l}"] = g.sum(axis=0)
+            if l > 0:
+                da = g @ params[f"W{l}"].T
+                if mask is not None:
+                    da = np.where(mask, da / keep, 0.0)
+                g = da * (caches[l - 1][1] > 0.0)
+        for name, p in params.items():
+            grad = grads[name]
+            if name.startswith("W"):
+                grad = grad + hyper.weight_decay * p
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * grad
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m[name] / (1.0 - ADAM_BETA1**t)
+            v_hat = v[name] / (1.0 - ADAM_BETA2**t)
+            p -= hyper.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params
+
+
+@pytest.mark.parametrize("features", ["csr", "dense"])
+@pytest.mark.parametrize("kind", ["gcn", "f-mlp"])
+def test_epoch_matches_reference_formulas_bitwise(kind, features):
+    rng = np.random.default_rng(8)
+    n = 60
+    X = (rng.random((n, 80)) < 0.06).astype(float)
+    edges = {(int(i), int(j)) for i, j in rng.integers(0, n, size=(150, 2)) if i < j}
+    g = make_graph(n, sorted(edges), X, rng.integers(0, 3, size=n), 3)
+    model = build_submodel(SubModelSpec(kind=kind, hyper=TrainHyper(epochs=5)), g)
+    assert sp.issparse(model.inputs)
+    if features == "dense":  # negative inputs, so dropped values start out -0.0
+        model = replace(model, inputs=rng.normal(size=(n, 80)))
+    labeled = {i: int(g.labels[i]) for i in range(0, n, 3)}
+    trained = train_submodel(model, labeled, seed=2)
+    reference = _reference_params(model, labeled, seed=2)
+    assert trained.params.keys() == reference.keys()
+    assert all(trained.params[k].tobytes() == reference[k].tobytes() for k in reference)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -9,6 +10,7 @@ from cograph.nn import (
     AdamState,
     TrainHyper,
     adam_step,
+    dropout_input,
     finite_diff_check,
     init_params,
     load_params_csv,
@@ -59,6 +61,12 @@ def test_hyper_validation():
         TrainHyper(epochs=0)
     with pytest.raises(ValidationError):
         TrainHyper(optimizer="lbfgs")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainHyper(learning_rate=bad)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="weight_decay"):
+            TrainHyper(weight_decay=bad)
 
 
 def test_xent_uniform_logits_loss_is_log_c():
@@ -211,3 +219,63 @@ def test_params_csv_roundtrip(tmp_path, rng):
     save_params_csv(params, tmp_path / "ckpt.csv")
     back = load_params_csv(tmp_path / "ckpt.csv")
     assert all(np.array_equal(params[k], back[k]) for k in params)
+
+
+def _dropout_input(name):
+    """Negative, zero and positive values, dense or CSR (with stored zeros)."""
+    rng = np.random.default_rng(4)
+    dense = rng.normal(size=(12, 9))
+    dense[rng.random(dense.shape) < 0.4] = 0.0
+    if name == "dense":
+        return dense
+    csr = sp.csr_matrix(dense)
+    csr.data[::7] = 0.0  # explicit zeros are stored values too
+    return csr if name == "csr" else csr[[7, 2, 2, 10]]
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.5])
+@pytest.mark.parametrize("name", ["dense", "csr", "csr-rows"])
+def test_dropout_matches_where_oracle(name, rate):
+    x = _dropout_input(name)
+    values = x.data if sp.issparse(x) else x
+    before = values.copy()
+    if sp.issparse(x):
+        indices, indptr = x.indices.copy(), x.indptr.copy()
+    rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+    out = dropout_input(x, rate, rng, training=True)
+    keep = 1.0 - rate
+    expected = np.where(oracle_rng.random(values.shape) < keep, values / keep, 0.0)
+    got = out.data if sp.issparse(out) else out
+    assert (values < 0).any() and (expected == 0.0).any()
+    # same bits, sign of zero included: dropped negatives come out +0.0
+    assert got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert values.tobytes() == before.tobytes()
+    if sp.issparse(x):
+        assert out.format == "csr" and out.shape == x.shape
+        assert np.array_equal(x.indices, indices) and np.array_equal(x.indptr, indptr)
+        assert np.shares_memory(out.indices, x.indices)
+        assert np.shares_memory(out.indptr, x.indptr)
+
+
+@pytest.mark.parametrize("name", ["dense", "csr"])
+def test_dropout_off_is_identity(name):
+    x = _dropout_input(name)
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    assert dropout_input(x, 0.5, rng, training=False) is x
+    assert dropout_input(x, 0.0, rng, training=True) is x
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("fmt", ["csc", "coo"])
+def test_dropout_reads_other_sparse_formats_as_csr(fmt):
+    rng = np.random.default_rng(4)
+    dense = rng.normal(size=(12, 9)) * (rng.random((12, 9)) < 0.6)
+    csr = sp.csr_matrix(dense)
+    x = csr.asformat(fmt)
+    out = dropout_input(x, 0.5, np.random.default_rng(11), training=True)
+    expected = dropout_input(csr, 0.5, np.random.default_rng(11), training=True)
+    assert out.format == "csr" and out.shape == x.shape
+    assert out.toarray().tobytes() == expected.toarray().tobytes()
+    assert np.array_equal(x.toarray(), dense)
