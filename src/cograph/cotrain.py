@@ -11,6 +11,7 @@ probability vectors.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -32,6 +33,11 @@ from .nn import derive_seeds
 PROV_TRUTH = "ground-truth"
 PROV_STRUCT = "pseudo:struct"
 PROV_FEAT = "pseudo:feat"
+
+# From this many nodes a round fits its two views at the same time. Below
+# it a fit is made of microsecond-long numpy calls, and handing the
+# interpreter lock back and forth costs more than the overlap saves.
+OVERLAP_MIN_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -273,6 +279,15 @@ def cotrain(
     the pool empties; max_iters=0 degrades to the plain calibrated
     two-model ensemble. Reported accuracies always cover the original test
     set, using true labels for evaluation only.
+
+    Within a round the two fits are independent: each trains its own
+    sub-model from its own derived seed on the same labeled snapshot. From
+    OVERLAP_MIN_NODES nodes up, the feature-view fit runs on one helper
+    thread while the calling thread runs the structure-view fit (numpy and
+    scipy release the interpreter lock in their kernels); smaller graphs fit
+    the two views one after the other. Results are bit-identical either
+    way, and there is no setting for it. If both fits fail, the structure
+    fit's exception propagates; the helper thread ends with its round.
     """
     if not spec_struct.is_structure_view:
         raise ValidationError(f"{spec_struct.kind!r} is not a structure-view kind")
@@ -297,11 +312,11 @@ def cotrain(
     )
     quota = class_quota(split.class_histogram, n_add) if class_balancing else None
 
-    def fit(model: SubModel, iteration: int, role: int):
+    def fit(model: SubModel, labeled: dict[int, int], iteration: int, role: int):
         """The trained model, its raw logits for every node (row = node id)
         and their calibrated probabilities: its only forward pass."""
         (fit_seed,) = derive_seeds(seed, iteration, role)
-        trained = train_submodel(model, state.labeled_map(), seed=fit_seed)
+        trained = train_submodel(model, labeled, seed=fit_seed)
         logits = predict_logits(trained, all_nodes)
         if calibration and val_nodes.size:
             trained = trained.with_temperature(fit_temperature(logits[val_nodes], val_labels))
@@ -318,8 +333,15 @@ def cotrain(
 
     while True:
         it = state.iteration
-        f_struct, logits_s, probs_s = fit(model_s, it, 0)
-        f_feat, logits_f, probs_f = fit(model_f, it, 1)
+        labeled = state.labeled_map()
+        if g.n >= OVERLAP_MIN_NODES:
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                feat_fit = helper.submit(fit, model_f, labeled, it, 1)
+                f_struct, logits_s, probs_s = fit(model_s, labeled, it, 0)
+                f_feat, logits_f, probs_f = feat_fit.result()
+        else:
+            f_struct, logits_s, probs_s = fit(model_s, labeled, it, 0)
+            f_feat, logits_f, probs_f = fit(model_f, labeled, it, 1)
 
         pred, _ = _average(probs_s[test_nodes], probs_f[test_nodes])
         record = IterationRecord(

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import inspect
 import json
+import numbers
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,15 @@ def _checked(raw: dict, target, where: str) -> dict:
     return raw
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    """ValidationError naming the field unless value is an integer (not a
+    bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def _spec_from_dict(d: dict, where: str) -> SubModelSpec:
     d = dict(_checked(d, SubModelSpec, where))
     hyper = TrainHyper(**_checked(d.pop("hyper", {}), TrainHyper, f"{where}.hyper"))
@@ -94,12 +104,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValidationError("config needs at least one seed")
+        for seed in self.seeds:
+            _require_int("seeds", seed, 0)
+        _require_int("n_add", self.n_add, 0)
+        _require_int("max_iters", self.max_iters, 0)
+        _require_int("threads", self.threads, 1)
+        _require_int("reliability_bins", self.reliability_bins, 2)
         if (self.dataset_dir is None) == (self.synthetic is None):
             raise ValidationError("config needs exactly one of dataset_dir or synthetic")
         if self.synthetic is not None:
             _checked(self.synthetic, generate_synthetic, "synthetic")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ValidationError("attack setting names must be unique")
@@ -114,13 +128,15 @@ class ExperimentConfig:
             AttackSetting(**_checked(a, AttackSetting, f"attacks[{i}]"))
             for i, a in enumerate(raw.pop("attacks", [{"name": "clean"}]))
         )
-        return cls(
-            seeds=tuple(int(s) + seed_offset for s in raw.pop("seeds")),
+        config = cls(
+            seeds=tuple(raw.pop("seeds")),
             struct_model=_spec_from_dict(raw.pop("struct_model"), "struct_model"),
             feat_model=_spec_from_dict(raw.pop("feat_model"), "feat_model"),
             attacks=attacks,
             **raw,
         )
+        # the seeds are checked as written before the offset shifts them
+        return replace(config, seeds=tuple(s + seed_offset for s in config.seeds))
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":

@@ -204,6 +204,41 @@ def test_bad_hyper_in_config_exits_2_naming_the_field(capsys, tmp_path, field, v
     assert not (tmp_path / "out").exists()
 
 
+BAD_INTEGERS = [
+    ("threads", 2.5),
+    ("threads", "2"),
+    ("n_add", 2.5),
+    ("n_add", -1),
+    ("max_iters", 1.5),
+    ("max_iters", True),
+    ("reliability_bins", 0),
+    ("reliability_bins", 1),
+    ("seeds", [0.5]),
+    ("seeds", [True]),
+    ("seeds", [-1]),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_INTEGERS, ids=[f"{f}={v!r}" for f, v in BAD_INTEGERS])
+def test_bad_integer_in_config_exits_2_naming_the_field(capsys, tmp_path, field, value):
+    config = {
+        "synthetic": dict(n=120, C=3, p_in=0.15, p_out=0.02, m=24, feature_noise=0.1, seed=5),
+        "seeds": [0],
+        "struct_model": {"kind": "gcn", "hyper": {"epochs": 10}},
+        "feat_model": {"kind": "f-mlp", "hyper": {"epochs": 10}},
+        "n_add": 5,
+        "max_iters": 1,
+        "out_dir": str(tmp_path / "out"),
+        field: value,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["--config", str(cfg_path), "experiment"])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_split_without_test_nodes_exits_2(capsys, tmp_path):
     data = gen_dataset(capsys, tmp_path)
     rc = main(["cotrain", "--data", str(data), "--train-frac", "0.5", "--val-frac", "0.5"])

@@ -1,4 +1,5 @@
 import importlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cograph import SubModelSpec, ValidationError, class_quota, cotrain, ensemble_predict
+from cograph import (
+    SubModelSpec,
+    TrainingError,
+    ValidationError,
+    class_quota,
+    cotrain,
+    ensemble_predict,
+    generate_synthetic,
+    split_nodes,
+)
 from cograph.calibration import calibrate
 from cograph.cotrain import (
     PROV_FEAT,
@@ -324,3 +334,101 @@ def test_cotrain_reads_scores_by_node_id(easy_graph, easy_split, small_run):
     spec_f = SubModelSpec(kind="f-mlp", hyper=FAST)
     _, _, state = cotrain(easy_graph, shuffled, spec_s, spec_f, n_add=15, max_iters=3, seed=0)
     assert [r.to_json() for r in state.history] == [r.to_json() for r in small_run[2].history]
+
+
+# --- overlapped fits ---------------------------------------------------------
+
+SERIAL_ALWAYS = 10**9  # no graph reaches it
+OVERLAP_ALWAYS = 0
+
+
+def _fingerprint(result):
+    f_struct, f_feat, state = result
+    return (
+        [rec.to_json() for rec in state.history],
+        (f_struct.temperature, f_feat.temperature),
+        [{k: v.tobytes() for k, v in f.params.items()} for f in (f_struct, f_feat)],
+    )
+
+
+@pytest.mark.parametrize("feat_kind", ["f-mlp", "knn-gcn"])
+def test_overlapped_fits_match_serial_fits_bitwise(monkeypatch, easy_graph, easy_split, feat_kind):
+    hyper = TrainHyper(epochs=20)
+    spec_s = SubModelSpec(kind="gcn", hyper=hyper)
+    spec_f = SubModelSpec(kind=feat_kind, hyper=hyper)
+    runs = []
+    for gate in (SERIAL_ALWAYS, OVERLAP_ALWAYS):
+        monkeypatch.setattr(cotrain_module, "OVERLAP_MIN_NODES", gate)
+        runs.append(
+            _fingerprint(
+                cotrain(easy_graph, easy_split, spec_s, spec_f, n_add=15, max_iters=2, seed=3)
+            )
+        )
+    assert runs[0] == runs[1]
+
+
+def _record_fit_threads(monkeypatch):
+    """Spy on the co-training fits: (sub-model kind, thread ident) per call."""
+    seen = []
+    original = cotrain_module.train_submodel
+
+    def spy(model, *args, **kwargs):
+        seen.append((model.spec.kind, threading.get_ident()))
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(cotrain_module, "train_submodel", spy)
+    return seen
+
+
+def test_feature_fit_runs_on_a_helper_thread_from_the_size_gate(monkeypatch):
+    g = generate_synthetic(n=1000, C=3, p_in=0.02, p_out=0.002, m=30, feature_noise=0.1, seed=1)
+    assert g.n >= cotrain_module.OVERLAP_MIN_NODES
+    seen = _record_fit_threads(monkeypatch)
+    hyper = TrainHyper(epochs=3)
+    cotrain(
+        g, split_nodes(g, 0.1, 0.1, seed=0), SubModelSpec(kind="gcn", hyper=hyper),
+        SubModelSpec(kind="f-mlp", hyper=hyper), n_add=10, max_iters=1, seed=0,
+    )
+    main = threading.get_ident()
+    assert sorted(kind for kind, _ in seen) == ["f-mlp", "f-mlp", "gcn", "gcn"]
+    assert {t for kind, t in seen if kind == "gcn"} == {main}
+    assert main not in {t for kind, t in seen if kind == "f-mlp"}
+
+
+def test_small_graph_fits_both_views_on_the_calling_thread(monkeypatch, easy_graph, easy_split):
+    assert easy_graph.n < cotrain_module.OVERLAP_MIN_NODES
+    seen = _record_fit_threads(monkeypatch)
+    hyper = TrainHyper(epochs=3)
+    cotrain(
+        easy_graph, easy_split, SubModelSpec(kind="gcn", hyper=hyper),
+        SubModelSpec(kind="f-mlp", hyper=hyper), n_add=10, max_iters=1, seed=0,
+    )
+    assert len(seen) == 4
+    assert {t for _, t in seen} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize(
+    "failing, surfaced",
+    [({"gcn"}, "gcn"), ({"f-mlp"}, "f-mlp"), ({"gcn", "f-mlp"}, "gcn")],
+    ids=["structure", "feature", "both"],
+)
+def test_overlapped_fit_failure_surfaces_and_leaves_no_thread(
+    monkeypatch, easy_graph, easy_split, failing, surfaced
+):
+    monkeypatch.setattr(cotrain_module, "OVERLAP_MIN_NODES", OVERLAP_ALWAYS)
+    original = cotrain_module.train_submodel
+
+    def failing_fit(model, *args, **kwargs):
+        if model.spec.kind in failing:
+            raise TrainingError(f"{model.spec.kind} diverged")
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(cotrain_module, "train_submodel", failing_fit)
+    hyper = TrainHyper(epochs=5)
+    before = threading.active_count()
+    with pytest.raises(TrainingError, match=f"^{surfaced} diverged$"):
+        cotrain(
+            easy_graph, easy_split, SubModelSpec(kind="gcn", hyper=hyper),
+            SubModelSpec(kind="f-mlp", hyper=hyper), n_add=10, max_iters=1, seed=0,
+        )
+    assert threading.active_count() == before

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -194,6 +195,24 @@ def test_threads_parallel_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "results.csv").read_bytes() == (
         tmp_path / "parallel" / "results.csv"
     ).read_bytes()
+
+
+def test_pool_workers_with_overlapped_fits_match_serial(monkeypatch, tmp_path):
+    cotrain_module = importlib.import_module("cograph.cotrain")
+    emit_report(run_experiment(tiny_config()), tmp_path / "serial")
+    # the forked workers inherit the lowered gate, so each runs a helper thread
+    monkeypatch.setattr(cotrain_module, "OVERLAP_MIN_NODES", 0)
+    emit_report(run_experiment(tiny_config(threads=2)), tmp_path / "parallel")
+    for name in ("results.csv", "reliability.csv", "confusion.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == (
+            tmp_path / "parallel" / name
+        ).read_bytes()
+    summaries = [
+        json.loads((tmp_path / run / "summary.json").read_text())
+        for run in ("serial", "parallel")
+    ]
+    assert summaries[0]["summary"] == summaries[1]["summary"]
+    assert summaries[1]["config"] == {**summaries[0]["config"], "threads": 2}
 
 
 def test_apply_attack_none_returns_same_graph():
