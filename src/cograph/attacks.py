@@ -192,6 +192,26 @@ def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) ->
     return with_edges(g, edges)
 
 
+def _top_positive(score: np.ndarray, take: int) -> np.ndarray:
+    """Flat indices of the take largest positive entries of score, largest
+    first, ties to the smaller row-major index; fewer if fewer are positive.
+
+    Only a row whose maximum reaches t, the take-th largest row maximum, can
+    hold one of them, and each of them is >= t, so one stable sort of those
+    few entries is exact. NaN is never selected.
+    """
+    row_max = np.fmax.reduce(score, axis=1)
+    rows = np.flatnonzero(row_max > 0.0)
+    t = 0.0
+    if rows.size > take:
+        t = np.partition(row_max[rows], rows.size - take)[rows.size - take]
+        rows = rows[row_max[rows] >= t]
+    block = score[rows]
+    r, c = np.nonzero((block > 0.0) & (block >= t))  # row-major order
+    order = np.argsort(-block[r, c], kind="stable")[:take]
+    return rows[r[order]] * score.shape[1] + c[order]
+
+
 def feature_flip_attack(
     g: Graph,
     victim: TrainedSubModel,
@@ -201,13 +221,14 @@ def feature_flip_attack(
 ) -> Graph:
     """Greedy gradient-guided bit flips on binary features.
 
-    Repeatedly flips the feature bits whose gradient most increases the
-    victim's loss on the target nodes (sign-consistent with the flip
-    direction: score = grad * (1 - 2x)), recomputing gradients after every
-    batch of 32 flips. Bits never flip twice; the attack stops early if no
-    remaining flip increases the loss. The victim must consume raw node
-    features. The procedure itself is deterministic; seed is recorded for
-    provenance only.
+    Each round recomputes the gradient of the victim's loss on the target
+    nodes (default: every node) with respect to the features and scores
+    every bit by grad * (1 - 2x), the loss increase its flip promises to
+    first order. It then flips the min(32, remaining budget) bits with the
+    largest positive score, ties going to the smaller row-major index. No
+    bit flips twice; the attack stops early once no score is positive. The
+    victim must consume raw node features of g's shape. The procedure is
+    deterministic; seed is recorded for provenance only.
     """
     del seed  # greedy selection is fully deterministic
     if budget < 0:
@@ -215,34 +236,46 @@ def feature_flip_attack(
     kind = victim.model.spec.kind
     if kind not in FEATURE_KINDS:
         raise ValidationError(f"feature attack needs a feature-dominant victim, got {kind!r}")
+    if g.labels is None:
+        raise ValidationError("feature attack needs a labeled graph")
+    if (victim.model.n, victim.model.input_dim) != g.X.shape:
+        raise ValidationError(
+            f"victim inputs are ({victim.model.n}, {victim.model.input_dim}), "
+            f"graph features {g.X.shape}"
+        )
+    targets = np.asarray(targets if targets is not None else np.arange(g.n))
+    if targets.ndim != 1 or targets.size == 0 or targets.dtype.kind not in "iu":
+        raise ValidationError("attack targets must be a nonempty 1-D array of node ids")
+    if targets.min() < 0 or targets.max() >= g.n:
+        raise ValidationError(f"attack target out of range for n={g.n}")
     X = np.array(g.X)
     if not np.isin(X, (0.0, 1.0)).all():
         raise ValidationError("feature attack requires binary features")
     if budget == 0:
         return g
-    targets = np.asarray(targets if targets is not None else np.arange(g.n), dtype=np.int64)
     target_labels = g.labels[targets]
 
-    was_sparse = sp.issparse(victim.model.inputs)
-    flipped = np.zeros(X.shape, dtype=bool)
+    # +1 where a flip sets a bit, -1 where it clears one, 0 once flipped:
+    # a flipped bit scores 0 and is never selected again
+    sign = 1.0 - 2.0 * X
+    # CSR victims get the flips as a +-1 delta; canonical CSR addition keeps
+    # indices sorted and drops entries that cancel, matching csr_matrix(X)
+    inputs = sp.csr_matrix(X) if sp.issparse(victim.model.inputs) else X
     remaining = budget
     while remaining > 0:
-        inputs = sp.csr_matrix(X) if was_sparse else X
         moved = replace(victim, model=replace(victim.model, inputs=inputs))
-        grad = input_gradient(moved, targets, target_labels)
-        score = grad * (1.0 - 2.0 * X)
-        score[flipped] = -np.inf
-        flat = score.ravel()
-        take = min(_FLIP_BATCH, remaining)
-        top = np.argpartition(-flat, min(take + 256, flat.size - 1))[: take + 256]
-        top = sorted(top.tolist(), key=lambda i: (-flat[i], i))[:take]
-        top = [i for i in top if flat[i] > 0.0]
-        if not top:
+        score = input_gradient(moved, targets, target_labels)
+        score *= sign
+        top = _top_positive(score, min(_FLIP_BATCH, remaining))
+        if not top.size:
             break
-        rows, cols = np.unravel_index(np.array(top, dtype=np.int64), X.shape)
-        X[rows, cols] = 1.0 - X[rows, cols]
-        flipped[rows, cols] = True
-        remaining -= len(top)
+        rows, cols = np.divmod(top, X.shape[1])
+        delta = sign[rows, cols]
+        X[rows, cols] += delta
+        sign[rows, cols] = 0.0
+        if inputs is not X:
+            inputs = inputs + sp.csr_matrix((delta, (rows, cols)), shape=X.shape)
+        remaining -= top.size
     return with_features(g, X)
 
 

@@ -171,7 +171,8 @@ def _forward(inputs, prop, params: dict, n_layers: int, hyper: TrainHyper, rng, 
 
 
 def _backward(grad_logits, caches, prop, params: dict, hyper: TrainHyper, want_input_grad=False):
-    """Reverse pass; returns parameter gradients (and optionally dL/dinput)."""
+    """Reverse pass; returns (parameter gradients, None), or with
+    want_input_grad ({}, dL/dinput), skipping the parameter gradients."""
     n_layers = len(caches)
     grads: dict[str, np.ndarray] = {}
     g = grad_logits
@@ -180,9 +181,10 @@ def _backward(grad_logits, caches, prop, params: dict, hyper: TrainHyper, want_i
         a, z, mask = caches[l]
         if prop is not None:
             g = prop @ g  # prop is symmetric, so prop.T @ g == prop @ g
-        grads[f"W{l}"] = (a.T @ g) if not sp.issparse(a) else np.asarray(a.T @ g)
-        if f"b{l}" in params:
-            grads[f"b{l}"] = g.sum(axis=0)
+        if not want_input_grad:
+            grads[f"W{l}"] = (a.T @ g) if not sp.issparse(a) else np.asarray(a.T @ g)
+            if f"b{l}" in params:
+                grads[f"b{l}"] = g.sum(axis=0)
         if l > 0:
             da = g @ params[f"W{l}"].T
             if mask is not None:

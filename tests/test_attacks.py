@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from cograph import SubModelSpec, ValidationError, build_submodel, graphs_equal, predict_logits, train_submodel
+from cograph import (
+    SubModelSpec,
+    ValidationError,
+    build_submodel,
+    graphs_equal,
+    predict_logits,
+    split_nodes,
+    train_submodel,
+)
 from cograph.attacks import (
     AttackSetting,
     dice_perturb,
@@ -14,7 +23,7 @@ from cograph.attacks import (
 )
 from cograph.graph import make_graph
 from cograph.io import save_edge_list
-from cograph.models import accuracy
+from cograph.models import accuracy, input_gradient
 from cograph.nn import TrainHyper
 from helpers import labeled_map, with_inputs
 
@@ -197,6 +206,125 @@ def test_feature_attack_never_touches_smlp_logits(attack_graph, attack_split, fm
     moved = with_inputs(smodel, rebuilt.inputs)
     nodes = attack_split.test
     assert np.array_equal(predict_logits(smodel, nodes), predict_logits(moved, nodes))
+
+
+def _reference_flip_attack(g, victim, budget, targets):
+    """The selection rule written out: every round, sort all positive
+    scores by (-score, flat index) and flip the first min(32, remaining)."""
+    X = np.array(g.X)
+    flipped = np.zeros(X.size, dtype=bool)
+    sparse = sp.issparse(victim.model.inputs)
+    while budget > 0:
+        inputs = sp.csr_matrix(X) if sparse else X.copy()
+        grad = input_gradient(with_inputs(victim, inputs), targets, g.labels[targets])
+        score = (grad * (1.0 - 2.0 * X)).ravel()
+        idx = np.flatnonzero((score > 0.0) & ~flipped)
+        picked = idx[np.lexsort((idx, -score[idx]))][: min(32, budget)]
+        if not picked.size:
+            break
+        X.flat[picked] = 1.0 - X.flat[picked]
+        flipped[picked] = True
+        budget -= picked.size
+    return X
+
+
+def _sparse_words_graph():
+    """Bag-of-words-like features (m = 120, density ~ 0.05): CSR inputs."""
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 4, 300)
+    p = np.full((4, 120), 0.02)
+    for c in range(4):
+        p[c, 30 * c : 30 * (c + 1)] = 0.15
+    X = (rng.random((300, 120)) < p[labels]).astype(float)
+    edges = [tuple(rng.choice(300, 2, replace=False)) for _ in range(600)]
+    return make_graph(300, edges, X, labels, 4)
+
+
+def _duplicated_rows_graph():
+    """Every feature row and label appears four times: scores tie in blocks."""
+    rng = np.random.default_rng(1)
+    X = np.repeat((rng.random((50, 12)) < 0.3).astype(float), 4, axis=0)
+    labels = np.repeat(rng.integers(0, 3, 50), 4)
+    return make_graph(200, [(i, i + 1) for i in range(199)], X, labels, 3)
+
+
+@pytest.mark.parametrize(
+    "fixture, kind, budget, sparse",
+    [
+        ("words", "f-mlp", 239, True),
+        ("attack", "f-mlp", 239, False),
+        ("attack", "knn-gcn", 160, False),
+        ("words", "knn-gcn", 77, True),
+        ("attack", "f-mlp", 10**6, False),  # more than the 16000 bits: stops early
+        ("ties", "f-mlp", 97, False),
+        ("ties", "knn-gcn", 5000, False),  # more than the 2400 bits
+    ],
+    ids=["fmlp-csr", "fmlp-dense", "knn-gcn", "knn-gcn-csr-odd-budget", "early-stop",
+         "ties-fmlp", "ties-knn-gcn-early-stop"],
+)
+def test_feature_flip_matches_exact_selection_oracle(attack_graph, fixture, kind, budget, sparse):
+    g = {"attack": attack_graph, "words": _sparse_words_graph(), "ties": _duplicated_rows_graph()}[fixture]
+    split = split_nodes(g, 0.2, 0.1, seed=0)
+    spec = SubModelSpec(kind=kind, k=10, hyper=FAST)
+    victim = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=0)
+    assert sp.issparse(victim.model.inputs) == sparse
+    attacked = feature_flip_attack(g, victim, budget, seed=0, targets=split.test)
+    expected = _reference_flip_attack(g, victim, budget, split.test)
+    assert np.array_equal(attacked.X, expected)
+    assert 0 < int((attacked.X != g.X).sum()) <= budget
+
+
+def test_feature_flip_feeds_csr_victims_canonical_inputs(monkeypatch):
+    g = _sparse_words_graph()
+    split = split_nodes(g, 0.2, 0.1, seed=0)
+    victim = train_submodel(
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), labeled_map(g, split.labeled), seed=0
+    )
+    seen = []
+
+    def recording(trained, nodes, labels):
+        seen.append(trained.model.inputs)
+        return input_gradient(trained, nodes, labels)
+
+    monkeypatch.setattr("cograph.attacks.input_gradient", recording)
+    feature_flip_attack(g, victim, 100, seed=0, targets=split.test)
+    assert len(seen) == 4
+    for inputs in seen:
+        rebuilt = sp.csr_matrix(inputs.toarray())
+        assert np.array_equal(inputs.indptr, rebuilt.indptr)
+        assert np.array_equal(inputs.indices, rebuilt.indices)
+        assert np.array_equal(inputs.data, rebuilt.data)
+
+
+def _unlabeled(g):
+    return make_graph(g.n, g.edges, g.X)
+
+
+def _first_nodes(g, n):
+    return make_graph(n, [e for e in g.edges if e[1] < n], g.X[:n], g.labels[:n], g.C)
+
+
+def _wider(g):
+    return make_graph(g.n, g.edges, np.hstack([g.X, np.zeros((g.n, 1))]), g.labels, g.C)
+
+
+@pytest.mark.parametrize(
+    "make, targets",
+    [
+        (lambda g: g, [-1, 5]),
+        (lambda g: g, [500]),
+        (lambda g: g, [[1, 2]]),
+        (lambda g: g, [1.0, 2.0]),
+        (lambda g: g, np.array([], dtype=np.int64)),
+        (_unlabeled, None),
+        (lambda g: _first_nodes(g, 200), None),
+        (_wider, None),
+    ],
+    ids=["negative", "beyond-n", "2-d", "float", "empty", "unlabeled", "victim-n", "victim-width"],
+)
+def test_feature_flip_rejects_bad_inputs(attack_graph, fmlp_victim, make, targets):
+    with pytest.raises(ValidationError):
+        feature_flip_attack(make(attack_graph), fmlp_victim, 10, seed=0, targets=targets)
 
 
 # --- mixed budgets ----------------------------------------------------------------
