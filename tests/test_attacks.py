@@ -386,3 +386,9 @@ def test_plan_validation():
         AttackSetting("x", method="random", rate=2.0)
     with pytest.raises(ValidationError):
         AttackSetting("x", method="nuke", rate=0.1)
+
+
+def test_feature_flip_rejects_repeated_targets(attack_graph, fmlp_victim):
+    """A repeated target would count twice in the loss the flips climb."""
+    with pytest.raises(ValidationError, match="repeat"):
+        feature_flip_attack(attack_graph, fmlp_victim, 10, seed=0, targets=np.array([5, 5, 7]))

@@ -138,3 +138,44 @@ def test_calibration_never_changes_accuracy(rng):
     raw_acc = (z.argmax(axis=1) == labels).mean()
     cal_acc = (calibrate(z, T).argmax(axis=1) == labels).mean()
     assert raw_acc == cal_acc
+
+
+def _per_point_fit(logits, labels):
+    """fit_temperature with its grid evaluated one nll call per point."""
+    from cograph.calibration import _GOLDEN, LOG_T_MAX, LOG_T_MIN, LOG_T_TOL
+
+    def objective(log_t):
+        return nll(logits, labels, np.exp(log_t))
+
+    grid = np.linspace(LOG_T_MIN, LOG_T_MAX, 121)
+    values = [objective(t) for t in grid]
+    best = int(np.argmin(values))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > LOG_T_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = objective(d)
+    T = float(np.exp(np.clip((a + b) / 2.0, LOG_T_MIN, LOG_T_MAX)))
+    return 1.0 if objective(0.0) <= objective(np.log(T)) else T
+
+
+@pytest.mark.parametrize("n_val, C", [(1, 2), (1, 9), (2, 8), (37, 7), (140, 8), (270, 12)])
+def test_grid_pass_fits_the_per_point_temperature_bitwise(n_val, C):
+    from cograph.calibration import LOG_T_MAX, LOG_T_MIN, _nll_grid
+
+    grid = np.linspace(LOG_T_MIN, LOG_T_MAX, 121)
+    rng = np.random.default_rng(1000 * n_val + C)
+    for _ in range(15):
+        logits = rng.normal(size=(n_val, C)) * rng.uniform(0.05, 30.0)
+        labels = rng.integers(0, C, size=n_val)
+        per_point = [nll(logits, labels, np.exp(t)) for t in grid]
+        assert np.array(_nll_grid(logits, labels, grid)).tobytes() == np.array(per_point).tobytes()
+        got = fit_temperature(logits, labels)
+        assert np.float64(got).tobytes() == np.float64(_per_point_fit(logits, labels)).tobytes()

@@ -432,3 +432,12 @@ def test_overlapped_fit_failure_surfaces_and_leaves_no_thread(
             SubModelSpec(kind="f-mlp", hyper=hyper), n_add=10, max_iters=1, seed=0,
         )
     assert threading.active_count() == before
+
+
+def test_cotrain_state_keeps_the_final_models_scores(easy_graph, easy_split):
+    spec_s = SubModelSpec(kind="gcn", hyper=TrainHyper(epochs=20))
+    spec_f = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=20))
+    f_s, f_f, state = cotrain(easy_graph, easy_split, spec_s, spec_f, n_add=15, max_iters=2, seed=0)
+    every_node = np.arange(easy_graph.n)
+    for trained, logits in zip((f_s, f_f), state.final_logits):
+        assert logits.tobytes() == predict_logits(trained, every_node).tobytes()

@@ -232,3 +232,23 @@ def test_apply_attack_mixed_budget_split():
     edge_flips = len(perturbed.edges ^ g.edges)
     assert feature_bits == round(0.5 * 0.2 * g.num_edges)
     assert edge_flips == round(0.5 * 0.2 * g.num_edges)
+
+
+def test_run_cell_scores_each_fit_once(monkeypatch):
+    """The reliability rows reuse the last round's scores from cotrain
+    instead of scoring the final models again."""
+    experiment = importlib.import_module("cograph.experiment")
+    calls = []
+    for module in (importlib.import_module("cograph.cotrain"), experiment):
+        original = module.predict_logits
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "predict_logits", counted)
+    config = tiny_config(seeds=[0])
+    g = experiment.load_base_graph(config)
+    cell = experiment._run_cell((g, config.attacks[1], 0, config))
+    assert cell.error is None and cell.reliability
+    assert len(calls) == 2 * len(cell.history)

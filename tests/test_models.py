@@ -329,3 +329,17 @@ def test_epoch_matches_reference_formulas_bitwise(kind, features):
     reference = _reference_params(model, labeled, seed=2)
     assert trained.params.keys() == reference.keys()
     assert all(trained.params[k].tobytes() == reference[k].tobytes() for k in reference)
+
+
+@pytest.mark.parametrize("kind", ["f-mlp", "knn-gcn"])
+def test_input_gradient_rejects_repeated_nodes(easy_graph, easy_split, kind):
+    """A repeated node would count twice in the loss but once in the
+    gradient; the ids must be distinct."""
+    spec = SubModelSpec(kind=kind, k=5, hyper=TrainHyper(epochs=5))
+    trained = train_submodel(
+        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+    )
+    nodes = np.array([5, 5, 7])
+    with pytest.raises(ValidationError, match="distinct"):
+        input_gradient(trained, nodes, easy_graph.labels[nodes])
+    assert input_gradient(trained, nodes[1:], easy_graph.labels[nodes[1:]]).shape == easy_graph.X.shape
