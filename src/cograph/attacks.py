@@ -230,6 +230,10 @@ def feature_flip_attack(
     bit flips twice; the attack stops early once no score is positive. The
     victim must consume raw node features of g's shape. The procedure is
     deterministic; seed is recorded for provenance only.
+
+    Working memory beyond g: the attacked copy of X, n x m int8 flip signs
+    and one round's n x m gradient, plus the victim's own input_gradient
+    temporaries (and, for CSR victims, the CSR inputs).
     """
     del seed  # greedy selection is fully deterministic
     if budget < 0:
@@ -259,8 +263,11 @@ def feature_flip_attack(
     target_labels = g.labels[targets]
 
     # +1 where a flip sets a bit, -1 where it clears one, 0 once flipped:
-    # a flipped bit scores 0 and is never selected again
-    sign = 1.0 - 2.0 * X
+    # a flipped bit scores 0 and is never selected again. int8 holds these
+    # exactly and multiplies a float64 gradient to the same bits as 1.0 - 2X
+    sign = X.astype(np.int8)
+    sign *= -2
+    sign += 1
     # CSR victims get the flips as a +-1 delta; canonical CSR addition keeps
     # indices sorted and drops entries that cancel, matching csr_matrix(X)
     inputs = sp.csr_matrix(X) if sp.issparse(victim.model.inputs) else X
@@ -270,15 +277,17 @@ def feature_flip_attack(
         score = input_gradient(moved, targets, target_labels)
         score *= sign
         top = _top_positive(score, min(_FLIP_BATCH, remaining))
+        del score  # free this round's gradient before the next one is built
         if not top.size:
             break
         rows, cols = np.divmod(top, X.shape[1])
-        delta = sign[rows, cols]
+        delta = sign[rows, cols].astype(np.float64)
         X[rows, cols] += delta
-        sign[rows, cols] = 0.0
+        sign[rows, cols] = 0
         if inputs is not X:
             inputs = inputs + sp.csr_matrix((delta, (rows, cols)), shape=X.shape)
         remaining -= top.size
+    X.flags.writeable = False  # lets with_features keep X without a copy
     return with_features(g, X)
 
 

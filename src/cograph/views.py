@@ -21,8 +21,11 @@ from .errors import EigenSolverError, ValidationError
 DENSE_EIG_LIMIT = 1500
 RESIDUAL_RTOL = 1e-6
 
-# ~64MB of float64 similarity scores per chunk
+# ~64MB of float64 similarity scores per chunk; the chunk is the kNN
+# graph's whole transient, beside the n x m unit rows and the k-per-row picks
 _KNN_CHUNK_BUDGET = 8_000_000
+# ~1MB of temporaries per row block of the norms and the neighbour sort
+_ROW_BLOCK_BUDGET = _KNN_CHUNK_BUDGET // 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,22 +52,45 @@ class Embedding:
         return self.coords.shape[1]
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
+def _row_blocks(n: int, width: int):
+    """Consecutive (start, stop) row ranges of about _ROW_BLOCK_BUDGET entries."""
+    step = max(1, _ROW_BLOCK_BUDGET // max(1, width))
+    return ((start, min(n, start + step)) for start in range(0, n, step))
+
+
+def _unit_rows(X) -> np.ndarray:
     """Rows scaled to unit length; rows of all zeros stay zero.
 
-    Each row is first divided by its largest magnitude so the squared norm
-    cannot underflow into the subnormal range, where it loses precision and
-    the "unit" rows come out longer than 1.
+    X must be a dense 2-D array of finite values with at least one column;
+    anything else raises ValidationError. Each row is first divided by its
+    largest magnitude so the squared norm cannot underflow into the
+    subnormal range, where it loses precision and the "unit" rows come out
+    longer than 1. Only the n x m result is allocated whole.
     """
-    peak = np.abs(X).max(axis=1)
+    if sp.issparse(X):
+        raise ValidationError("features must be a dense array, got a sparse matrix")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValidationError(f"features must be (n, m>=1), got {X.shape}")
+    # NaN and +-inf propagate into the row peak, so it doubles as the check
+    peak = np.maximum(X.max(axis=1), -X.min(axis=1))
+    if not np.isfinite(peak).all():
+        raise ValidationError("features hold NaN or infinite values")
     Xs = X / np.where(peak > 0, peak, 1.0)[:, None]
-    norms = np.linalg.norm(Xs, axis=1)
-    return Xs / np.where(norms > 0, norms, 1.0)[:, None]
+    norms = np.empty(X.shape[0])
+    for start, stop in _row_blocks(*X.shape):
+        norms[start:stop] = np.linalg.norm(Xs[start:stop], axis=1)
+    Xs /= np.where(norms > 0, norms, 1.0)[:, None]
+    return Xs
 
 
 def cosine_similarity(X: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity; rows of all zeros score 0 against everything."""
-    Xn = _unit_rows(np.asarray(X, dtype=np.float64))
+    """Pairwise cosine similarity; rows of all zeros score 0 against everything.
+
+    X must be a dense (n, m>=1) array of finite values (ValidationError
+    otherwise).
+    """
+    Xn = _unit_rows(X)
     return Xn @ Xn.T
 
 
@@ -72,30 +98,33 @@ def knn_graph(X: np.ndarray, k: int) -> sp.csr_matrix:
     """Binary adjacency connecting each node to its k most cosine-similar peers.
 
     Self-similarity is excluded; the per-node selections are symmetrized by
-    union. Similarity ties break toward the smaller node index.
+    union. Similarity ties break toward the smaller node index. X must be a
+    dense (n, m>=1) array of finite values (ValidationError otherwise).
+
+    Working memory beyond X and the result: the n x m unit rows, one chunk
+    of about _KNN_CHUNK_BUDGET similarity scores (n x n while n^2 fits in
+    it), a row block of the neighbour sort and the n x k picks.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    Xn = _unit_rows(X)
+    n = Xn.shape[0]
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ValidationError(f"k must be < n, got k={k} n={n}")
 
-    Xn = _unit_rows(X)
-
-    srcs = []
-    dsts = []
+    top = np.empty((n, k), dtype=np.int64)
     chunk = max(1, _KNN_CHUNK_BUDGET // n)
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         sims = Xn[start:stop] @ Xn.T
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         # stable argsort on -sims keeps ascending index order within ties
-        top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        srcs.append(np.repeat(np.arange(start, stop), k))
-        dsts.append(top.reshape(-1))
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
+        np.negative(sims, out=sims)
+        for lo, hi in _row_blocks(stop - start, n):
+            top[start + lo : start + hi] = np.argsort(sims[lo:hi], axis=1, kind="stable")[:, :k]
+        del sims  # free this chunk before the next product allocates its own
+    src = np.repeat(np.arange(n), k)
+    dst = top.reshape(-1)
 
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -222,3 +223,28 @@ def test_smlp_edgeless_graph_degenerates_to_indicators():
     assert emb.d == 4
     assert np.abs(emb.eigenvalues).max() <= 1e-12
     assert emb.clamped == (0, 1, 2, 3)
+
+
+def _with(value):
+    X = np.ones((30, 5))
+    X[3, 2] = value
+    return X
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        np.full((30, 5), np.nan),
+        _with(np.nan),
+        _with(np.inf),
+        _with(-np.inf),
+        sp.csr_matrix(np.eye(30, 5)),
+        np.ones(30),
+        np.ones((30, 0)),
+    ],
+    ids=["all-nan", "one-nan", "inf", "minus-inf", "csr", "1-d", "zero-width"],
+)
+@pytest.mark.parametrize("view", [lambda X: knn_graph(X, 3), cosine_similarity], ids=["knn", "cosine"])
+def test_feature_views_reject_bad_features_at_the_boundary(view, X):
+    with pytest.raises(ValidationError, match="features"):
+        view(X)
