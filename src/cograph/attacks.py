@@ -35,7 +35,10 @@ class AttackSetting:
     method names the structural perturber; feature_ratio > 0 diverts that
     share of the budget to gradient-guided feature-bit flips (grad-feat is
     shorthand for feature_ratio = 1). rate is a fraction of the clean edge
-    count. external replaces the edge set with the file at path.
+    count. external replaces the edge set with the file at path, and only
+    external takes a path. none and external take no rate or ratio, and
+    grad-feat a ratio of 0 or 1 only: a value the method would ignore is
+    refused.
     """
 
     name: str
@@ -51,6 +54,12 @@ class AttackSetting:
             raise ValidationError("attack rate and feature_ratio must lie in [0, 1]")
         if self.method == "external" and not self.path:
             raise ValidationError("external attack setting needs a path")
+        if self.method != "external" and self.path is not None:
+            raise ValidationError(f"only external takes a path, got method {self.method!r}")
+        if self.method in ("none", "external") and (self.rate or self.feature_ratio):
+            raise ValidationError(f"attack method {self.method!r} takes no rate or feature_ratio")
+        if self.method == "grad-feat" and self.feature_ratio not in (0.0, 1.0):
+            raise ValidationError(f"grad-feat takes a feature_ratio of 0 or 1, got {self.feature_ratio}")
 
     @property
     def effective_feature_ratio(self) -> float:

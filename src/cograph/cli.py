@@ -45,7 +45,6 @@ def _hyper_from_args(args) -> TrainHyper:
         weight_decay=args.weight_decay,
         dropout=args.dropout,
         epochs=args.epochs,
-        optimizer=args.optimizer,
     )
 
 
@@ -60,7 +59,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=d.learning_rate)
     p.add_argument("--weight-decay", type=float, default=d.weight_decay)
     p.add_argument("--dropout", type=float, default=d.dropout)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=d.optimizer)
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:

@@ -102,22 +102,21 @@ def select_confident(
         return [], empty
     conf = probs.max(axis=1)
     pred = probs.argmax(axis=1)
+    # one ranking serves both paths: confidence descending, ties to the smaller node
+    order = np.lexsort((nodes, -conf))
 
     if quota is None:
         if n_add is None:
             raise ValidationError("unbalanced selection needs n_add")
-        order = sorted(range(nodes.size), key=lambda r: (-conf[r], nodes[r]))
-        chosen = order[: min(n_add, nodes.size)]
-        picks = [Selection(int(nodes[r]), int(pred[r]), float(conf[r])) for r in chosen]
+        picks = [Selection(int(nodes[r]), int(pred[r]), float(conf[r])) for r in order[:n_add]]
         return picks, (max(0, n_add - len(picks)),)
 
     picks: list[Selection] = []
     shortfall = []
+    ranked_pred = pred[order]
     for c, budget in enumerate(quota.per_class):
-        rows = np.flatnonzero(pred == c)
-        order = sorted(rows.tolist(), key=lambda r: (-conf[r], nodes[r]))
-        take = order[: min(budget, len(order))]
-        shortfall.append(budget - len(take))
+        take = order[ranked_pred == c][:budget]
+        shortfall.append(budget - take.size)
         picks.extend(Selection(int(nodes[r]), c, float(conf[r])) for r in take)
     return picks, tuple(shortfall)
 
@@ -257,9 +256,7 @@ def _confusion(true_labels: np.ndarray, pred: np.ndarray, C: int):
 
 
 def _label_histogram(picks: list[Selection], C: int) -> tuple[int, ...]:
-    hist = np.zeros(C, dtype=np.int64)
-    for s in picks:
-        hist[s.label] += 1
+    hist = np.bincount(np.array([s.label for s in picks], dtype=np.int64), minlength=C)
     return tuple(int(v) for v in hist)
 
 

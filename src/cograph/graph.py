@@ -153,6 +153,11 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     return normalize_adjacency_matrix(adjacency(g))
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def generate_synthetic(
     n: int,
     C: int,
@@ -178,6 +183,7 @@ def generate_synthetic(
         raise ValidationError(f"need n >= C >= 1, got n={n} C={C}")
     if m < 1:
         raise ValidationError(f"need m >= 1, got m={m}")
+    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.int64) % C
@@ -239,6 +245,7 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
         )
     if g.labels is None:
         raise ValidationError("split_nodes requires a labeled graph")
+    _check_seed(seed)
     n_train = int(train_frac * g.n)
     n_val = int(val_frac * g.n)
     if n_train + n_val >= g.n:

@@ -30,7 +30,6 @@ from .nn import (
     init_params,
     keep_mask,
     masked_scale,
-    sgd_step,
     softmax_xent,
 )
 from .views import knn_graph, smlp_features
@@ -208,7 +207,7 @@ class _Workspace:
         keep = 1.0 - self.hyper.dropout
         a = self.inputs
         if self.training:
-            a = dropout_input(a, self.hyper.dropout, rng, True, out=self.first)
+            a = dropout_input(a, self.hyper.dropout, rng, out=self.first)
         caches = []
         for l in range(self.n_layers):
             mask = self.masks[l]
@@ -250,29 +249,15 @@ class _Workspace:
         return grads, input_grad
 
 
-def _widths(params: dict, n_layers: int) -> list[int]:
-    return [params[f"W{l}"].shape[1] for l in range(n_layers - 1)]
-
-
-def _forward(inputs, prop, params: dict, n_layers: int, hyper: TrainHyper, rng, training):
-    """Whole-graph forward: every node's logits and the caches for _backward."""
-    return _Workspace(inputs, prop, hyper, _widths(params, n_layers), None, training).forward(params, rng)
-
-
-def _backward(grad_logits, caches, prop, params: dict, hyper: TrainHyper, want_input_grad=False):
-    """Whole-graph backward from every node's logit gradient."""
-    ws = _Workspace(caches[0][0], prop, hyper, _widths(params, len(caches)))
-    return ws.backward(grad_logits, caches, params, want_input_grad)
-
-
-def train_submodel(model: SubModel, labeled, seed: int | None = None) -> TrainedSubModel:
-    """Fit parameters by masked cross-entropy over the labeled nodes.
+def train_submodel(model: SubModel, labeled, seed: int = 0) -> TrainedSubModel:
+    """Fit parameters by softmax cross-entropy over the labeled rows.
 
     labeled maps node index to class id; entries may mix ground-truth and
     pseudo-labels, which enter through exactly the same path. Training is
-    full-batch for hyper.epochs from a fresh Glorot initialization and is
-    bitwise reproducible for a fixed (seed, spec, data). One _Workspace
-    serves every epoch, and the loss reads only the labeled rows' logits.
+    full-batch Adam for hyper.epochs from a fresh Glorot initialization and
+    is bitwise reproducible for a fixed (seed, spec, data); seed is the only
+    seed source. One _Workspace serves every epoch, and the loss reads only
+    the labeled rows' logits.
     """
     if not labeled:
         raise ValidationError("train_submodel needs at least one labeled node")
@@ -282,8 +267,6 @@ def train_submodel(model: SubModel, labeled, seed: int | None = None) -> Trained
     targets = np.array([labeled[i] for i in idx], dtype=np.int64)
     check_targets(targets, model.n_classes)
     hyper = model.spec.hyper
-    if seed is None:
-        seed = hyper.seed
     init_seed, dropout_seed = derive_seeds(seed, words=2)
     rng = np.random.default_rng(dropout_seed)
 
@@ -302,10 +285,7 @@ def train_submodel(model: SubModel, labeled, seed: int | None = None) -> Trained
                 "check the learning rate or the input data"
             )
         grads, _ = ws.backward(grad_logits, caches, params)
-        if hyper.optimizer == "adam":
-            adam_step(params, grads, state, epoch, hyper)
-        else:
-            sgd_step(params, grads, hyper)
+        adam_step(params, grads, state, epoch, hyper)
         losses.append(loss)
 
     return TrainedSubModel(model=model, params=params, loss_history=tuple(losses))

@@ -1,10 +1,10 @@
 """Minimal dense neural-network substrate.
 
 Just enough machinery for two-layer graph convolution and MLP models:
-Glorot-uniform initialization, masked softmax cross-entropy with its
-gradient, Adam with L2 weight decay on weight matrices, inverted dropout,
-and a central-finite-difference gradient oracle. Everything is seeded
-numpy; no GPU, no general autodiff.
+Glorot-uniform initialization, softmax cross-entropy over the loss rows
+with its gradient, Adam with L2 weight decay on weight matrices, inverted
+dropout, and a central-finite-difference gradient oracle. Everything is
+seeded numpy; no GPU, no general autodiff.
 
 Dropout RNG contract, on which bitwise reproducible training rests: each
 dropout draws its mask from the generator with one ``rng.random`` call,
@@ -34,14 +34,13 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainHyper:
-    """Training hyperparameters shared by all sub-model kinds."""
+    """Training hyperparameters shared by all sub-model kinds: Adam's
+    learning rate, L2 weight decay, dropout rate and full-batch epochs."""
 
     learning_rate: float = 0.01
     weight_decay: float = 5e-4
     dropout: float = 0.5
     epochs: int = 200
-    seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -56,8 +55,6 @@ class TrainHyper:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 LayerPlan = list[tuple[int, int, bool]]
@@ -67,8 +64,10 @@ def derive_seeds(*keys: int, words: int = 1) -> tuple[int, ...]:
     """words independent 32-bit seeds derived from the key tuple.
 
     One SeedSequence per key tuple, so runs that differ in any key (seed,
-    iteration, role) draw unrelated streams.
+    iteration, role) draw unrelated streams. Keys must be non-negative.
     """
+    if any(k < 0 for k in keys):
+        raise ValidationError(f"seeds must be >= 0, got {keys}")
     return tuple(int(w) for w in np.random.SeedSequence(keys).generate_state(words))
 
 
@@ -109,28 +108,13 @@ def check_targets(targets: np.ndarray, n_classes: int) -> None:
         raise ValidationError("target class out of range")
 
 
-def softmax_xent(
-    logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood over the loss rows, with its logit gradient.
+def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood over the rows of logits, with its logit gradient.
 
-    Without mask, every row of logits is a loss row, targets holds each
-    row's class id, and the gradient is row-aligned with logits; this is
-    the training loop's form, and its caller checks the class range once
-    (check_targets). With mask, an index array, only the masked rows
-    count: targets is row-aligned with logits, the class range is checked
-    here, and the gradient is zero outside the mask.
+    Every row is a loss row and targets holds each row's class id; a
+    caller with other rows gathers the loss rows first. The caller checks
+    the class range (check_targets).
     """
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.size == 0:
-            raise ValidationError("softmax_xent needs a nonempty mask")
-        y = np.asarray(targets)[mask]
-        check_targets(y, logits.shape[1])
-        loss, grad_rows = softmax_xent(logits[mask], y)
-        grad = np.zeros_like(logits)
-        grad[mask] = grad_rows
-        return loss, grad
     # one shift, exp and row sum serve both the loss (log_softmax's
     # expression) and the gradient (softmax's expression). The row max is
     # taken column by column, which is exact; the row sum stays row-wise,
@@ -168,8 +152,8 @@ def keep_mask(rng: np.random.Generator, keep: float, out: np.ndarray) -> np.ndar
     return np.less(out, keep, out=out)
 
 
-def dropout_input(x, rate: float, rng: np.random.Generator, training: bool, out=None):
-    """Inverted dropout on a layer input; x itself when evaluating.
+def dropout_input(x, rate: float, rng: np.random.Generator, out=None):
+    """Inverted dropout on a layer input; x itself at rate 0.
 
     Sparse inputs get the stored values of their CSR form masked (other
     formats are converted once; structural zeros stay zero either way, so
@@ -178,7 +162,7 @@ def dropout_input(x, rate: float, rng: np.random.Generator, training: bool, out=
     the output of an earlier call on the same x and is overwritten: a
     training loop reuses one array, or one CSR wrapper, for every epoch.
     """
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     keep = 1.0 - rate
     if sp.issparse(x):
@@ -209,15 +193,6 @@ class AdamState:
         )
 
 
-def _decayed(name: str, grad: np.ndarray, param: np.ndarray, weight_decay: float, out=None):
-    # decay applies to weight matrices only, never biases
-    if weight_decay != 0.0 and name.startswith("W"):
-        out = np.multiply(param, weight_decay, out=out)
-        out += grad
-        return out
-    return grad
-
-
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -242,7 +217,10 @@ def adam_step(
         if scratch is None:
             scratch = state.scratch[name] = (np.empty_like(p), np.empty_like(p))
         step, work = scratch
-        g = _decayed(name, g, p, hyper.weight_decay, out=work)
+        # decay applies to weight matrices only, never biases
+        if hyper.weight_decay != 0.0 and name.startswith("W"):
+            g = np.multiply(p, hyper.weight_decay, out=work)
+            g += grads[name]
         m = state.m[name]
         v = state.v[name]
         # the step stays (lr * m_hat) / (sqrt(v_hat) + eps): regrouping it as
@@ -262,16 +240,6 @@ def adam_step(
         step /= denom
         p -= step
     return params, state
-
-
-def sgd_step(
-    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], hyper: TrainHyper
-) -> dict[str, np.ndarray]:
-    """Plain gradient descent with the same weight-decay convention."""
-    for name, p in params.items():
-        g = _decayed(name, grads[name], p, hyper.weight_decay)
-        p -= hyper.learning_rate * g
-    return params
 
 
 def finite_diff_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-4) -> float:

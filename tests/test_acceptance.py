@@ -382,7 +382,7 @@ def test_acceptance_8_numerical_oracles(fixture_graph):
 
     # gradient check, kink-filtered, against central differences
     from cograph.graph import make_graph
-    from cograph.models import _backward, _forward
+    from cograph.models import _Workspace
 
     X = rng.normal(size=(8, 6))
     g = make_graph(
@@ -391,26 +391,26 @@ def test_acceptance_8_numerical_oracles(fixture_graph):
     )
     hyper = TrainHyper(dropout=0.0, weight_decay=0.0)
     sm = build_submodel(SubModelSpec(kind="gcn", hyper=hyper), g)
-    plan = sm.layer_plan()
+    ws = _Workspace.of(sm)  # every node's logits, dropout off
     eps = 1e-5
     params = None
     for seed in range(30):
-        cand = init_params(plan, seed=seed)
-        _, caches = _forward(sm.inputs, sm.prop, cand, len(plan), hyper, None, False)
+        cand = init_params(sm.layer_plan(), seed=seed)
+        _, caches = ws.forward(cand)
         if min(np.abs(c[1]).min() for c in caches[:-1]) > 10 * eps:
             params = cand
             break
     assert params is not None, "no kink-free probe point found"
-    targets, mask = g.labels, np.arange(8)
+    targets = g.labels
 
     def loss_fn(p):
-        logits, _ = _forward(sm.inputs, sm.prop, p, len(plan), hyper, None, False)
-        return softmax_xent(logits, targets, mask)[0]
+        logits, _ = ws.forward(p)
+        return softmax_xent(logits, targets)[0]
 
     def grad_fn(p):
-        logits, caches = _forward(sm.inputs, sm.prop, p, len(plan), hyper, None, False)
-        _, gl = softmax_xent(logits, targets, mask)
-        return _backward(gl, caches, sm.prop, p, hyper)[0]
+        logits, caches = ws.forward(p)
+        _, gl = softmax_xent(logits, targets)
+        return ws.backward(gl, caches, p)[0]
 
     grad_err = finite_diff_check(loss_fn, grad_fn, params, eps=eps)
 

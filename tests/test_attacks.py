@@ -388,6 +388,34 @@ def test_plan_validation():
         AttackSetting("x", method="nuke", rate=0.1)
 
 
+# settings whose method would ignore a value: each is refused, not accepted
+IGNORED_VALUES = {
+    "none-rate": dict(method="none", rate=0.3),
+    "none-ratio": dict(method="none", feature_ratio=0.5),
+    "none-path": dict(method="none", path="edges.tsv"),
+    "external-rate": dict(method="external", rate=0.2, path="edges.tsv"),
+    "external-ratio": dict(method="external", feature_ratio=0.5, path="edges.tsv"),
+    "grad-feat-partial-ratio": dict(method="grad-feat", rate=0.1, feature_ratio=0.3),
+    "dice-path": dict(method="dice", rate=0.1, path="edges.tsv"),
+    "random-path": dict(method="random", rate=0.1, path="edges.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_VALUES))
+def test_setting_refuses_values_its_method_ignores(case):
+    with pytest.raises(ValidationError):
+        AttackSetting("x", **IGNORED_VALUES[case])
+
+
+def test_setting_accepts_every_value_its_method_uses():
+    for ratio in (0.0, 1.0):  # both spend the whole grad-feat budget on feature bits
+        setting = AttackSetting("x", method="grad-feat", rate=0.1, feature_ratio=ratio)
+        assert setting.effective_feature_ratio == 1.0
+    assert AttackSetting("x", method="dice", rate=0.2, feature_ratio=0.5).feature_ratio == 0.5
+    assert AttackSetting("x", method="random", rate=0.2).rate == 0.2
+    assert AttackSetting("x", method="external", path="edges.tsv").path == "edges.tsv"
+
+
 def test_feature_flip_rejects_repeated_targets(attack_graph, fmlp_victim):
     """A repeated target would count twice in the loss the flips climb."""
     with pytest.raises(ValidationError, match="repeat"):

@@ -256,17 +256,68 @@ def test_flag_defaults_are_the_library_defaults():
         assert args.k == k
         assert args.train_frac == config["train_frac"]
         assert args.val_frac == config["val_frac"]
-        assert (args.epochs, args.lr, args.weight_decay, args.dropout, args.optimizer) == (
+        assert (args.epochs, args.lr, args.weight_decay, args.dropout) == (
             hyper.epochs,
             hyper.learning_rate,
             hyper.weight_decay,
             hyper.dropout,
-            hyper.optimizer,
         )
     args = parser.parse_args(["cotrain", "--data", "d"])
     assert (args.struct_k, args.feat_k) == (k, k)
     assert (args.n_add, args.max_iters) == (config["n_add"], config["max_iters"])
     assert parser.parse_args(["calibrate", "--data", "d"]).bins == config["reliability_bins"]
+
+
+@pytest.mark.parametrize("command", ["train", "attack", "gen-synthetic"])
+def test_negative_seed_exits_2(capsys, tmp_path, command):
+    data = gen_dataset(capsys, tmp_path)
+    argv = {
+        "train": ["train", "--data", str(data), "--model", "gcn", "--epochs", "5"],
+        "attack": ["attack", "--data", str(data), "--method", "dice", "--rate", "0.1"],
+        "gen-synthetic": ["gen-synthetic", "--nodes", "30"],
+    }[command]
+    rc = main(["--seed", "-1", "--out", str(tmp_path / "out"), *argv])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _tiny_config(tmp_path, **changes):
+    config = {
+        "synthetic": dict(n=60, C=2, p_in=0.2, p_out=0.05, m=8, feature_noise=0.1, seed=5),
+        "seeds": [0],
+        "struct_model": {"kind": "gcn", "hyper": {"epochs": 10}},
+        "feat_model": {"kind": "f-mlp", "hyper": {"epochs": 10}},
+        "out_dir": str(tmp_path / "out"),
+        **changes,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return cfg_path
+
+
+def test_negative_synthetic_seed_in_config_exits_2(capsys, tmp_path):
+    synthetic = dict(n=60, C=2, p_in=0.2, p_out=0.05, m=8, feature_noise=0.1, seed=-3)
+    rc = main(["--config", str(_tiny_config(tmp_path, synthetic=synthetic)), "experiment"])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("seed", 5), ("optimizer", "sgd")])
+def test_removed_hyper_key_in_config_exits_2_naming_it(capsys, tmp_path, key, value):
+    feat_model = {"kind": "f-mlp", "hyper": {"epochs": 10, key: value}}
+    rc = main(["--config", str(_tiny_config(tmp_path, feat_model=feat_model)), "experiment"])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimizer_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", "d", "--model", "gcn", "--optimizer", "adam"])
+    assert exc.value.code == 2
+    assert "--optimizer" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(capsys):

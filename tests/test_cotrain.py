@@ -1,6 +1,6 @@
 import importlib
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -117,6 +117,36 @@ def test_select_unbalanced_top_n():
 def test_select_empty_pool():
     picks, shortfall = select_confident(np.array([], dtype=int), np.zeros((0, 2)), class_quota([1, 1], 2))
     assert picks == [] and shortfall == (0, 0)
+
+
+def _select_reference(nodes, probs, quota, n_add):
+    """Selection by a Python sort per class, the ranking select_confident
+    replaced with one lexsort."""
+    conf, pred = probs.max(axis=1), probs.argmax(axis=1)
+
+    def rank(rows):
+        return sorted(rows, key=lambda r: (-conf[r], nodes[r]))
+
+    if quota is None:
+        chosen = rank(range(nodes.size))[:n_add]
+        return [Selection(int(nodes[r]), int(pred[r]), float(conf[r])) for r in chosen]
+    picks = []
+    for c, budget in enumerate(quota.per_class):
+        take = rank(np.flatnonzero(pred == c).tolist())[:budget]
+        picks += [Selection(int(nodes[r]), c, float(conf[r])) for r in take]
+    return picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+def test_select_confident_matches_sorted_reference(seed, n, balanced):
+    rng = np.random.default_rng(seed)
+    nodes = rng.permutation(1000)[:n]  # unsorted, so the node tie-break matters
+    probs = rng.dirichlet(np.ones(3), size=n).round(1)  # coarse values tie often
+    n_add = int(rng.integers(0, n + 5))
+    quota = class_quota(rng.integers(1, 5, size=3), n_add) if balanced else None
+    picks, _ = select_confident(nodes, probs, quota, n_add)
+    assert picks == _select_reference(nodes, probs, quota, n_add)
 
 
 # --- conflict resolution -----------------------------------------------------
@@ -441,3 +471,23 @@ def test_cotrain_state_keeps_the_final_models_scores(easy_graph, easy_split):
     every_node = np.arange(easy_graph.n)
     for trained, logits in zip((f_s, f_f), state.final_logits):
         assert logits.tobytes() == predict_logits(trained, every_node).tobytes()
+
+
+# a value other than the default for every TrainHyper field
+NON_DEFAULT_HYPER = {"learning_rate": 0.05, "weight_decay": 0.0, "dropout": 0.2, "epochs": 7}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainHyper)])
+def test_every_hyper_field_changes_a_cotrain_run(easy_graph, easy_split, name):
+    """A setting that a run accepts must reach it: no knob does nothing."""
+    value = NON_DEFAULT_HYPER[name]
+    assert value != getattr(TrainHyper(), name)
+
+    def run(hyper):
+        specs = SubModelSpec(kind="gcn", hyper=hyper), SubModelSpec(kind="f-mlp", hyper=hyper)
+        f_s, f_f, state = cotrain(easy_graph, easy_split, *specs, n_add=10, max_iters=1, seed=0)
+        params = [f.params[k].tobytes() for f in (f_s, f_f) for k in sorted(f.params)]
+        return params, [r.to_json() for r in state.history]
+
+    base = TrainHyper(epochs=5)
+    assert run(replace(base, **{name: value})) != run(base)

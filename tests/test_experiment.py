@@ -115,6 +115,14 @@ def test_summary_recomputable_from_results_csv(tmp_path, report):
         )
 
 
+def test_summary_config_reloads_to_the_same_config(tmp_path, report):
+    emit_report(report, tmp_path)
+    written = json.loads((tmp_path / "summary.json").read_text())["config"]
+    reloaded = ExperimentConfig.from_dict(written)
+    assert reloaded.to_json_dict() == report.config
+    assert json.loads(json.dumps(reloaded.to_json_dict())) == written
+
+
 def test_reports_byte_identical_across_reruns(tmp_path):
     cfg = tiny_config()
     a = run_experiment(cfg)

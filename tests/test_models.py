@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from cograph import SubModelSpec, TrainingError, ValidationError, build_submodel, predict_logits, train_submodel
 from cograph.graph import make_graph, with_edges, with_features
-from cograph.models import ALL_KINDS, _backward, _forward, accuracy, input_gradient
+from cograph.models import ALL_KINDS, _Workspace, accuracy, input_gradient
 from cograph.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -177,8 +177,8 @@ def test_train_rejects_empty_labeled_set(easy_graph):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_train_aborts_on_divergence(easy_graph, easy_split):
-    # plain gradient descent at an absurd rate overflows within a few epochs
-    crazy = TrainHyper(learning_rate=1e12, epochs=30, dropout=0.0, optimizer="sgd")
+    # Adam at an absurd rate overflows within a few epochs
+    crazy = TrainHyper(learning_rate=1e300, epochs=30, dropout=0.0)
     spec = SubModelSpec(kind="f-mlp", hyper=crazy)
     with pytest.raises(TrainingError):
         train_submodel(
@@ -193,27 +193,26 @@ def test_relu_gradient_check_away_from_kinks():
     g = make_graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)], X, np.array([0, 1, 0, 1, 0, 1]), 2)
     hyper = TrainHyper(dropout=0.0, weight_decay=0.0)
     sm = build_submodel(SubModelSpec(kind="gcn", hyper=hyper), g)
-    plan = sm.layer_plan()
+    ws = _Workspace.of(sm)  # every node's logits, dropout off
     eps = 1e-5
     for seed in range(20):
-        params = init_params(plan, seed=seed)
-        _, caches = _forward(sm.inputs, sm.prop, params, len(plan), hyper, None, False)
+        params = init_params(sm.layer_plan(), seed=seed)
+        _, caches = ws.forward(params)
         if min(np.abs(c[1]).min() for c in caches[:-1]) > 10 * eps:
             break
     else:
         pytest.fail("no kink-free initialization found")
 
     targets = g.labels
-    mask = np.arange(6)
 
     def loss_fn(p):
-        logits, _ = _forward(sm.inputs, sm.prop, p, len(plan), hyper, None, False)
-        return softmax_xent(logits, targets, mask)[0]
+        logits, _ = ws.forward(p)
+        return softmax_xent(logits, targets)[0]
 
     def grad_fn(p):
-        logits, caches = _forward(sm.inputs, sm.prop, p, len(plan), hyper, None, False)
-        _, gl = softmax_xent(logits, targets, mask)
-        grads, _ = _backward(gl, caches, sm.prop, p, hyper)
+        logits, caches = ws.forward(p)
+        _, gl = softmax_xent(logits, targets)
+        grads, _ = ws.backward(gl, caches, p)
         return grads
 
     assert finite_diff_check(loss_fn, grad_fn, params, eps=eps) < 1e-4
@@ -238,8 +237,8 @@ def test_input_gradient_matches_finite_differences():
             up, down = np.array(X), np.array(X)
             up[i, j] += eps
             down[i, j] -= eps
-            lu = softmax_xent(predict_logits(with_inputs(model, up), nodes), labels, np.arange(3))[0]
-            ld = softmax_xent(predict_logits(with_inputs(model, down), nodes), labels, np.arange(3))[0]
+            lu = softmax_xent(predict_logits(with_inputs(model, up), nodes), labels)[0]
+            ld = softmax_xent(predict_logits(with_inputs(model, down), nodes), labels)[0]
             fd = (lu - ld) / (2 * eps)
             worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), 1e-6))
     assert worst < 1e-4
