@@ -22,7 +22,6 @@ from .graph import (
     Graph,
     NodeSplit,
     generate_synthetic,
-    graphs_equal,
     normalized_adjacency,
     split_nodes,
 )
@@ -34,7 +33,7 @@ from .models import (
     predict_logits,
     train_submodel,
 )
-from .nn import TrainHyper, adam_step, finite_diff_check, init_params, softmax_xent
+from .nn import TrainHyper, adam_step, init_params, softmax_xent
 from .views import Embedding, knn_graph, laplacian_eigenmaps, smlp_features
 
 __version__ = "0.1.0"
@@ -59,10 +58,8 @@ __all__ = [
     "class_quota",
     "cotrain",
     "ensemble_predict",
-    "finite_diff_check",
     "fit_temperature",
     "generate_synthetic",
-    "graphs_equal",
     "init_params",
     "knn_graph",
     "laplacian_eigenmaps",

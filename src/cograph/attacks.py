@@ -2,7 +2,7 @@
 
 Structural attacks flip edges (uniformly at random, or label-aware: delete
 same-class edges / insert cross-class edges). The feature attack greedily
-flips binary feature bits along the victim's loss gradient. Externally
+flips binary feature bits along an f-mlp victim's loss gradient. Externally
 produced perturbed adjacencies are ingested from edge-list files. All
 perturbers preserve the node count and labels; structural ones leave X
 untouched and the feature attack leaves the edge set untouched.
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from .errors import ValidationError
 from .graph import Graph, with_edges, with_features
 from .io import parse_edge_list, write_json
-from .models import FEATURE_KINDS, TrainedSubModel, input_gradient
+from .models import KIND_FMLP, TrainedSubModel, input_gradient
 
 ATTACK_METHODS = ("none", "random", "dice", "grad-feat", "external")
 _FLIP_BATCH = 32
@@ -230,26 +230,26 @@ def feature_flip_attack(
 ) -> Graph:
     """Greedy gradient-guided bit flips on binary features.
 
-    Each round recomputes the gradient of the victim's loss on the target
-    nodes (distinct ids; default: every node) with respect to the features
-    and scores
-    every bit by grad * (1 - 2x), the loss increase its flip promises to
-    first order. It then flips the min(32, remaining budget) bits with the
-    largest positive score, ties going to the smaller row-major index. No
-    bit flips twice; the attack stops early once no score is positive. The
-    victim must consume raw node features of g's shape. The procedure is
+    The victim must be an f-mlp over raw node features of g's shape, so
+    its loss on the target nodes (distinct ids; default: every node) reads
+    only their t feature rows. Each round recomputes that loss's gradient
+    w.r.t. those rows and scores every target bit by grad * (1 - 2x), the
+    loss increase its flip promises to first order. It then flips the
+    min(32, remaining budget) bits with the largest positive score, ties
+    going to the smaller row-major index of X. No bit flips twice; the
+    attack stops early once no score is positive. The procedure is
     deterministic; seed is recorded for provenance only.
 
-    Working memory beyond g: the attacked copy of X, n x m int8 flip signs
-    and one round's n x m gradient, plus the victim's own input_gradient
+    Working memory beyond g: the attacked copy of X, t x m int8 flip signs
+    and one round's t x m gradient, plus the victim's own input_gradient
     temporaries (and, for CSR victims, the CSR inputs).
     """
     del seed  # greedy selection is fully deterministic
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
     kind = victim.model.spec.kind
-    if kind not in FEATURE_KINDS:
-        raise ValidationError(f"feature attack needs a feature-dominant victim, got {kind!r}")
+    if kind != KIND_FMLP:
+        raise ValidationError(f"feature attack needs an f-mlp victim, got {kind!r}")
     if g.labels is None:
         raise ValidationError("feature attack needs a labeled graph")
     if (victim.model.n, victim.model.input_dim) != g.X.shape:
@@ -264,6 +264,7 @@ def feature_flip_attack(
         raise ValidationError(f"attack target out of range for n={g.n}")
     if np.unique(targets).size != targets.size:
         raise ValidationError("attack targets must not repeat a node id")
+    targets = np.sort(targets)  # ascending, so row-major order over the t rows is X's
     X = np.array(g.X)
     if not np.isin(X, (0.0, 1.0)).all():
         raise ValidationError("feature attack requires binary features")
@@ -274,7 +275,7 @@ def feature_flip_attack(
     # +1 where a flip sets a bit, -1 where it clears one, 0 once flipped:
     # a flipped bit scores 0 and is never selected again. int8 holds these
     # exactly and multiplies a float64 gradient to the same bits as 1.0 - 2X
-    sign = X.astype(np.int8)
+    sign = X[targets].astype(np.int8)
     sign *= -2
     sign += 1
     # CSR victims get the flips as a +-1 delta; canonical CSR addition keeps
@@ -289,10 +290,11 @@ def feature_flip_attack(
         del score  # free this round's gradient before the next one is built
         if not top.size:
             break
-        rows, cols = np.divmod(top, X.shape[1])
-        delta = sign[rows, cols].astype(np.float64)
+        picks, cols = np.divmod(top, X.shape[1])
+        rows = targets[picks]
+        delta = sign[picks, cols].astype(np.float64)
         X[rows, cols] += delta
-        sign[rows, cols] = 0
+        sign[picks, cols] = 0
         if inputs is not X:
             inputs = inputs + sp.csr_matrix((delta, (rows, cols)), shape=X.shape)
         remaining -= top.size

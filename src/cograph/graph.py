@@ -95,17 +95,6 @@ def make_graph(n, edges, X, labels=None, C=None) -> Graph:
     return Graph(n=int(n), edges=frozenset(norm), X=X, labels=labels, C=C)
 
 
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    """Exact (bitwise) equality of two graphs."""
-    if a.n != b.n or a.edges != b.edges or a.C != b.C:
-        return False
-    if not np.array_equal(a.X, b.X):
-        return False
-    if (a.labels is None) != (b.labels is None):
-        return False
-    return a.labels is None or np.array_equal(a.labels, b.labels)
-
-
 def with_edges(g: Graph, edges) -> Graph:
     """Copy of g with a replaced edge set (features and labels shared)."""
     return make_graph(g.n, edges, g.X, g.labels, g.C)

@@ -6,8 +6,8 @@ Feature-dominant: an MLP over raw node features ("f-mlp") and a graph
 convolution over the feature-built kNN graph ("knn-gcn"), which never sees
 the original edges.
 
-Training, prediction and input gradients share one forward/backward pass
-(_Workspace): a propagated model's output layer propagates only the rows
+Training, prediction and row-wise input gradients share one forward/backward
+pass (_Workspace): a propagated model's output layer propagates only the rows
 its caller reads, and a fit reuses one workspace for all its epochs.
 """
 
@@ -149,7 +149,7 @@ class _Workspace:
 
     A fit builds one and reuses it for every epoch (predict_logits and
     input_gradient build one per call). rows are the nodes whose logits a
-    forward returns, in that order; None means every node.
+    forward returns, in that order.
 
     A row-wise model takes only those input rows forward. A propagated
     model takes the whole graph through its hidden layers, but its output
@@ -166,14 +166,14 @@ class _Workspace:
     activation in place. The draws follow the dropout RNG contract of nn.
     """
 
-    def __init__(self, inputs, prop, hyper: TrainHyper, widths, rows=None, training=False):
+    def __init__(self, inputs, prop, hyper: TrainHyper, widths, rows, training=False):
         if sp.issparse(inputs):
             inputs = inputs.tocsr()
-        if prop is None and rows is not None:
+        if prop is None:
             inputs = inputs[rows]
         self.inputs, self.prop, self.hyper, self.training = inputs, prop, hyper, training
         self.n_layers = len(widths) + 1
-        self.out_prop = prop if rows is None or prop is None else prop[rows]
+        self.out_prop = None if prop is None else prop[rows]
         self._rows, self._back_prop = rows, None
         dropout = training and hyper.dropout > 0.0
         # the first layer's input (the dropout output, when there is one)
@@ -190,14 +190,14 @@ class _Workspace:
         self.masks = [None] + [np.empty((inputs.shape[0], w)) if dropout else None for w in widths]
 
     @classmethod
-    def of(cls, model: SubModel, rows=None, training=False) -> "_Workspace":
+    def of(cls, model: SubModel, rows, training=False) -> "_Workspace":
         return cls(model.inputs, model.prop, model.spec.hyper, model.spec.hidden_dims, rows, training)
 
     @property
     def back_prop(self):
         """prop[:, rows], built on the first backward pass."""
         if self._back_prop is None:
-            self._back_prop = self.prop if self._rows is None else self.prop[:, self._rows]
+            self._back_prop = self.prop[:, self._rows]
         return self._back_prop
 
     def forward(self, params: dict, rng=None):
@@ -306,14 +306,17 @@ def predict_logits(trained: TrainedSubModel, nodes) -> np.ndarray:
 
 
 def input_gradient(trained: TrainedSubModel, nodes, labels) -> np.ndarray:
-    """Gradient of the mean cross-entropy over nodes w.r.t. the raw input matrix.
+    """Gradient of the mean cross-entropy over nodes w.r.t. their input rows,
+    row i for nodes[i]; other rows' gradients are zero for the row-wise
+    models (prop is None) it serves.
 
-    Used by gradient-guided feature attacks; evaluation mode, so the
-    returned array is the exact input gradient of the deterministic
-    forward. nodes must be distinct: a repeated node would count twice
-    in the loss. Only meaningful for models consuming raw features.
+    Used by gradient-guided feature attacks; evaluation mode, so the result
+    is the exact input gradient of the deterministic forward. nodes must be
+    distinct: a repeated node would count twice in the loss.
     """
     model = trained.model
+    if model.prop is not None:
+        raise ValidationError(f"input_gradient needs a row-wise model, got {model.spec.kind!r}")
     nodes = _node_ids(model, nodes)
     labels = np.asarray(labels, dtype=np.int64)
     if nodes.ndim != 1 or nodes.size == 0 or labels.shape != nodes.shape:
@@ -325,11 +328,7 @@ def input_gradient(trained: TrainedSubModel, nodes, labels) -> np.ndarray:
     logits, caches = ws.forward(trained.params)
     _, grad_rows = softmax_xent(logits, labels)
     _, d_in = ws.backward(grad_rows, caches, trained.params, want_input_grad=True)
-    if model.prop is not None:
-        return d_in
-    full = np.zeros((model.n, model.input_dim))
-    full[nodes] = d_in
-    return full
+    return d_in
 
 
 def accuracy(trained: TrainedSubModel, nodes, labels) -> float:

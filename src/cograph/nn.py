@@ -242,33 +242,6 @@ def adam_step(
     return params, state
 
 
-def finite_diff_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn maps a parameter dict to a scalar; grad_fn returns the analytic
-    gradient dict. The forward must be deterministic (dropout off) and
-    smooth at the probe point; ReLU models should be probed away from
-    kinks. Relative error uses max(|a|, |b|, 1e-6) as denominator.
-    """
-    analytic = grad_fn(params)
-    worst = 0.0
-    work = {k: v.copy() for k, v in params.items()}
-    for name, p in work.items():
-        flat = p.reshape(-1)
-        g_flat = analytic[name].reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_fn(work)
-            flat[idx] = orig - eps
-            down = loss_fn(work)
-            flat[idx] = orig
-            fd = (up - down) / (2.0 * eps)
-            denom = max(abs(fd), abs(g_flat[idx]), 1e-6)
-            worst = max(worst, abs(fd - g_flat[idx]) / denom)
-    return worst
-
-
 def save_params_csv(params: dict[str, np.ndarray], path) -> None:
     """Checkpoint as CSV rows: name, shape ('RxC'), row-major values."""
     with open(path, "w", encoding="utf-8") as fh:

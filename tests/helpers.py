@@ -41,3 +41,41 @@ def components_cover(g: Graph) -> float:
                     stack.append(v)
         best = max(best, size)
     return best / g.n
+
+
+def graphs_equal(a: Graph, b: Graph) -> bool:
+    """Exact (bitwise) equality of two graphs."""
+    if a.n != b.n or a.edges != b.edges or a.C != b.C:
+        return False
+    if not np.array_equal(a.X, b.X):
+        return False
+    if (a.labels is None) != (b.labels is None):
+        return False
+    return a.labels is None or np.array_equal(a.labels, b.labels)
+
+
+def finite_diff_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-4) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn maps a parameter dict to a scalar; grad_fn returns the analytic
+    gradient dict. The forward must be deterministic (dropout off) and
+    smooth at the probe point; ReLU models should be probed away from
+    kinks. Relative error uses max(|a|, |b|, 1e-6) as denominator.
+    """
+    analytic = grad_fn(params)
+    worst = 0.0
+    work = {k: v.copy() for k, v in params.items()}
+    for name, p in work.items():
+        flat = p.reshape(-1)
+        g_flat = analytic[name].reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up = loss_fn(work)
+            flat[idx] = orig - eps
+            down = loss_fn(work)
+            flat[idx] = orig
+            fd = (up - down) / (2.0 * eps)
+            denom = max(abs(fd), abs(g_flat[idx]), 1e-6)
+            worst = max(worst, abs(fd - g_flat[idx]) / denom)
+    return worst

@@ -34,9 +34,9 @@ from cograph.experiment import AttackSetting, ExperimentConfig, apply_attack, em
 from cograph.graph import adjacency
 from cograph.io import load_graph_dir
 from cograph.models import accuracy
-from cograph.nn import TrainHyper, finite_diff_check, init_params, softmax, softmax_xent
+from cograph.nn import TrainHyper, init_params, softmax, softmax_xent
 from conftest import ATTACK_PARAMS
-from helpers import labeled_map, merge_classes
+from helpers import finite_diff_check, labeled_map, merge_classes
 
 SEEDS = (0, 1, 2)
 CORA_SEEDS = (0, 1, 2, 3, 4)
@@ -391,7 +391,7 @@ def test_acceptance_8_numerical_oracles(fixture_graph):
     )
     hyper = TrainHyper(dropout=0.0, weight_decay=0.0)
     sm = build_submodel(SubModelSpec(kind="gcn", hyper=hyper), g)
-    ws = _Workspace.of(sm)  # every node's logits, dropout off
+    ws = _Workspace.of(sm, np.arange(g.n))  # every node's logits, dropout off
     eps = 1e-5
     params = None
     for seed in range(30):

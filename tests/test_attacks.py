@@ -6,7 +6,6 @@ from cograph import (
     SubModelSpec,
     ValidationError,
     build_submodel,
-    graphs_equal,
     predict_logits,
     split_nodes,
     train_submodel,
@@ -25,7 +24,7 @@ from cograph.graph import make_graph
 from cograph.io import save_edge_list
 from cograph.models import accuracy, input_gradient
 from cograph.nn import TrainHyper
-from helpers import labeled_map, with_inputs
+from helpers import graphs_equal, labeled_map, with_inputs
 
 FAST = TrainHyper(epochs=60)
 
@@ -162,14 +161,17 @@ def test_feature_flip_requires_binary_features(fmlp_victim):
         feature_flip_attack(g, fmlp_victim, 5, seed=0)
 
 
-def test_feature_flip_rejects_structure_victim(attack_graph, attack_split):
-    smodel = train_submodel(
-        build_submodel(SubModelSpec(kind="s-mlp", k=8, hyper=FAST), attack_graph),
+@pytest.mark.parametrize("kind", ["s-mlp", "gcn", "knn-gcn"])
+def test_feature_flip_rejects_structure_victim(attack_graph, attack_split, kind):
+    """Only an f-mlp victim is attacked; a propagated feature victim
+    (knn-gcn) is refused like the structure kinds."""
+    victim = train_submodel(
+        build_submodel(SubModelSpec(kind=kind, k=8, hyper=FAST), attack_graph),
         labeled_map(attack_graph, attack_split.labeled),
         seed=0,
     )
-    with pytest.raises(ValidationError):
-        feature_flip_attack(attack_graph, smodel, 5, seed=0)
+    with pytest.raises(ValidationError, match="f-mlp"):
+        feature_flip_attack(attack_graph, victim, 5, seed=0)
 
 
 def test_feature_flip_budget_sweep_degrades_victim(attack_graph, attack_split, fmlp_victim):
@@ -209,14 +211,16 @@ def test_feature_attack_never_touches_smlp_logits(attack_graph, attack_split, fm
 
 
 def _reference_flip_attack(g, victim, budget, targets):
-    """The selection rule written out: every round, sort all positive
-    scores by (-score, flat index) and flip the first min(32, remaining)."""
+    """The selection rule written out over all of X: every round, sort all
+    positive scores by (-score, flat index) and flip the first
+    min(32, remaining). Rows outside the targets get a zero gradient."""
     X = np.array(g.X)
     flipped = np.zeros(X.size, dtype=bool)
     sparse = sp.issparse(victim.model.inputs)
     while budget > 0:
         inputs = sp.csr_matrix(X) if sparse else X.copy()
-        grad = input_gradient(with_inputs(victim, inputs), targets, g.labels[targets])
+        grad = np.zeros(X.shape)
+        grad[targets] = input_gradient(with_inputs(victim, inputs), targets, g.labels[targets])
         score = (grad * (1.0 - 2.0 * X)).ravel()
         idx = np.flatnonzero((score > 0.0) & ~flipped)
         picked = idx[np.lexsort((idx, -score[idx]))][: min(32, budget)]
@@ -249,29 +253,35 @@ def _duplicated_rows_graph():
 
 
 @pytest.mark.parametrize(
-    "fixture, kind, budget, sparse",
+    "fixture, budget, sparse",
     [
-        ("words", "f-mlp", 239, True),
-        ("attack", "f-mlp", 239, False),
-        ("attack", "knn-gcn", 160, False),
-        ("words", "knn-gcn", 77, True),
-        ("attack", "f-mlp", 10**6, False),  # more than the 16000 bits: stops early
-        ("ties", "f-mlp", 97, False),
-        ("ties", "knn-gcn", 5000, False),  # more than the 2400 bits
+        ("words", 239, True),
+        ("attack", 239, False),
+        ("attack", 10**6, False),  # more than the target rows' bits: stops early
+        ("ties", 97, False),
     ],
-    ids=["fmlp-csr", "fmlp-dense", "knn-gcn", "knn-gcn-csr-odd-budget", "early-stop",
-         "ties-fmlp", "ties-knn-gcn-early-stop"],
+    ids=["fmlp-csr", "fmlp-dense", "early-stop", "ties-fmlp"],
 )
-def test_feature_flip_matches_exact_selection_oracle(attack_graph, fixture, kind, budget, sparse):
+def test_feature_flip_matches_exact_selection_oracle(attack_graph, fixture, budget, sparse):
     g = {"attack": attack_graph, "words": _sparse_words_graph(), "ties": _duplicated_rows_graph()}[fixture]
     split = split_nodes(g, 0.2, 0.1, seed=0)
-    spec = SubModelSpec(kind=kind, k=10, hyper=FAST)
+    spec = SubModelSpec(kind="f-mlp", hyper=FAST)
     victim = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=0)
     assert sp.issparse(victim.model.inputs) == sparse
     attacked = feature_flip_attack(g, victim, budget, seed=0, targets=split.test)
     expected = _reference_flip_attack(g, victim, budget, split.test)
     assert np.array_equal(attacked.X, expected)
     assert 0 < int((attacked.X != g.X).sum()) <= budget
+
+
+def test_feature_flip_ignores_target_order(attack_graph, fmlp_victim, attack_split):
+    """The targets are a set: a permuted array flips the same bits."""
+    ordered = np.sort(attack_split.test)
+    permuted = np.random.default_rng(3).permutation(ordered)
+    assert not np.array_equal(permuted, ordered)
+    expected = feature_flip_attack(attack_graph, fmlp_victim, 150, seed=0, targets=ordered)
+    attacked = feature_flip_attack(attack_graph, fmlp_victim, 150, seed=0, targets=permuted)
+    assert attacked.X.tobytes() == expected.X.tobytes()
 
 
 def test_feature_flip_feeds_csr_victims_canonical_inputs(monkeypatch):

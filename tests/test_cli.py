@@ -4,10 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cograph import SubModelSpec
+from cograph import SubModelSpec, build_submodel, load_graph_dir, split_nodes, train_submodel
 from cograph.cli import build_parser, main
 from cograph.experiment import ExperimentConfig
+from cograph.models import accuracy, predict_logits
 from cograph.nn import TrainHyper
+from helpers import labeled_map
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +53,30 @@ def test_train_subcommand(capsys, tmp_path):
     assert 0.0 <= metrics["test_accuracy"] <= 1.0
     assert (tmp_path / "run" / "checkpoint.csv").exists()
     assert (tmp_path / "run" / "metrics.json").exists()
+
+
+def test_train_scores_every_node_in_one_pass(capsys, tmp_path, monkeypatch):
+    data = gen_dataset(capsys, tmp_path)
+    calls = []
+
+    def counting(trained, nodes):
+        calls.append(len(nodes))
+        return predict_logits(trained, nodes)
+
+    monkeypatch.setattr("cograph.cli.predict_logits", counting)
+    rc, out = run_cli(
+        capsys, "--seed", "1", "train", "--data", str(data), "--model", "f-mlp", "--epochs", "20"
+    )
+    assert rc == 0
+    assert calls == [150]
+    # the same accuracies as scoring each split on its own
+    g = load_graph_dir(data)
+    split = split_nodes(g, 0.1, 0.1, 1)
+    spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=20))
+    model = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=1)
+    metrics = json.loads(out)
+    for key, nodes in (("train", split.labeled), ("val", split.validation), ("test", split.test)):
+        assert metrics[f"{key}_accuracy"] == accuracy(model, nodes, g.labels[nodes])
 
 
 def test_cotrain_subcommand(capsys, tmp_path):
@@ -294,6 +320,17 @@ def _tiny_config(tmp_path, **changes):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     return cfg_path
+
+
+@pytest.mark.parametrize("seed", ["3", "-1"])
+def test_experiment_refuses_a_global_seed(capsys, tmp_path, seed):
+    """The cells take their seeds from the config, so a --seed the sweep
+    would ignore exits 2 and names the two settings that do shift them."""
+    rc = main(["--seed", seed, "--config", str(_tiny_config(tmp_path)), "experiment"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "seeds" in err and "--seed-offset" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_synthetic_seed_in_config_exits_2(capsys, tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cograph import ValidationError, generate_synthetic, graphs_equal, split_nodes
+from cograph import ValidationError, generate_synthetic, split_nodes
 from cograph.graph import adjacency, make_graph, normalized_adjacency, with_edges
-from helpers import components_cover
+from helpers import components_cover, graphs_equal
 
 
 def test_make_graph_symmetrizes_and_drops_self_loops():

@@ -3,8 +3,9 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from cograph import GraphParseError, ValidationError, graphs_equal, load_graph
+from cograph import GraphParseError, ValidationError, load_graph
 from cograph.io import load_graph_dir, parse_edge_list, save_dataset_dir, save_edge_list
+from helpers import graphs_equal
 
 
 def write_dataset(tmp_path, edges_text, features, labels_text):

@@ -13,13 +13,12 @@ from cograph.nn import (
     ADAM_EPS,
     TrainHyper,
     derive_seeds,
-    finite_diff_check,
     init_params,
     log_softmax,
     softmax,
     softmax_xent,
 )
-from helpers import labeled_map, with_inputs
+from helpers import finite_diff_check, labeled_map, with_inputs
 
 FAST = TrainHyper(epochs=60)
 
@@ -193,7 +192,7 @@ def test_relu_gradient_check_away_from_kinks():
     g = make_graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)], X, np.array([0, 1, 0, 1, 0, 1]), 2)
     hyper = TrainHyper(dropout=0.0, weight_decay=0.0)
     sm = build_submodel(SubModelSpec(kind="gcn", hyper=hyper), g)
-    ws = _Workspace.of(sm)  # every node's logits, dropout off
+    ws = _Workspace.of(sm, np.arange(g.n))  # every node's logits, dropout off
     eps = 1e-5
     for seed in range(20):
         params = init_params(sm.layer_plan(), seed=seed)
@@ -232,7 +231,7 @@ def test_input_gradient_matches_finite_differences():
 
     eps = 1e-6
     worst = 0.0
-    for i in (4, 5):
+    for row, i in enumerate(nodes[:2]):  # the gradient rows follow nodes
         for j in range(6):
             up, down = np.array(X), np.array(X)
             up[i, j] += eps
@@ -240,7 +239,7 @@ def test_input_gradient_matches_finite_differences():
             lu = softmax_xent(predict_logits(with_inputs(model, up), nodes), labels)[0]
             ld = softmax_xent(predict_logits(with_inputs(model, down), nodes), labels)[0]
             fd = (lu - ld) / (2 * eps)
-            worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), 1e-6))
+            worst = max(worst, abs(fd - grad[row, j]) / max(abs(fd), abs(grad[row, j]), 1e-6))
     assert worst < 1e-4
 
 
@@ -330,7 +329,7 @@ def test_epoch_matches_reference_formulas_bitwise(kind, features):
     assert all(trained.params[k].tobytes() == reference[k].tobytes() for k in reference)
 
 
-@pytest.mark.parametrize("kind", ["f-mlp", "knn-gcn"])
+@pytest.mark.parametrize("kind", ["f-mlp", "s-mlp"])
 def test_input_gradient_rejects_repeated_nodes(easy_graph, easy_split, kind):
     """A repeated node would count twice in the loss but once in the
     gradient; the ids must be distinct."""
@@ -341,4 +340,18 @@ def test_input_gradient_rejects_repeated_nodes(easy_graph, easy_split, kind):
     nodes = np.array([5, 5, 7])
     with pytest.raises(ValidationError, match="distinct"):
         input_gradient(trained, nodes, easy_graph.labels[nodes])
-    assert input_gradient(trained, nodes[1:], easy_graph.labels[nodes[1:]]).shape == easy_graph.X.shape
+    grad = input_gradient(trained, nodes[1:], easy_graph.labels[nodes[1:]])
+    assert grad.shape == (2, trained.model.input_dim)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "knn-gcn"])
+def test_input_gradient_refuses_propagated_model(easy_graph, easy_split, kind):
+    """A propagated model's loss reads other nodes' inputs, so its input
+    gradient is not row-wise; input_gradient refuses it."""
+    spec = SubModelSpec(kind=kind, k=5, hyper=TrainHyper(epochs=5))
+    trained = train_submodel(
+        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+    )
+    nodes = np.array([5, 7])
+    with pytest.raises(ValidationError, match="row-wise"):
+        input_gradient(trained, nodes, easy_graph.labels[nodes])

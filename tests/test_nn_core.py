@@ -11,13 +11,13 @@ from cograph.nn import (
     TrainHyper,
     adam_step,
     dropout_input,
-    finite_diff_check,
     init_params,
     load_params_csv,
     save_params_csv,
     softmax,
     softmax_xent,
 )
+from helpers import finite_diff_check
 
 
 def test_glorot_range_bound():

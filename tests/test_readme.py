@@ -1,5 +1,6 @@
-"""README examples stay in step with the code: its experiment config loads
-and every `cograph` command line in its sh blocks parses."""
+"""README examples stay in step with the code: its experiment config loads,
+every `cograph` command line in its sh blocks parses, and its dataset
+commands run in order and write the files README names."""
 
 import argparse
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cograph.cli import build_parser
+from cograph.cli import build_parser, main
 from cograph.experiment import ExperimentConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -54,3 +55,30 @@ def test_readme_cli_line_parses(line):
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     known = _option_strings(parser) | _option_strings(subparsers.choices[args.command])
     assert {arg for arg in argv if arg.startswith("--")} <= known
+
+
+# README's dataset commands in its order, each with the files it promises
+CHAIN = {
+    "gen-synthetic": ["demo/edges.tsv", "demo/features.csv", "demo/labels.csv", "demo/meta.json"],
+    "train": [],
+    "attack": ["demo-dice/edges.tsv", "demo-dice/perturbation.json"],
+    "cotrain": [
+        "run/history.jsonl",
+        "run/metrics.json",
+        "run/struct_checkpoint.csv",
+        "run/feat_checkpoint.csv",
+    ],
+    "calibrate": ["cal/reliability.csv"],
+}
+
+
+def test_readme_cli_chain_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argvs = [shlex.split(line)[1:] for line in CLI_LINES]
+    commands = [build_parser().parse_args(argv).command for argv in argvs]
+    chain = [(c, argv) for c, argv in zip(commands, argvs) if c in CHAIN]
+    assert [c for c, _ in chain] == list(CHAIN)
+    for command, argv in chain:
+        assert main(argv) == 0, command
+        for path in CHAIN[command]:
+            assert (tmp_path / path).is_file(), path

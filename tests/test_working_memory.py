@@ -142,9 +142,10 @@ def test_feature_flip_holds_one_gradient(density):
     targets = np.arange(600)
     attacked, peak = _traced_peak(feature_flip_attack, g, victim, 200, seed=0, targets=targets)
     assert int((attacked.X != g.X).sum()) == 200
-    # the attacked X, int8 flip signs and one n x m gradient, plus the
-    # victim's target-row inputs and input gradient
-    assert peak <= 2 * n * m * 8 + n * m + 2 * targets.size * m * 8 + 2**20
+    # the attacked X, t x m int8 flip signs, and one t x m gradient beside
+    # the victim's target-row inputs
+    t = targets.size
+    assert peak <= n * m * 8 + t * m + 2 * t * m * 8 + 2**20
 
 
 @pytest.mark.parametrize("density", [0.05, 0.3], ids=["csr", "dense"])

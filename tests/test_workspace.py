@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from cograph.cotrain import cotrain
 from cograph.graph import generate_synthetic, make_graph, split_nodes
-from cograph.models import SubModelSpec, build_submodel, input_gradient, train_submodel
+from cograph.models import SubModelSpec, build_submodel, train_submodel
 from cograph.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -84,24 +84,21 @@ def _forward(inputs, prop, params, n_layers, hyper, rng, training):
     return h, caches
 
 
-def _backward(grad_logits, caches, prop, params, hyper, want_input_grad=False):
-    grads, g, input_grad = {}, grad_logits, None
+def _backward(grad_logits, caches, prop, params, hyper):
+    grads, g = {}, grad_logits
     for l in reversed(range(len(caches))):
         a, z, mask = caches[l]
         if prop is not None:
             g = prop @ g
-        if not want_input_grad:
-            grads[f"W{l}"] = np.asarray(a.T @ g)
-            if f"b{l}" in params:
-                grads[f"b{l}"] = g.sum(axis=0)
+        grads[f"W{l}"] = np.asarray(a.T @ g)
+        if f"b{l}" in params:
+            grads[f"b{l}"] = g.sum(axis=0)
         if l > 0:
             da = g @ params[f"W{l}"].T
             if mask is not None:
                 da = _masked_scale(da, mask, 1.0 - hyper.dropout)
             g = da * (caches[l - 1][1] > 0.0)
-        elif want_input_grad:
-            input_grad = g @ params[f"W{l}"].T
-    return grads, input_grad
+    return grads
 
 
 def _decayed(name, grad, param, weight_decay):
@@ -133,8 +130,8 @@ def _adam(params, grads, m, v, t, hyper):
 
 def _rows(model, nodes):
     if model.prop is None:
-        return model.inputs[nodes], nodes, np.arange(nodes.size)
-    return model.inputs, slice(None), nodes
+        return model.inputs[nodes], np.arange(nodes.size)
+    return model.inputs, nodes
 
 
 def _whole_graph_fit(model, labeled, seed):
@@ -147,32 +144,17 @@ def _whole_graph_fit(model, labeled, seed):
     n_layers = len(model.layer_plan())
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
-    inputs, _, mask = _rows(model, idx)
+    inputs, mask = _rows(model, idx)
     targets = np.zeros(inputs.shape[0], dtype=np.int64)
     targets[mask] = [labeled[i] for i in idx]
     losses = []
     for epoch in range(1, hyper.epochs + 1):
         logits, caches = _forward(inputs, model.prop, params, n_layers, hyper, rng, True)
         loss, grad_logits = _xent(logits, targets, mask)
-        grads, _ = _backward(grad_logits, caches, model.prop, params, hyper)
+        grads = _backward(grad_logits, caches, model.prop, params, hyper)
         _adam(params, grads, m, v, epoch, hyper)
         losses.append(loss)
     return params, tuple(losses)
-
-
-def _whole_graph_input_gradient(trained, nodes, labels):
-    model = trained.model
-    hyper = model.spec.hyper
-    n_layers = len(model.spec.hidden_dims) + 1
-    inputs, in_rows, rows = _rows(model, nodes)
-    logits, caches = _forward(inputs, model.prop, trained.params, n_layers, hyper, None, False)
-    targets = np.zeros(inputs.shape[0], dtype=np.int64)
-    targets[rows] = labels
-    _, grad_logits = _xent(logits, targets, rows)
-    _, d_in = _backward(grad_logits, caches, model.prop, trained.params, hyper, want_input_grad=True)
-    full = np.zeros((model.n, model.input_dim))
-    full[in_rows] = d_in
-    return full
 
 
 def _sparse_words_graph():
@@ -212,16 +194,6 @@ def test_fit_matches_whole_graph_epoch_bitwise(case):
     assert trained.params.keys() == params.keys()
     assert all(trained.params[k].tobytes() == params[k].tobytes() for k in params)
     assert np.array(trained.loss_history).tobytes() == np.array(losses).tobytes()
-
-
-@pytest.mark.parametrize("graph", ["words", "dense"])
-def test_input_gradient_of_propagated_victim_matches_whole_graph(graph):
-    g = _sparse_words_graph() if graph == "words" else _dense_graph()
-    model = build_submodel(SubModelSpec(kind="knn-gcn", k=8, hyper=TrainHyper(epochs=15)), g)
-    trained = train_submodel(model, {i: int(g.labels[i]) for i in range(0, g.n, 5)}, seed=1)
-    nodes = np.random.default_rng(2).permutation(g.n)[: g.n // 3]  # unsorted on purpose
-    got = input_gradient(trained, nodes, g.labels[nodes])
-    assert got.tobytes() == _whole_graph_input_gradient(trained, nodes, g.labels[nodes]).tobytes()
 
 
 def _fit_bytes(model, labeled, seed):
