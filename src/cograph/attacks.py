@@ -225,7 +225,6 @@ def feature_flip_attack(
     g: Graph,
     victim: TrainedSubModel,
     budget: int,
-    seed: int,
     targets: np.ndarray | None = None,
 ) -> Graph:
     """Greedy gradient-guided bit flips on binary features.
@@ -238,13 +237,12 @@ def feature_flip_attack(
     min(32, remaining budget) bits with the largest positive score, ties
     going to the smaller row-major index of X. No bit flips twice; the
     attack stops early once no score is positive. The procedure is
-    deterministic; seed is recorded for provenance only.
+    deterministic, so it takes no seed.
 
     Working memory beyond g: the attacked copy of X, t x m int8 flip signs
     and one round's t x m gradient, plus the victim's own input_gradient
     temporaries (and, for CSR victims, the CSR inputs).
     """
-    del seed  # greedy selection is fully deterministic
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
     kind = victim.model.spec.kind

@@ -129,29 +129,26 @@ def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> Reliab
     )
 
 
-# what each position of a reliability_rows tuple holds
+# the columns of each reliability row, in CSV order
 RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "confidence", "accuracy")
 
 
-def reliability_rows(bins: ReliabilityBins) -> list[tuple[float, float, int, float, float]]:
-    """CSV-ready rows, one per bin, in RELIABILITY_COLUMNS order."""
-    return [
-        (
-            float(bins.edges[i]),
-            float(bins.edges[i + 1]),
-            int(bins.counts[i]),
-            float(bins.mean_confidence[i]),
-            float(bins.accuracy[i]),
-        )
-        for i in range(bins.counts.size)
-    ]
-
-
 def reliability_by_phase(logits: np.ndarray, labels: np.ndarray, T: float, bins: int) -> list[dict]:
-    """Reliability rows before and after temperature T, each a mapping of
-    "phase" ("uncalibrated" or "calibrated") and RELIABILITY_COLUMNS."""
-    return [
-        {"phase": phase, **dict(zip(RELIABILITY_COLUMNS, row))}
-        for phase, temp in (("uncalibrated", 1.0), ("calibrated", T))
-        for row in reliability_rows(reliability(calibrate(logits, temp), labels, bins))
-    ]
+    """Reliability rows before and after temperature T, one per bin and
+    phase, each a mapping of "phase" ("uncalibrated" or "calibrated") and
+    RELIABILITY_COLUMNS."""
+    rows = []
+    for phase, temp in (("uncalibrated", 1.0), ("calibrated", T)):
+        b = reliability(calibrate(logits, temp), labels, bins)
+        rows.extend(
+            {
+                "phase": phase,
+                "bin_low": float(b.edges[i]),
+                "bin_high": float(b.edges[i + 1]),
+                "count": int(b.counts[i]),
+                "confidence": float(b.mean_confidence[i]),
+                "accuracy": float(b.accuracy[i]),
+            }
+            for i in range(b.counts.size)
+        )
+    return rows

@@ -208,10 +208,11 @@ def cmd_attack(args) -> int:
 
 def cmd_calibrate(args) -> int:
     g, split, model = _train_one(args)
-    val_logits = predict_logits(model, split.validation)
+    logits = predict_logits(model, range(g.n))
+    val_logits = logits[split.validation]
     val_labels = g.labels[split.validation]
     T = fit_temperature(val_logits, val_labels)
-    test_logits = predict_logits(model, split.test)
+    test_logits = logits[split.test]
     test_labels = g.labels[split.test]
     before = reliability(calibrate(val_logits, 1.0), val_labels, args.bins)
     after = reliability(calibrate(val_logits, T), val_labels, args.bins)
@@ -266,10 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cograph",
         description="Two-view co-training defense for node classification on graphs",
     )
-    parser.add_argument("--config", help="JSON config file (experiment subcommand)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="write a planted-partition dataset directory")
@@ -325,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate, hidden=None)
 
     p = sub.add_parser("experiment", help="run a config-driven experiment sweep")
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed-offset", type=int, default=0)
     p.set_defaults(func=cmd_experiment)
 

@@ -192,17 +192,17 @@ def _as_lists(value):
 
 @dataclass
 class CoTrainState:
-    """Growing labeled set with provenance, shrinking unlabeled pool, history.
+    """Growing labeled set with provenance, and the per-iteration history.
 
     Mutated only by its owning cotrain loop; ground-truth entries are never
-    overwritten and pseudo-labels freeze once added. When the loop
-    returns, final_logits holds the raw logits of every node (row = node
-    id) from the last round's structure and feature models, the scores
-    those returned models give.
+    overwritten and pseudo-labels freeze once added. The unlabeled pool is
+    every test node without an entry. When the loop returns, final_logits
+    holds the raw logits of every node (row = node id) from the last
+    round's structure and feature models, the scores those returned models
+    give.
     """
 
     entries: dict[int, LabelEntry]
-    unlabeled: set[int]
     iteration: int = 0
     history: list[IterationRecord] = field(default_factory=list)
     final_logits: tuple[np.ndarray, np.ndarray] | None = None
@@ -217,12 +217,9 @@ class CoTrainState:
 
 def audit_state(state: CoTrainState, g: Graph, split: NodeSplit) -> None:
     """Assert the co-training bookkeeping invariants; raises on violation."""
-    s_nodes = set(state.entries)
-    if s_nodes & state.unlabeled:
-        raise ValidationError("labeled and unlabeled sets overlap")
     universe = set(split.labeled.tolist()) | set(split.test.tolist())
-    if s_nodes | state.unlabeled != universe:
-        raise ValidationError("labeled/unlabeled union drifted from the split")
+    if not set(state.entries) <= universe:
+        raise ValidationError("an entry lies outside the labeled and test nodes")
     for node in split.labeled:
         e = state.entries[int(node)]
         if e.provenance != PROV_TRUTH or e.label != int(g.labels[node]):
@@ -309,7 +306,6 @@ def cotrain(
         entries={
             int(i): LabelEntry(int(g.labels[i]), PROV_TRUTH, 0) for i in split.labeled
         },
-        unlabeled=set(int(i) for i in split.test),
     )
     quota = class_quota(split.class_histogram, n_add) if class_balancing else None
 
@@ -361,11 +357,11 @@ def cotrain(
         state.history.append(record)
         audit_state(state, g, split)
 
-        if it >= max_iters or not state.unlabeled:
+        pool = np.setdiff1d(test_nodes, np.fromiter(state.entries, np.int64, state.s_size))
+        if it >= max_iters or not pool.size:
             state.final_logits = (logits_s, logits_f)
             return f_struct, f_feat, state
 
-        pool = np.array(sorted(state.unlabeled), dtype=np.int64)
         sel_s, short_s = select_confident(pool, probs_s[pool], quota, n_add)
         sel_f, short_f = select_confident(pool, probs_f[pool], quota, n_add)
         merged, conflicts = resolve_conflicts(sel_s, sel_f)
@@ -375,7 +371,6 @@ def cotrain(
             if node in state.entries:
                 raise ValidationError(f"node {node} already labeled; refusing overwrite")
             state.entries[node] = LabelEntry(add.label, add.provenance, next_iter)
-            state.unlabeled.remove(node)
         added_s = _label_histogram(sel_s, g.C)
         added_f = _label_histogram(sel_f, g.C)
         state.iteration = next_iter

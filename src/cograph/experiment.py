@@ -207,7 +207,7 @@ def apply_attack(
             build_submodel(victim_spec, g), labeled_map(g, split.labeled), seed=victim_seed
         )
         perturbed = feature_flip_attack(
-            perturbed, victim, feature_bits, attack_seed, targets=split.test
+            perturbed, victim, feature_bits, targets=split.test
         )
     return perturbed
 
@@ -218,8 +218,6 @@ class CellResult:
     seed: int
     history: list[dict] = field(default_factory=list)
     reliability: list[dict] = field(default_factory=list)
-    temperature_struct: float = 1.0
-    temperature_feat: float = 1.0
     error: str | None = None  # "Type: message", as summary.json reports it
     traceback: str | None = None
 
@@ -244,8 +242,6 @@ def _run_cell(args) -> CellResult:
             class_balancing=config.class_balancing,
         )
         cell.history = [rec.to_json() for rec in state.history]
-        cell.temperature_struct = f_struct.temperature
-        cell.temperature_feat = f_feat.temperature
         test_labels = perturbed.labels[split.test]
         for role, model, logits in zip(("struct", "feat"), (f_struct, f_feat), state.final_logits):
             bins = config.reliability_bins

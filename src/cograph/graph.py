@@ -7,7 +7,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -197,15 +197,14 @@ def generate_synthetic(
 class NodeSplit:
     """Disjoint labeled/validation/test index sets over one graph.
 
-    class_histogram counts labels over the labeled set; warnings record
-    classes absent from it (their pseudo-label quotas become zero).
+    class_histogram counts labels over the labeled set; a class absent
+    from it counts 0 there, and its pseudo-label quotas become zero.
     """
 
     labeled: np.ndarray
     validation: np.ndarray
     test: np.ndarray
     class_histogram: np.ndarray
-    warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         parts = [set(self.labeled.tolist()), set(self.validation.tolist()), set(self.test.tolist())]
@@ -247,13 +246,9 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
     test = np.sort(perm[n_train + n_val :])
 
     hist = np.bincount(g.labels[labeled], minlength=g.C)
-    warnings = tuple(
-        f"class {c} absent from labeled set" for c in range(g.C) if hist[c] == 0
-    )
     return NodeSplit(
         labeled=_freeze(labeled),
         validation=_freeze(validation),
         test=_freeze(test),
         class_histogram=_freeze(hist),
-        warnings=warnings,
     )

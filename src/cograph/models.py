@@ -329,9 +329,3 @@ def input_gradient(trained: TrainedSubModel, nodes, labels) -> np.ndarray:
     _, grad_rows = softmax_xent(logits, labels)
     _, d_in = ws.backward(grad_rows, caches, trained.params, want_input_grad=True)
     return d_in
-
-
-def accuracy(trained: TrainedSubModel, nodes, labels) -> float:
-    """Fraction of nodes whose argmax logit matches the given labels."""
-    pred = predict_logits(trained, nodes).argmax(axis=1)
-    return float((pred == np.asarray(labels)).mean())

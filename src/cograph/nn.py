@@ -199,8 +199,8 @@ def adam_step(
     state: AdamState,
     t: int,
     hyper: TrainHyper,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8), in place.
+) -> None:
+    """One in-place Adam update of params and state (beta1=0.9, beta2=0.999, eps=1e-8).
 
     Weight decay enters as an additive lambda*W term in the gradient before
     the moment updates. t is the 1-based step counter.
@@ -239,7 +239,6 @@ def adam_step(
         step *= hyper.learning_rate
         step /= denom
         p -= step
-    return params, state
 
 
 def save_params_csv(params: dict[str, np.ndarray], path) -> None:

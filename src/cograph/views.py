@@ -30,16 +30,11 @@ _ROW_BLOCK_BUDGET = _KNN_CHUNK_BUDGET // 64
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Real node coordinates derived from one view of the graph.
-
-    eigenvalues accompany spectral sources; clamped lists nodes whose zero
-    degree was clamped to 1 in the mass matrix before solving.
-    """
+    """Real node coordinates derived from one view of the graph, with the
+    eigenvalue of each coordinate column."""
 
     coords: np.ndarray
-    source: str
-    eigenvalues: np.ndarray | None = None
-    clamped: tuple[int, ...] = ()
+    eigenvalues: np.ndarray
 
     def __post_init__(self):
         if self.coords.ndim != 2 or self.coords.shape[1] < 1:
@@ -82,16 +77,6 @@ def _unit_rows(X) -> np.ndarray:
         norms[start:stop] = np.linalg.norm(Xs[start:stop], axis=1)
     Xs /= np.where(norms > 0, norms, 1.0)[:, None]
     return Xs
-
-
-def cosine_similarity(X: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity; rows of all zeros score 0 against everything.
-
-    X must be a dense (n, m>=1) array of finite values (ValidationError
-    otherwise).
-    """
-    Xn = _unit_rows(X)
-    return Xn @ Xn.T
 
 
 def knn_graph(X: np.ndarray, k: int) -> sp.csr_matrix:
@@ -165,7 +150,6 @@ def _smallest_eigenpairs(A: sp.csr_matrix, num: int):
     """
     n = A.shape[0]
     deg = np.asarray(A.sum(axis=1)).ravel()
-    clamped = tuple(int(i) for i in np.flatnonzero(deg == 0))
     mass = np.where(deg > 0, deg, 1.0)
     L = sp.diags(deg) - A
     inv_sqrt = 1.0 / np.sqrt(mass)
@@ -194,10 +178,10 @@ def _smallest_eigenpairs(A: sp.csr_matrix, num: int):
         raise EigenSolverError(
             f"eigenpair residual exceeds {RESIDUAL_RTOL:g} * ||D y|| by {worst:g}"
         )
-    return w, Y, clamped
+    return w, Y
 
 
-def laplacian_eigenmaps(A: sp.spmatrix, k: int, source: str = "eigenmap-A") -> Embedding:
+def laplacian_eigenmaps(A: sp.spmatrix, k: int) -> Embedding:
     """Random-walk Laplacian spectral embedding of dimension k.
 
     Solves L y = lam D y for the k+1 smallest eigenvalues and drops the
@@ -213,12 +197,10 @@ def laplacian_eigenmaps(A: sp.spmatrix, k: int, source: str = "eigenmap-A") -> E
         raise ValidationError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ValidationError(f"k must be < n, got k={k} n={n}")
-    w, Y, clamped = _smallest_eigenpairs(A, k + 1)
+    w, Y = _smallest_eigenpairs(A, k + 1)
     return Embedding(
         coords=_canonical_signs(Y[:, 1:]),
-        source=source,
         eigenvalues=w[1:],
-        clamped=clamped,
     )
 
 
@@ -234,11 +216,9 @@ def squared_adjacency(A: sp.spmatrix) -> sp.csr_matrix:
 
 def smlp_features(A: sp.spmatrix, k: int) -> Embedding:
     """Width-2k structure embedding: eigenmaps of A alongside eigenmaps of A^2."""
-    one_hop = laplacian_eigenmaps(A, k, source="eigenmap-A")
-    two_hop = laplacian_eigenmaps(squared_adjacency(A), k, source="eigenmap-A2")
+    one_hop = laplacian_eigenmaps(A, k)
+    two_hop = laplacian_eigenmaps(squared_adjacency(A), k)
     return Embedding(
         coords=np.hstack([one_hop.coords, two_hop.coords]),
-        source="eigenmap-A+eigenmap-A2",
         eigenvalues=np.concatenate([one_hop.eigenvalues, two_hop.eigenvalues]),
-        clamped=tuple(sorted(set(one_hop.clamped) | set(two_hop.clamped))),
     )

@@ -5,11 +5,27 @@ from dataclasses import replace
 import numpy as np
 
 from cograph.graph import Graph, labeled_map, make_graph  # noqa: F401 -- re-exported for tests
+from cograph.models import predict_logits
+from cograph.views import _unit_rows
 
 
 def with_inputs(trained, inputs):
     """The trained model with its sub-model's input matrix swapped."""
     return replace(trained, model=replace(trained.model, inputs=inputs))
+
+
+def accuracy(trained, nodes, labels) -> float:
+    """Fraction of nodes whose argmax logit matches the given labels."""
+    pred = predict_logits(trained, nodes).argmax(axis=1)
+    return float((pred == np.asarray(labels)).mean())
+
+
+def cosine_similarity(X: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarity from the kNN view's unit rows; rows of all
+    zeros score 0 against everything. X must be a dense (n, m>=1) array of
+    finite values (ValidationError otherwise)."""
+    Xn = _unit_rows(X)
+    return Xn @ Xn.T
 
 
 def merge_classes(g: Graph, mapping: dict[int, int]) -> Graph:

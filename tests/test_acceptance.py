@@ -33,10 +33,9 @@ from cograph.cotrain import audit_state
 from cograph.experiment import AttackSetting, ExperimentConfig, apply_attack, emit_report, run_experiment
 from cograph.graph import adjacency
 from cograph.io import load_graph_dir
-from cograph.models import accuracy
 from cograph.nn import TrainHyper, init_params, softmax, softmax_xent
 from conftest import ATTACK_PARAMS
-from helpers import finite_diff_check, labeled_map, merge_classes
+from helpers import accuracy, finite_diff_check, labeled_map, merge_classes
 
 SEEDS = (0, 1, 2)
 CORA_SEEDS = (0, 1, 2, 3, 4)

@@ -22,9 +22,9 @@ from cograph.attacks import (
 )
 from cograph.graph import make_graph
 from cograph.io import save_edge_list
-from cograph.models import accuracy, input_gradient
+from cograph.models import input_gradient
 from cograph.nn import TrainHyper
-from helpers import graphs_equal, labeled_map, with_inputs
+from helpers import accuracy, graphs_equal, labeled_map, with_inputs
 
 FAST = TrainHyper(epochs=60)
 
@@ -143,13 +143,13 @@ def fmlp_victim(attack_graph, attack_split):
 
 
 def test_feature_flip_zero_budget_identity(attack_graph, fmlp_victim, attack_split):
-    g2 = feature_flip_attack(attack_graph, fmlp_victim, 0, seed=0, targets=attack_split.test)
+    g2 = feature_flip_attack(attack_graph, fmlp_victim, 0, targets=attack_split.test)
     assert graphs_equal(g2, attack_graph)
 
 
 def test_feature_flip_stays_binary_and_counts(attack_graph, fmlp_victim, attack_split):
     budget = 150
-    g2 = feature_flip_attack(attack_graph, fmlp_victim, budget, seed=0, targets=attack_split.test)
+    g2 = feature_flip_attack(attack_graph, fmlp_victim, budget, targets=attack_split.test)
     assert np.isin(g2.X, (0.0, 1.0)).all()
     assert int((g2.X != attack_graph.X).sum()) == budget
     assert g2.edges == attack_graph.edges
@@ -158,7 +158,7 @@ def test_feature_flip_stays_binary_and_counts(attack_graph, fmlp_victim, attack_
 def test_feature_flip_requires_binary_features(fmlp_victim):
     g = make_graph(4, [(0, 1)], np.full((4, 3), 0.5), np.zeros(4, dtype=int), 1)
     with pytest.raises(ValidationError):
-        feature_flip_attack(g, fmlp_victim, 5, seed=0)
+        feature_flip_attack(g, fmlp_victim, 5)
 
 
 @pytest.mark.parametrize("kind", ["s-mlp", "gcn", "knn-gcn"])
@@ -171,7 +171,7 @@ def test_feature_flip_rejects_structure_victim(attack_graph, attack_split, kind)
         seed=0,
     )
     with pytest.raises(ValidationError, match="f-mlp"):
-        feature_flip_attack(attack_graph, victim, 5, seed=0)
+        feature_flip_attack(attack_graph, victim, 5)
 
 
 def test_feature_flip_budget_sweep_degrades_victim(attack_graph, attack_split, fmlp_victim):
@@ -180,7 +180,7 @@ def test_feature_flip_budget_sweep_degrades_victim(attack_graph, attack_split, f
     test_y = attack_graph.labels[attack_split.test]
     accs = []
     for budget in (0, 150, 471):
-        g2 = feature_flip_attack(attack_graph, fmlp_victim, budget, seed=0, targets=attack_split.test)
+        g2 = feature_flip_attack(attack_graph, fmlp_victim, budget, targets=attack_split.test)
         m = train_submodel(build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g2), labs, seed=0)
         accs.append(accuracy(m, attack_split.test, test_y))
     assert accs[-1] <= accs[0]  # net drop over the sweep
@@ -203,7 +203,7 @@ def test_feature_attack_never_touches_smlp_logits(attack_graph, attack_split, fm
     smodel = train_submodel(
         build_submodel(spec, attack_graph), labeled_map(attack_graph, attack_split.labeled), seed=0
     )
-    flipped = feature_flip_attack(attack_graph, fmlp_victim, 200, seed=0, targets=attack_split.test)
+    flipped = feature_flip_attack(attack_graph, fmlp_victim, 200, targets=attack_split.test)
     rebuilt = build_submodel(spec, flipped)
     moved = with_inputs(smodel, rebuilt.inputs)
     nodes = attack_split.test
@@ -268,7 +268,7 @@ def test_feature_flip_matches_exact_selection_oracle(attack_graph, fixture, budg
     spec = SubModelSpec(kind="f-mlp", hyper=FAST)
     victim = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=0)
     assert sp.issparse(victim.model.inputs) == sparse
-    attacked = feature_flip_attack(g, victim, budget, seed=0, targets=split.test)
+    attacked = feature_flip_attack(g, victim, budget, targets=split.test)
     expected = _reference_flip_attack(g, victim, budget, split.test)
     assert np.array_equal(attacked.X, expected)
     assert 0 < int((attacked.X != g.X).sum()) <= budget
@@ -279,8 +279,8 @@ def test_feature_flip_ignores_target_order(attack_graph, fmlp_victim, attack_spl
     ordered = np.sort(attack_split.test)
     permuted = np.random.default_rng(3).permutation(ordered)
     assert not np.array_equal(permuted, ordered)
-    expected = feature_flip_attack(attack_graph, fmlp_victim, 150, seed=0, targets=ordered)
-    attacked = feature_flip_attack(attack_graph, fmlp_victim, 150, seed=0, targets=permuted)
+    expected = feature_flip_attack(attack_graph, fmlp_victim, 150, targets=ordered)
+    attacked = feature_flip_attack(attack_graph, fmlp_victim, 150, targets=permuted)
     assert attacked.X.tobytes() == expected.X.tobytes()
 
 
@@ -297,7 +297,7 @@ def test_feature_flip_feeds_csr_victims_canonical_inputs(monkeypatch):
         return input_gradient(trained, nodes, labels)
 
     monkeypatch.setattr("cograph.attacks.input_gradient", recording)
-    feature_flip_attack(g, victim, 100, seed=0, targets=split.test)
+    feature_flip_attack(g, victim, 100, targets=split.test)
     assert len(seen) == 4
     for inputs in seen:
         rebuilt = sp.csr_matrix(inputs.toarray())
@@ -334,7 +334,7 @@ def _wider(g):
 )
 def test_feature_flip_rejects_bad_inputs(attack_graph, fmlp_victim, make, targets):
     with pytest.raises(ValidationError):
-        feature_flip_attack(make(attack_graph), fmlp_victim, 10, seed=0, targets=targets)
+        feature_flip_attack(make(attack_graph), fmlp_victim, 10, targets=targets)
 
 
 # --- mixed budgets ----------------------------------------------------------------
@@ -429,4 +429,4 @@ def test_setting_accepts_every_value_its_method_uses():
 def test_feature_flip_rejects_repeated_targets(attack_graph, fmlp_victim):
     """A repeated target would count twice in the loss the flips climb."""
     with pytest.raises(ValidationError, match="repeat"):
-        feature_flip_attack(attack_graph, fmlp_victim, 10, seed=0, targets=np.array([5, 5, 7]))
+        feature_flip_attack(attack_graph, fmlp_victim, 10, targets=np.array([5, 5, 7]))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cograph import ValidationError, calibrate, fit_temperature, reliability
-from cograph.calibration import nll, reliability_rows
+from cograph.calibration import RELIABILITY_COLUMNS, nll, reliability_by_phase
 from cograph.nn import softmax
 
 
@@ -114,15 +114,19 @@ def test_reliability_single_bin_gap():
 
 
 def test_reliability_counts_sum_and_csv_rows(rng):
-    probs = softmax(rng.normal(size=(40, 3)))
+    logits = rng.normal(size=(40, 3))
     labels = rng.integers(0, 3, size=40)
-    bins = reliability(probs, labels, bins=10)
+    bins = reliability(softmax(logits), labels, bins=10)
     assert bins.counts.sum() == 40
-    rows = reliability_rows(bins)
-    assert len(rows) == 10
-    assert sum(r[2] for r in rows) == 40
+    rows = reliability_by_phase(logits, labels, 1.0, 10)
+    assert [r["phase"] for r in rows] == ["uncalibrated"] * 10 + ["calibrated"] * 10
+    assert all(list(r) == ["phase", *RELIABILITY_COLUMNS] for r in rows)
+    rows = rows[:10]
+    assert sum(r["count"] for r in rows) == 40
     # ECE re-derivable from the rows
-    ece = sum(r[2] / 40 * abs(r[4] - r[3]) for r in rows if r[2] > 0)
+    ece = sum(
+        r["count"] / 40 * abs(r["accuracy"] - r["confidence"]) for r in rows if r["count"] > 0
+    )
     assert ece == pytest.approx(bins.ece)
 
 

@@ -7,9 +7,9 @@ import pytest
 from cograph import SubModelSpec, build_submodel, load_graph_dir, split_nodes, train_submodel
 from cograph.cli import build_parser, main
 from cograph.experiment import ExperimentConfig
-from cograph.models import accuracy, predict_logits
+from cograph.models import predict_logits
 from cograph.nn import TrainHyper
-from helpers import labeled_map
+from helpers import accuracy, labeled_map
 
 
 def run_cli(capsys, *argv):
@@ -55,7 +55,8 @@ def test_train_subcommand(capsys, tmp_path):
     assert (tmp_path / "run" / "metrics.json").exists()
 
 
-def test_train_scores_every_node_in_one_pass(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_train_scores_every_node_in_one_pass(capsys, tmp_path, monkeypatch, command):
     data = gen_dataset(capsys, tmp_path)
     calls = []
 
@@ -65,7 +66,7 @@ def test_train_scores_every_node_in_one_pass(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr("cograph.cli.predict_logits", counting)
     rc, out = run_cli(
-        capsys, "--seed", "1", "train", "--data", str(data), "--model", "f-mlp", "--epochs", "20"
+        capsys, "--seed", "1", command, "--data", str(data), "--model", "f-mlp", "--epochs", "20"
     )
     assert rc == 0
     assert calls == [150]
@@ -75,7 +76,9 @@ def test_train_scores_every_node_in_one_pass(capsys, tmp_path, monkeypatch):
     spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=20))
     model = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=1)
     metrics = json.loads(out)
-    for key, nodes in (("train", split.labeled), ("val", split.validation), ("test", split.test)):
+    splits = {"train": split.labeled, "val": split.validation, "test": split.test}
+    for key in ("train", "val", "test") if command == "train" else ("test",):
+        nodes = splits[key]
         assert metrics[f"{key}_accuracy"] == accuracy(model, nodes, g.labels[nodes])
 
 
@@ -133,7 +136,7 @@ def test_experiment_subcommand(capsys, tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    rc, out = run_cli(capsys, "--config", str(cfg_path), "experiment")
+    rc, out = run_cli(capsys, "experiment", "--config", str(cfg_path))
     assert rc == 0
     assert (tmp_path / "exp" / "summary.json").exists()
 
@@ -146,7 +149,7 @@ def test_validation_error_exits_2(capsys, tmp_path):
 def test_bad_config_exits_2(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
-    rc = main(["--config", str(cfg), "experiment"])
+    rc = main(["experiment", "--config", str(cfg)])
     assert rc == 2
 
 
@@ -179,7 +182,7 @@ def test_config_typo_exits_2_naming_the_key(capsys, tmp_path, level, key):
     target[key] = 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    rc = main(["--config", str(cfg_path), "experiment"])
+    rc = main(["experiment", "--config", str(cfg_path)])
     assert rc == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -224,7 +227,7 @@ def test_bad_hyper_in_config_exits_2_naming_the_field(capsys, tmp_path, field, v
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))  # NaN and Infinity literals
-    rc = main(["--config", str(cfg_path), "experiment"])
+    rc = main(["experiment", "--config", str(cfg_path)])
     assert rc == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -259,7 +262,7 @@ def test_bad_integer_in_config_exits_2_naming_the_field(capsys, tmp_path, field,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    rc = main(["--config", str(cfg_path), "experiment"])
+    rc = main(["experiment", "--config", str(cfg_path)])
     assert rc == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -326,7 +329,7 @@ def _tiny_config(tmp_path, **changes):
 def test_experiment_refuses_a_global_seed(capsys, tmp_path, seed):
     """The cells take their seeds from the config, so a --seed the sweep
     would ignore exits 2 and names the two settings that do shift them."""
-    rc = main(["--seed", seed, "--config", str(_tiny_config(tmp_path)), "experiment"])
+    rc = main(["--seed", seed, "experiment", "--config", str(_tiny_config(tmp_path))])
     assert rc == 2
     err = capsys.readouterr().err
     assert "seeds" in err and "--seed-offset" in err
@@ -335,7 +338,7 @@ def test_experiment_refuses_a_global_seed(capsys, tmp_path, seed):
 
 def test_negative_synthetic_seed_in_config_exits_2(capsys, tmp_path):
     synthetic = dict(n=60, C=2, p_in=0.2, p_out=0.05, m=8, feature_noise=0.1, seed=-3)
-    rc = main(["--config", str(_tiny_config(tmp_path, synthetic=synthetic)), "experiment"])
+    rc = main(["experiment", "--config", str(_tiny_config(tmp_path, synthetic=synthetic))])
     assert rc == 2
     assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -344,7 +347,7 @@ def test_negative_synthetic_seed_in_config_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("key, value", [("seed", 5), ("optimizer", "sgd")])
 def test_removed_hyper_key_in_config_exits_2_naming_it(capsys, tmp_path, key, value):
     feat_model = {"kind": "f-mlp", "hyper": {"epochs": 10, key: value}}
-    rc = main(["--config", str(_tiny_config(tmp_path, feat_model=feat_model)), "experiment"])
+    rc = main(["experiment", "--config", str(_tiny_config(tmp_path, feat_model=feat_model))])
     assert rc == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -362,6 +365,15 @@ def test_missing_config_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "flag", [["--threads", "2"], ["--config", "x.json"]], ids=["threads", "config"]
+)
+def test_experiment_flags_exit_2_on_other_subcommands(flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, "train", "--data", "d", "--model", "gcn"])
+    assert exc.value.code == 2
+
+
 def test_experiment_with_failing_cells_exits_1(capsys, tmp_path):
     config = {
         "synthetic": dict(n=60, C=2, p_in=0.2, p_out=0.05, m=8, feature_noise=0.1, seed=5),
@@ -375,6 +387,6 @@ def test_experiment_with_failing_cells_exits_1(capsys, tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    rc = main(["--config", str(cfg_path), "experiment"])
+    rc = main(["experiment", "--config", str(cfg_path)])
     assert rc == 1  # cells failed at runtime; report still written
     assert (tmp_path / "out" / "summary.json").exists()

@@ -11,8 +11,7 @@ import pytest
 
 from cograph import SubModelSpec, build_submodel, split_nodes, train_submodel
 from cograph.io import load_graph_dir
-from cograph.models import accuracy
-from helpers import labeled_map
+from helpers import accuracy, labeled_map
 from test_acceptance import cora_dir
 
 pytestmark = pytest.mark.skipif(

@@ -22,6 +22,7 @@ from cograph.cotrain import (
     PROV_FEAT,
     PROV_STRUCT,
     PROV_TRUTH,
+    LabelEntry,
     Selection,
     audit_state,
     resolve_conflicts,
@@ -249,6 +250,14 @@ def test_cotrain_bookkeeping(easy_graph, easy_split, small_run):
     assert state.s_size == state.history[-1].s_size
 
 
+def test_audit_state_rejects_an_entry_on_a_validation_node(easy_graph, easy_split, small_run):
+    _, _, state = small_run
+    node = int(easy_split.validation[0])
+    bad = replace(state, entries={**state.entries, node: LabelEntry(0, PROV_FEAT, 1)})
+    with pytest.raises(ValidationError, match="outside the labeled and test nodes"):
+        audit_state(bad, easy_graph, easy_split)
+
+
 def test_cotrain_additions_match_quota_minus_shortfall(small_run, easy_split):
     _, _, state = small_run
     from cograph.cotrain import class_quota
@@ -302,7 +311,7 @@ def test_cotrain_stops_when_pool_empties(easy_graph):
     spec_s = SubModelSpec(kind="gcn", hyper=FAST)
     spec_f = SubModelSpec(kind="f-mlp", hyper=FAST)
     fs, ff, state = cotrain(easy_graph, split, spec_s, spec_f, n_add=25, max_iters=50, seed=0)
-    assert not state.unlabeled
+    assert set(split.test.tolist()) <= set(state.entries)
     assert state.iteration < 50
     assert state.s_size == len(split.labeled) + len(split.test)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cograph import ValidationError, generate_synthetic, split_nodes
+from cograph import ValidationError, class_quota, generate_synthetic, split_nodes
 from cograph.graph import adjacency, make_graph, normalized_adjacency, with_edges
 from helpers import components_cover, graphs_equal
 
@@ -168,10 +168,11 @@ def test_split_warns_on_absent_class():
     # tiny labeled set; find a seed that misses some class
     for seed in range(50):
         split = split_nodes(g, 0.05, 0.1, seed=seed)
-        if split.warnings:
-            assert any("absent" in w for w in split.warnings)
-            missing = int(split.warnings[0].split()[1])
-            assert split.class_histogram[missing] == 0
+        missing = np.flatnonzero(split.class_histogram == 0)
+        if missing.size:
+            quota = class_quota(split.class_histogram, 10)
+            assert all(quota.per_class[c] == 0 for c in missing)
+            assert quota.total == 10
             return
     pytest.fail("no seed produced an absent class; fixture too generous")
 

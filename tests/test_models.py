@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from cograph import SubModelSpec, TrainingError, ValidationError, build_submodel, predict_logits, train_submodel
 from cograph.graph import make_graph, with_edges, with_features
-from cograph.models import ALL_KINDS, _Workspace, accuracy, input_gradient
+from cograph.models import ALL_KINDS, _Workspace, input_gradient
 from cograph.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -18,7 +18,7 @@ from cograph.nn import (
     softmax,
     softmax_xent,
 )
-from helpers import finite_diff_check, labeled_map, with_inputs
+from helpers import accuracy, finite_diff_check, labeled_map, with_inputs
 
 FAST = TrainHyper(epochs=60)
 

@@ -1,6 +1,7 @@
 """README examples stay in step with the code: its experiment config loads,
-every `cograph` command line in its sh blocks parses, and its dataset
-commands run in order and write the files README names."""
+every `cograph` command line in its sh blocks parses, its dataset
+commands run in order and write the files README names, and its Library
+example runs."""
 
 import argparse
 import json
@@ -40,6 +41,14 @@ def test_readme_config_loads():
     (block,) = _blocks("json")
     config = ExperimentConfig.from_dict(json.loads(block))
     assert config.seeds and config.attacks
+
+
+def test_readme_library_block_runs(capsys):
+    (block,) = [b for b in _blocks("python") if "from cograph" in b]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # one "iteration S_size acc_ensemble" line per history record, from 0 up
+    assert lines and [int(line.split()[0]) for line in lines] == list(range(len(lines)))
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> set[str]:

@@ -86,7 +86,6 @@ def test_knn_graph_matches_reference_bitwise(make, k):
     assert _same_csr(views.knn_graph(X, k), _reference_knn_graph(X, k))
     Xn = _reference_unit_rows(X)
     assert np.array_equal(views._unit_rows(X), Xn)
-    assert np.array_equal(views.cosine_similarity(X), Xn @ Xn.T)  # one operand: the symmetric product
 
 
 def test_knn_graph_matches_reference_over_ragged_chunks_and_blocks(monkeypatch):
@@ -140,7 +139,7 @@ def test_feature_flip_holds_one_gradient(density):
     assert sp.issparse(victim.model.inputs) == (density < 0.2)
     n, m = g.X.shape
     targets = np.arange(600)
-    attacked, peak = _traced_peak(feature_flip_attack, g, victim, 200, seed=0, targets=targets)
+    attacked, peak = _traced_peak(feature_flip_attack, g, victim, 200, targets=targets)
     assert int((attacked.X != g.X).sum()) == 200
     # the attacked X, t x m int8 flip signs, and one t x m gradient beside
     # the victim's target-row inputs
@@ -162,7 +161,7 @@ def test_feature_flip_returns_read_only_features_and_touches_no_input(density, m
         return with_features(graph, X)
 
     monkeypatch.setattr("cograph.attacks.with_features", recording)
-    attacked = feature_flip_attack(g, victim, 100, seed=0, targets=np.arange(300))
+    attacked = feature_flip_attack(g, victim, 100, targets=np.arange(300))
     assert attacked.X is handed[0]  # kept as the attack built it, not copied
     assert not attacked.X.flags.writeable
     assert int((attacked.X != X_before).sum()) == 100
