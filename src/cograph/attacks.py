@@ -13,7 +13,9 @@ the experiment runner and the provenance sidecar.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +27,6 @@ from .models import KIND_FMLP, TrainedSubModel, input_gradient
 
 ATTACK_METHODS = ("none", "random", "dice", "grad-feat", "external")
 _FLIP_BATCH = 32
-_INSERT_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,6 @@ class AttackSetting:
         return 1.0 if self.method == "grad-feat" else self.feature_ratio
 
 
-def mixed_budget(total_rate: float, feature_ratio: float, n_edges: int) -> tuple[int, int]:
-    """(feature bits, structure edge flips) for a shared budget of
-    total_rate * n_edges, split by feature_ratio."""
-    if not 0.0 <= total_rate <= 1.0 or not 0.0 <= feature_ratio <= 1.0:
-        raise ValidationError("rates must lie in [0, 1]")
-    feature = round(feature_ratio * total_rate * n_edges)
-    structure = round((1.0 - feature_ratio) * total_rate * n_edges)
-    return int(feature), int(structure)
-
-
 def _sample_pairs(rng: np.random.Generator, n: int, budget: int) -> list[tuple[int, int]]:
     """budget distinct unordered pairs (i < j), uniform over all non-self pairs."""
     total = n * (n - 1) // 2
@@ -114,30 +105,17 @@ def random_structure_perturb(g: Graph, rate: float, seed: int) -> Graph:
     return with_edges(g, edges)
 
 
-def _cross_class_non_edges(labels: np.ndarray, edges: set) -> np.ndarray:
-    """Every pair (i < j) of differently labeled nodes that is not an edge,
-    as sorted rows of an (k, 2) array."""
-    n = labels.size
-    keys = []
-    for c in np.unique(labels):
-        a = np.flatnonzero(labels == c)
-        b = np.flatnonzero(labels > c)
-        i, j = np.repeat(a, b.size), np.tile(b, a.size)
-        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-    keys = np.sort(np.concatenate(keys))
-    present = np.fromiter((i * n + j for i, j in edges), dtype=np.int64, count=len(edges))
-    keys = keys[~np.isin(keys, present)]
-    return np.stack(np.divmod(keys, n), axis=1)
-
-
 def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) -> Graph:
     """Label-aware structural attack: delete internal, insert cross-class.
 
     Each budget unit deletes a random same-class edge or inserts a random
     cross-class non-edge with equal probability. When one kind of candidate
-    runs out the remaining budget goes to the other kind. Insertions draw
-    random node pairs; after 200 misses in a row they draw from the exact
-    list of cross-class non-edges instead.
+    runs out the remaining budget goes to the other kind.
+
+    An insertion draws an index over the cross-class pairs, numbered one
+    class pair at a time, until it names a non-edge: uniform, in O(n)
+    memory, at (cross-class pairs) / (cross-class non-edges) draws on
+    average, which is many where nearly every cross-class pair is an edge.
     """
     if rate < 0:
         raise ValidationError(f"rate must be nonnegative, got {rate}")
@@ -151,33 +129,26 @@ def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) ->
     rng = np.random.default_rng(seed)
     edges = set(g.edges)
     same_class = [e for e in sorted(edges) if labels[e[0]] == labels[e[1]]]
-    _, class_sizes = np.unique(labels, return_counts=True)
-    cross_pairs = (g.n * g.n - int((class_sizes**2).sum())) // 2
-    cross_free = cross_pairs - (len(edges) - len(same_class))
-    candidates = None
+    members = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    blocks = [(a, b) for k, a in enumerate(members) for b in members[k + 1 :]]
+    starts = [0, *accumulate(a.size * b.size for a, b in blocks)]
+    cross_free = starts[-1] - (len(edges) - len(same_class))
 
     def try_insert() -> bool:
-        nonlocal cross_free, candidates
+        nonlocal cross_free
         if cross_free == 0:
             return False
-        if candidates is None:
-            for _ in range(_INSERT_TRIES):
-                i = int(rng.integers(g.n))
-                j = int(rng.integers(g.n))
-                if i == j or labels[i] == labels[j]:
-                    continue
-                pair = (i, j) if i < j else (j, i)
-                if pair in edges:
-                    continue
+        while True:
+            index = int(rng.integers(starts[-1]))
+            block = bisect_right(starts, index) - 1
+            a, b = blocks[block]
+            x, y = divmod(index - starts[block], b.size)
+            i, j = int(a[x]), int(b[y])
+            pair = (i, j) if i < j else (j, i)
+            if pair not in edges:
                 edges.add(pair)
                 cross_free -= 1
                 return True
-            candidates = _cross_class_non_edges(labels, edges)
-        idx = int(rng.integers(cross_free))
-        edges.add((int(candidates[idx, 0]), int(candidates[idx, 1])))
-        cross_free -= 1
-        candidates[idx] = candidates[cross_free]
-        return True
 
     def try_delete() -> bool:
         if not same_class:
@@ -189,15 +160,13 @@ def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) ->
         edges.remove(pair)
         return True
 
-    spent = 0
-    while spent < budget:
+    for _ in range(budget):
         if rng.random() < 0.5:
             done = try_delete() or try_insert()
         else:
             done = try_insert() or try_delete()
         if not done:
             break  # both candidate kinds exhausted
-        spent += 1
     return with_edges(g, edges)
 
 
@@ -302,11 +271,7 @@ def feature_flip_attack(
 
 def load_perturbed_adjacency(g: Graph, path) -> Graph:
     """Replace the edge set with an externally produced edge-list file."""
-    pairs = parse_edge_list(path)
-    for i, j in pairs:
-        if not (0 <= i < g.n and 0 <= j < g.n):
-            raise ValidationError(f"{path}: node index ({i}, {j}) out of range for n={g.n}")
-    return with_edges(g, pairs)
+    return with_edges(g, parse_edge_list(path, g.n))
 
 
 def flip_log_hash(original: Graph, perturbed: Graph) -> str:

@@ -30,6 +30,8 @@ from .graph import generate_synthetic, labeled_map, split_nodes
 from .io import load_graph_dir, save_dataset_dir, write_csv, write_json
 from .models import (
     ALL_KINDS,
+    FEATURE_KINDS,
+    STRUCTURE_KINDS,
     SubModelSpec,
     build_submodel,
     predict_logits,
@@ -291,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cotrain", help="run the two-view co-training loop")
     p.add_argument("--data", required=True)
-    p.add_argument("--struct", choices=("gcn", "s-mlp"), default="gcn")
-    p.add_argument("--feat", choices=("f-mlp", "knn-gcn"), default="f-mlp")
+    p.add_argument("--struct", choices=STRUCTURE_KINDS, default="gcn")
+    p.add_argument("--feat", choices=FEATURE_KINDS, default="f-mlp")
     p.add_argument("--struct-k", type=int, default=_default(SubModelSpec, "k"))
     p.add_argument("--feat-k", type=int, default=_default(SubModelSpec, "k"))
     p.add_argument("--n-add", type=int, default=_default(ExperimentConfig, "n_add"))
@@ -332,8 +334,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flag_placement(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Exit 2 naming a non-global flag given before the subcommand, whose
+    value argparse would otherwise read, and name, as the subcommand."""
+    options = parser._option_string_actions
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-") or token == "--":
+            return  # the subcommand, or the end of the flags
+        flag = token.split("=", 1)[0]
+        # argparse also takes a unique prefix of a global flag
+        action = next((a for f, a in options.items() if f.startswith(flag)), None)
+        if action is None:
+            parser.error(f"{flag} is not a global option; give it after the subcommand")
+        if action.nargs != 0 and "=" not in token:
+            next(tokens, None)  # the flag's value
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _check_flag_placement(parser, argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -24,7 +24,6 @@ from .attacks import (
     dice_perturb,
     feature_flip_attack,
     load_perturbed_adjacency,
-    mixed_budget,
     random_structure_perturb,
 )
 from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
@@ -190,7 +189,7 @@ def apply_attack(
 
     (attack_seed,) = derive_seeds(seed, _SEED_ROLE_ATTACK)
     ratio = setting.effective_feature_ratio
-    feature_bits, _ = mixed_budget(setting.rate, ratio, g.num_edges)
+    feature_bits = round(ratio * setting.rate * g.num_edges)
     structure_rate = (1.0 - ratio) * setting.rate
 
     perturbed = g

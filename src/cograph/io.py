@@ -18,8 +18,8 @@ from .errors import GraphParseError, ValidationError
 from .graph import Graph, edge_array, make_graph
 
 
-def parse_edge_list(path) -> list[tuple[int, int]]:
-    """Read raw (src, dst) pairs; symmetrization happens in make_graph."""
+def parse_edge_list(path, n: int) -> list[tuple[int, int]]:
+    """Read raw (src, dst) pairs, each endpoint in [0, n); make_graph symmetrizes."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -30,9 +30,12 @@ def parse_edge_list(path) -> list[tuple[int, int]]:
             if len(parts) != 2:
                 raise GraphParseError(path, lineno, f"expected 'src<TAB>dst', got {body!r}")
             try:
-                pairs.append((int(parts[0]), int(parts[1])))
+                i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphParseError(path, lineno, f"non-integer node id in {body!r}") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphParseError(path, lineno, f"edge ({i}, {j}) out of range for n={n}")
+            pairs.append((i, j))
     return pairs
 
 
@@ -85,10 +88,7 @@ def load_graph(edge_path, feature_path, label_path) -> Graph:
     """
     X = load_features(feature_path)
     n = X.shape[0]
-    pairs = parse_edge_list(edge_path)
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"{edge_path}: edge ({i}, {j}) out of range for n={n}")
+    pairs = parse_edge_list(edge_path, n)
     labels = load_labels(label_path, n)
     return make_graph(n, pairs, X, labels)
 

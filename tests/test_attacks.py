@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +18,6 @@ from cograph.attacks import (
     feature_flip_attack,
     flip_log_hash,
     load_perturbed_adjacency,
-    mixed_budget,
     random_structure_perturb,
     write_sidecar,
 )
@@ -109,9 +110,9 @@ def test_dice_exhaustion_spends_other_kind():
 
 
 def test_dice_keeps_inserting_on_imbalanced_labels():
-    # 1980 nodes of class 0 and 20 of class 1: a random pair is cross-class
-    # 2% of the time, so 200 missed draws in a row are common while 39,600
-    # cross-class non-edges remain; about half the budget must still insert
+    # 1980 nodes of class 0 and 20 of class 1: a random node pair is
+    # cross-class 2% of the time, yet 39,600 cross-class non-edges remain,
+    # so about half the budget must still insert
     rng = np.random.default_rng(0)
     n = 2000
     labels = np.zeros(n, dtype=np.int64)
@@ -129,6 +130,61 @@ def test_dice_keeps_inserting_on_imbalanced_labels():
         assert len(inserted) + len(deleted) == 800
         assert all(labels[i] != labels[j] for i, j in inserted)
         assert 340 <= len(inserted) <= 460
+
+
+def test_dice_inserts_uniformly_over_cross_class_non_edges():
+    # classes of 2, 3 and 4 nodes give 26 cross-class pairs; the 6 edges are
+    # all cross-class, so a budget of 1 always inserts one of the other 20
+    labels = np.array([0, 0, 1, 1, 1, 2, 2, 2, 2])
+    edge_list = [(0, 2), (1, 5), (2, 6), (3, 8), (4, 7), (0, 8)]
+    g = make_graph(9, edge_list, np.zeros((9, 1)), labels)
+    free = [
+        (i, j) for i in range(9) for j in range(i + 1, 9)
+        if labels[i] != labels[j] and (i, j) not in g.edges
+    ]
+    assert len(free) == 20
+    counts = dict.fromkeys(free, 0)
+    for seed in range(2000):
+        (pair,) = dice_perturb(g, labels, 1 / 6, seed).edges - g.edges
+        counts[pair] += 1
+    observed = np.array(list(counts.values()))
+    expected = 2000 / len(free)
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < 60  # 19 degrees of freedom: p < 1e-5 above 60
+
+
+def test_dice_exhausts_a_dense_cross_class_block():
+    # K(8, 8) minus 3 edges plus 4 same-class edges: rejection must find the
+    # 3 missing cross pairs among 64, and the rest of the budget deletes
+    labels = np.repeat([0, 1], 8)
+    missing = {(0, 8), (3, 12), (7, 15)}
+    cross = {(i, j) for i in range(8) for j in range(8, 16)} - missing
+    same = {(0, 1), (2, 3), (8, 9), (10, 11)}
+    g = make_graph(16, cross | same, np.zeros((16, 1)), labels)
+    for seed in range(10):
+        perturbed = dice_perturb(g, labels, 7 / g.num_edges, seed)  # budget 7
+        assert perturbed.edges - g.edges == missing
+        assert g.edges - perturbed.edges == same
+
+
+def test_dice_memory_is_linear_on_imbalanced_labels():
+    # 200 of 20,000 nodes form the minority class, 40k majority-only edges:
+    # listing every cross-class pair would take hundreds of MB
+    rng = np.random.default_rng(0)
+    n = 20_000
+    labels = np.zeros(n, dtype=np.int64)
+    labels[-200:] = 1
+    pairs = rng.integers(n - 200, size=(42_000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    g = make_graph(n, pairs[:40_000], np.zeros((n, 1)), labels)
+    tracemalloc.start()
+    try:
+        perturbed = dice_perturb(g, labels, 0.2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(perturbed.edges ^ g.edges) == round(0.2 * g.num_edges)
+    assert peak < 50 * 2**20
 
 
 # --- gradient feature flips -----------------------------------------------------
@@ -337,23 +393,6 @@ def test_feature_flip_rejects_bad_inputs(attack_graph, fmlp_victim, make, target
         feature_flip_attack(make(attack_graph), fmlp_victim, 10, targets=targets)
 
 
-# --- mixed budgets ----------------------------------------------------------------
-
-
-def test_mixed_budget_endpoints():
-    assert mixed_budget(0.2, 0.0, 5069) == (0, 1014)
-    assert mixed_budget(0.2, 1.0, 5069) == (1014, 0)
-
-
-def test_mixed_budget_even_split():
-    assert mixed_budget(0.2, 0.5, 5069) == (507, 507)
-
-
-def test_mixed_budget_validates():
-    with pytest.raises(ValidationError):
-        mixed_budget(1.5, 0.5, 100)
-
-
 # --- external ingestion --------------------------------------------------------------
 
 
@@ -375,7 +414,7 @@ def test_load_perturbed_replaces_edges_only(tmp_path, attack_graph):
 def test_load_perturbed_rejects_out_of_range(tmp_path, attack_graph):
     path = tmp_path / "bad.tsv"
     path.write_text(f"0\t{attack_graph.n}\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=":1:"):
         load_perturbed_adjacency(attack_graph, path)
 
 

@@ -7,7 +7,7 @@ import pytest
 from cograph import SubModelSpec, build_submodel, load_graph_dir, split_nodes, train_submodel
 from cograph.cli import build_parser, main
 from cograph.experiment import ExperimentConfig
-from cograph.models import predict_logits
+from cograph.models import ALL_KINDS, FEATURE_KINDS, STRUCTURE_KINDS, predict_logits
 from cograph.nn import TrainHyper
 from helpers import accuracy, labeled_map
 
@@ -372,6 +372,44 @@ def test_experiment_flags_exit_2_on_other_subcommands(flag):
     with pytest.raises(SystemExit) as exc:
         main([*flag, "train", "--data", "d", "--model", "gcn"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--threads", "2", "train", "--data", "d", "--model", "gcn"],
+        ["--config", "x.json", "experiment"],
+        ["--seed-offset", "3", "experiment", "--config", "x.json"],
+    ],
+    ids=["threads", "config", "seed-offset"],
+)
+def test_misplaced_flag_names_itself(capsys, argv):
+    """A subcommand flag given before the subcommand is named in the error,
+    not its value read as an unknown subcommand."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{argv[0]} is not a global option" in err and "after the subcommand" in err
+
+
+def test_global_flags_take_the_equals_form(capsys, tmp_path):
+    rc, out = run_cli(capsys, "--seed=3", f"--out={tmp_path / 'data'}", "gen-synthetic", "--nodes", "30")
+    assert rc == 0
+    assert json.loads(out)["seed"] == 3
+    assert (tmp_path / "data" / "edges.tsv").exists()
+
+
+def test_cotrain_view_choices_are_the_model_kinds():
+    parser = build_parser()
+    for flag, kinds in (("--struct", STRUCTURE_KINDS), ("--feat", FEATURE_KINDS)):
+        for kind in ALL_KINDS:
+            argv = ["cotrain", "--data", "d", flag, kind]
+            if kind in kinds:
+                assert getattr(parser.parse_args(argv), flag[2:]) == kind
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
 
 
 def test_experiment_with_failing_cells_exits_1(capsys, tmp_path):

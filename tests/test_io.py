@@ -52,7 +52,7 @@ def test_malformed_edge_line_reports_lineno(tmp_path):
 
 def test_edge_index_out_of_range(tmp_path):
     paths = write_dataset(tmp_path, "0\t9\n", np.eye(2), "0,0\n1,1\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=":1:"):
         load_graph(*paths)
 
 
@@ -85,7 +85,7 @@ def test_parse_edge_list_rejects_non_integers(tmp_path):
     p = tmp_path / "e.tsv"
     p.write_text("0\t1.5\n")
     with pytest.raises(GraphParseError):
-        parse_edge_list(p)
+        parse_edge_list(p, 2)
 
 
 def test_duplicate_label_rejected(tmp_path):
