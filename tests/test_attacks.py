@@ -21,6 +21,7 @@ from cograph.attacks import (
     random_structure_perturb,
     write_sidecar,
 )
+from cograph.experiment import apply_attack
 from cograph.graph import make_graph
 from cograph.io import save_edge_list
 from cograph.models import input_gradient
@@ -391,6 +392,16 @@ def _wider(g):
 def test_feature_flip_rejects_bad_inputs(attack_graph, fmlp_victim, make, targets):
     with pytest.raises(ValidationError):
         feature_flip_attack(make(attack_graph), fmlp_victim, 10, targets=targets)
+
+
+def test_mixed_budget_even_split(attack_graph):
+    """An even split gives the random flips and the feature flips the same
+    budget, each rounded from half the rate against the clean edge count."""
+    setting = AttackSetting(name="mix", method="random", rate=0.1, feature_ratio=0.5)
+    perturbed = apply_attack(attack_graph, setting, seed=3, victim_hyper=FAST)
+    feature_bits = int((perturbed.X != attack_graph.X).sum())
+    edge_flips = len(perturbed.edges ^ attack_graph.edges)
+    assert feature_bits == edge_flips == round(0.5 * 0.1 * attack_graph.num_edges)
 
 
 # --- external ingestion --------------------------------------------------------------

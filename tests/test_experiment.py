@@ -240,8 +240,20 @@ def test_apply_attack_none_returns_same_graph():
     assert apply_attack(g, AttackSetting(name="clean"), seed=0) is g
 
 
-@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
-def test_apply_attack_mixed_budget_split(ratio):
+def test_apply_attack_mixed_budget_split():
+    from cograph.graph import generate_synthetic
+
+    g = generate_synthetic(**SYNTH)
+    setting = AttackSetting(name="mix", method="dice", rate=0.2, feature_ratio=0.5)
+    perturbed = apply_attack(g, setting, seed=0)
+    feature_bits = int((perturbed.X != g.X).sum())
+    edge_flips = len(perturbed.edges ^ g.edges)
+    assert feature_bits == round(0.5 * 0.2 * g.num_edges)
+    assert edge_flips == round(0.5 * 0.2 * g.num_edges)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0])
+def test_apply_attack_mixed_budget_endpoints(ratio):
     from cograph.graph import generate_synthetic
 
     g = generate_synthetic(**SYNTH)
