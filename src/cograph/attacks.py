@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
+from .errors import ValidationError, require_real
 from .graph import Graph, with_edges, with_features
 from .io import parse_edge_list, write_json
 from .models import KIND_FMLP, TrainedSubModel, input_gradient
@@ -51,6 +51,8 @@ class AttackSetting:
     def __post_init__(self):
         if self.method not in ATTACK_METHODS:
             raise ValidationError(f"attack method must be one of {ATTACK_METHODS}, got {self.method!r}")
+        require_real("rate", self.rate)
+        require_real("feature_ratio", self.feature_ratio)
         if not 0.0 <= self.rate <= 1.0 or not 0.0 <= self.feature_ratio <= 1.0:
             raise ValidationError("attack rate and feature_ratio must lie in [0, 1]")
         if self.method == "external" and not self.path:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import numbers
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -28,7 +27,7 @@ from .attacks import (
 )
 from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
 from .cotrain import cotrain
-from .errors import ValidationError
+from .errors import ValidationError, require_int, require_real
 from .graph import Graph, generate_synthetic, labeled_map, split_nodes
 from .io import load_graph_dir, write_csv, write_json
 from .models import (  # noqa: F401 -- predict_logits: the benchmark traces it here
@@ -66,15 +65,6 @@ def _checked(raw: dict, target, where: str) -> dict:
     return raw
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    """ValidationError naming the field unless value is an integer (not a
-    bool) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
-
-
 def _spec_from_dict(d: dict, where: str) -> SubModelSpec:
     d = dict(_checked(d, SubModelSpec, where))
     hyper = TrainHyper(**_checked(d.pop("hyper", {}), TrainHyper, f"{where}.hyper"))
@@ -104,11 +94,17 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValidationError("config needs at least one seed")
         for seed in self.seeds:
-            _require_int("seeds", seed, 0)
-        _require_int("n_add", self.n_add, 0)
-        _require_int("max_iters", self.max_iters, 0)
-        _require_int("threads", self.threads, 1)
-        _require_int("reliability_bins", self.reliability_bins, 2)
+            require_int("seeds", seed, 0)
+        require_int("n_add", self.n_add, 0)
+        require_int("max_iters", self.max_iters, 0)
+        require_int("threads", self.threads, 1)
+        require_int("reliability_bins", self.reliability_bins, 2)
+        require_real("train_frac", self.train_frac)
+        require_real("val_frac", self.val_frac)
+        for name in ("calibration", "class_balancing"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValidationError(f"{name} must be true or false, got {value!r}")
         if (self.dataset_dir is None) == (self.synthetic is None):
             raise ValidationError("config needs exactly one of dataset_dir or synthetic")
         if self.synthetic is not None:
@@ -295,6 +291,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
     completed ones, flagged by the completeness markers.
     """
     g = load_base_graph(config)
+    # attacks keep n, so every cell's split has these sizes: fractions that
+    # leave no test node fail here, before any cell runs
+    split_nodes(g, config.train_frac, config.val_frac, config.seeds[0])
     tasks = [
         (g, setting, seed, config)
         for setting in config.attacks

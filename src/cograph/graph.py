@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int, require_real
 
 Edge = tuple[int, int]
 
@@ -142,11 +142,6 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     return normalize_adjacency_matrix(adjacency(g))
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-
-
 def generate_synthetic(
     n: int,
     C: int,
@@ -164,15 +159,16 @@ def generate_synthetic(
     every bit independently flipped with probability feature_noise.
     Deterministic for a fixed seed.
     """
+    require_int("C", C, 1)
+    require_int("n", n, C)
+    require_int("m", m, 1)
+    require_int("seed", seed, 0)
+    for name, value in (("p_in", p_in), ("p_out", p_out), ("feature_noise", feature_noise)):
+        require_real(name, value)
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
     if not (0.0 <= feature_noise <= 1.0):
         raise ValidationError(f"feature_noise must be a probability, got {feature_noise}")
-    if n < C or C < 1:
-        raise ValidationError(f"need n >= C >= 1, got n={n} C={C}")
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got m={m}")
-    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.int64) % C
@@ -227,13 +223,13 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
     which must not be empty. The split is uniform random, not
     class-stratified.
     """
-    if train_frac <= 0 or val_frac <= 0 or train_frac + val_frac > 1:
+    if not (train_frac > 0 and val_frac > 0 and train_frac + val_frac <= 1):  # NaN fails
         raise ValidationError(
             f"fractions must be positive with sum <= 1, got {train_frac}, {val_frac}"
         )
     if g.labels is None:
         raise ValidationError("split_nodes requires a labeled graph")
-    _check_seed(seed)
+    require_int("seed", seed, 0)
     n_train = int(train_frac * g.n)
     n_val = int(val_frac * g.n)
     if n_train + n_val >= g.n:

@@ -68,7 +68,7 @@ def load_labels(path, n: int) -> np.ndarray:
             except ValueError:
                 raise GraphParseError(path, lineno, f"non-integer field in {body!r}") from None
             if not 0 <= node < n:
-                raise ValidationError(f"{path}: node id {node} out of range for n={n}")
+                raise GraphParseError(path, lineno, f"node id {node} out of range for n={n}")
             if seen[node]:
                 raise GraphParseError(path, lineno, f"duplicate label for node {node}")
             labels[node] = label

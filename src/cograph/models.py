@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, require_int
 from .graph import Graph, adjacency, normalize_adjacency_matrix, normalized_adjacency
 from .nn import (
     AdamState,
@@ -70,10 +70,11 @@ class SubModelSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValidationError(f"unknown sub-model kind {self.kind!r}")
+        require_int("k", self.k)
         if self.kind in (KIND_SMLP, KIND_KNN_GCN) and self.k < 1:
             raise ValidationError(f"view parameter k must be positive, got {self.k}")
-        if self.hidden is not None and any(h < 1 for h in self.hidden):
-            raise ValidationError(f"hidden widths must be positive, got {self.hidden}")
+        for width in self.hidden or ():
+            require_int("hidden", width, 1)
 
     @property
     def hidden_dims(self) -> tuple[int, ...]:

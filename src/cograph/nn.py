@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int, require_real
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -43,6 +43,9 @@ class TrainHyper:
     epochs: int = 200
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "dropout"):
+            require_real(name, getattr(self, name))
+        require_int("epochs", self.epochs, 1)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
@@ -53,8 +56,6 @@ class TrainHyper:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
 
 
 LayerPlan = list[tuple[int, int, bool]]

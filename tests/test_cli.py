@@ -245,6 +245,15 @@ BAD_INTEGERS = [
     ("seeds", [0.5]),
     ("seeds", [True]),
     ("seeds", [-1]),
+    # a dotted field names a nested value: a spec, its hyper, an attack, synthetic
+    ("struct_model.hyper.epochs", 5.0),
+    ("struct_model.hyper.learning_rate", "0.01"),
+    ("struct_model.hidden", [16.5]),
+    ("feat_model.k", 2.5),
+    ("attacks.0.rate", "0.1"),
+    ("synthetic.n", 120.0),
+    ("train_frac", "0.1"),
+    ("calibration", "no"),
 ]
 
 
@@ -254,17 +263,22 @@ def test_bad_integer_in_config_exits_2_naming_the_field(capsys, tmp_path, field,
         "synthetic": dict(n=120, C=3, p_in=0.15, p_out=0.02, m=24, feature_noise=0.1, seed=5),
         "seeds": [0],
         "struct_model": {"kind": "gcn", "hyper": {"epochs": 10}},
-        "feat_model": {"kind": "f-mlp", "hyper": {"epochs": 10}},
+        "feat_model": {"kind": "knn-gcn", "hyper": {"epochs": 10}},
+        "attacks": [{"name": "dice", "method": "dice", "rate": 0.1}],
         "n_add": 5,
         "max_iters": 1,
         "out_dir": str(tmp_path / "out"),
-        field: value,
     }
+    *parents, leaf = field.split(".")
+    target = config
+    for key in parents:
+        target = target[int(key) if isinstance(target, list) else key]
+    target[leaf] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     rc = main(["experiment", "--config", str(cfg_path)])
     assert rc == 2
-    assert field in capsys.readouterr().err
+    assert f"{leaf} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -273,6 +287,21 @@ def test_split_without_test_nodes_exits_2(capsys, tmp_path):
     rc = main(["cotrain", "--data", str(data), "--train-frac", "0.5", "--val-frac", "0.5"])
     assert rc == 2
     assert "no test node" in capsys.readouterr().err
+
+
+def test_nan_split_fraction_exits_2(capsys, tmp_path):
+    data = gen_dataset(capsys, tmp_path)
+    rc = main(["train", "--data", str(data), "--model", "gcn", "--train-frac", "nan"])
+    assert rc == 2
+    assert "fractions must be positive" in capsys.readouterr().err
+
+
+def test_config_split_without_test_nodes_exits_2_before_any_cell(capsys, tmp_path):
+    cfg_path = _tiny_config(tmp_path, train_frac=0.5, val_frac=0.5)
+    rc = main(["experiment", "--config", str(cfg_path)])
+    assert rc == 2
+    assert "no test node" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flag_defaults_are_the_library_defaults():

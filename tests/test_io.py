@@ -88,6 +88,13 @@ def test_parse_edge_list_rejects_non_integers(tmp_path):
         parse_edge_list(p, 2)
 
 
+def test_label_node_out_of_range_reports_lineno(tmp_path):
+    paths = write_dataset(tmp_path, "0\t1\n", np.eye(2), "0,0\n9,1\n")
+    with pytest.raises(GraphParseError) as exc:
+        load_graph(*paths)
+    assert ":2:" in str(exc.value)
+
+
 def test_duplicate_label_rejected(tmp_path):
     paths = write_dataset(tmp_path, "0\t1\n", np.eye(2), "0,0\n0,1\n")
     with pytest.raises(GraphParseError):
