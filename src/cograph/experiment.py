@@ -51,12 +51,27 @@ CELL_RELIABILITY_COLUMNS = ("setting", "seed", "model", "phase", *RELIABILITY_CO
 CONFUSION_COLUMNS = ("setting", "seed", "iter", "true_class", "pred_class", "count")
 
 
+def _listed(value, where: str):
+    """value itself once it is a list (or a tuple): a config value of the
+    wrong shape fails here, naming its field, not later in tuple()."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _mapping(value, where: str) -> dict:
+    """value itself once it is a mapping, as _listed is for lists."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def _checked(raw: dict, target, where: str) -> dict:
-    """raw itself, once each key names a parameter of target (a dataclass
-    or a function) and no parameter without a default is missing; config
-    typos fail here."""
+    """raw itself, once it is a mapping, each key names a parameter of
+    target (a dataclass or a function) and no parameter without a default
+    is missing; config typos fail here."""
     params = inspect.signature(target).parameters
-    for key in raw:
+    for key in _mapping(raw, where):
         if key not in params:
             raise ValidationError(f"{where}: unknown key {key!r}; expected one of {sorted(params)}")
     for name, param in params.items():
@@ -69,7 +84,9 @@ def _spec_from_dict(d: dict, where: str) -> SubModelSpec:
     d = dict(_checked(d, SubModelSpec, where))
     hyper = TrainHyper(**_checked(d.pop("hyper", {}), TrainHyper, f"{where}.hyper"))
     hidden = d.pop("hidden", None)
-    return SubModelSpec(hidden=tuple(hidden) if hidden is not None else None, hyper=hyper, **d)
+    if hidden is not None:
+        hidden = tuple(_listed(hidden, f"{where}.hidden"))
+    return SubModelSpec(hidden=hidden, hyper=hyper, **d)
 
 
 @dataclass(frozen=True)
@@ -115,16 +132,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "ExperimentConfig":
-        raw = dict(raw)
+        raw = dict(_mapping(raw, "config"))
         raw.update(overrides or {})
         seed_offset = raw.pop("seed_offset", 0)
         _checked(raw, cls, "config")
         attacks = tuple(
             AttackSetting(**_checked(a, AttackSetting, f"attacks[{i}]"))
-            for i, a in enumerate(raw.pop("attacks", [{"name": "clean"}]))
+            for i, a in enumerate(_listed(raw.pop("attacks", [{"name": "clean"}]), "attacks"))
         )
         config = cls(
-            seeds=tuple(raw.pop("seeds")),
+            seeds=tuple(_listed(raw.pop("seeds"), "seeds")),
             struct_model=_spec_from_dict(raw.pop("struct_model"), "struct_model"),
             feat_model=_spec_from_dict(raw.pop("feat_model"), "feat_model"),
             attacks=attacks,

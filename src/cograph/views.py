@@ -21,11 +21,8 @@ from .errors import EigenSolverError, ValidationError
 DENSE_EIG_LIMIT = 1500
 RESIDUAL_RTOL = 1e-6
 
-# ~64MB of float64 similarity scores per chunk; the chunk is the kNN
-# graph's whole transient, beside the n x m unit rows and the k-per-row picks
-_KNN_CHUNK_BUDGET = 8_000_000
-# ~1MB of temporaries per row block of the norms and the neighbour sort
-_ROW_BLOCK_BUDGET = _KNN_CHUNK_BUDGET // 64
+# ~1MB of float64 scores per row block of the kNN build
+_ROW_BLOCK_BUDGET = 125_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,61 +50,61 @@ def _row_blocks(n: int, width: int):
     return ((start, min(n, start + step)) for start in range(0, n, step))
 
 
-def _unit_rows(X) -> np.ndarray:
-    """Rows scaled to unit length; rows of all zeros stay zero.
-
-    X must be a dense 2-D array of finite values with at least one column;
-    anything else raises ValidationError. Each row is first divided by its
-    largest magnitude so the squared norm cannot underflow into the
-    subnormal range, where it loses precision and the "unit" rows come out
-    longer than 1. Only the n x m result is allocated whole.
-    """
-    if sp.issparse(X):
-        raise ValidationError("features must be a dense array, got a sparse matrix")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ValidationError(f"features must be (n, m>=1), got {X.shape}")
-    # NaN and +-inf propagate into the row peak, so it doubles as the check
-    peak = np.maximum(X.max(axis=1), -X.min(axis=1))
-    if not np.isfinite(peak).all():
-        raise ValidationError("features hold NaN or infinite values")
-    Xs = X / np.where(peak > 0, peak, 1.0)[:, None]
-    norms = np.empty(X.shape[0])
-    for start, stop in _row_blocks(*X.shape):
-        norms[start:stop] = np.linalg.norm(Xs[start:stop], axis=1)
-    Xs /= np.where(norms > 0, norms, 1.0)[:, None]
-    return Xs
-
-
-def knn_graph(X: np.ndarray, k: int) -> sp.csr_matrix:
+def knn_graph(X: np.ndarray | sp.spmatrix, k: int) -> sp.csr_matrix:
     """Binary adjacency connecting each node to its k most cosine-similar peers.
 
     Self-similarity is excluded; the per-node selections are symmetrized by
-    union. Similarity ties break toward the smaller node index. X must be a
-    dense (n, m>=1) array of finite values (ValidationError otherwise).
+    union, and rows of all zeros score 0 against everything. X is a dense
+    array or a sparse matrix of shape (n, m>=1) with finite values
+    (ValidationError otherwise).
 
-    Working memory beyond X and the result: the n x m unit rows, one chunk
-    of about _KNN_CHUNK_BUDGET similarity scores (n x n while n^2 fits in
-    it), a row block of the neighbour sort and the n x k picks.
+    Similarity ties break toward the smaller node index, exactly for rows
+    whose nonzeros share one magnitude, such as binary rows: each row is
+    divided by its largest magnitude, so co-occurrence counts C and squared
+    lengths q are integers, and node i ranks j by the correctly rounded
+    C_ij * |C_ij| / q_j, which maps equal cosines to equal floats and, for
+    widths m up to 10^5, unequal ones to unequal floats.
+
+    Working memory beyond X and the result: the scaled rows and their
+    transpose as CSR, one row block of about _ROW_BLOCK_BUDGET dense scores
+    with its partition and candidate arrays, and the n x k picks.
     """
-    Xn = _unit_rows(X)
-    n = Xn.shape[0]
+    if sp.issparse(X):
+        P = sp.csr_matrix(X, dtype=np.float64, copy=True)
+        P.sum_duplicates()
+    else:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValidationError(f"features must be (n, m>=1), got {X.shape}")
+        P = sp.csr_matrix(X)
+    n, m = P.shape
+    if m < 1:
+        raise ValidationError(f"features must be (n, m>=1), got {P.shape}")
+    if not np.isfinite(P.data).all():
+        raise ValidationError("features hold NaN or infinite values")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ValidationError(f"k must be < n, got k={k} n={n}")
 
+    peak = abs(P).max(axis=1).toarray().ravel()
+    P.data /= np.repeat(np.where(peak > 0, peak, 1.0), np.diff(P.indptr))
+    q = np.asarray(P.power(2).sum(axis=1)).ravel()
+    q[q == 0] = 1.0
+    PT = P.T.tocsr()
     top = np.empty((n, k), dtype=np.int64)
-    chunk = max(1, _KNN_CHUNK_BUDGET // n)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        sims = Xn[start:stop] @ Xn.T
-        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        # stable argsort on -sims keeps ascending index order within ties
-        np.negative(sims, out=sims)
-        for lo, hi in _row_blocks(stop - start, n):
-            top[start + lo : start + hi] = np.argsort(sims[lo:hi], axis=1, kind="stable")[:, :k]
-        del sims  # free this chunk before the next product allocates its own
+    for lo, hi in _row_blocks(n, n):
+        # ascending key = descending cosine; the diagonal goes last
+        key = (P[lo:hi] @ PT).toarray()
+        key *= -np.abs(key)
+        key /= q
+        key[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+        # the candidates at or below each row's k-th key, by (row, key, column)
+        rows, cols = np.nonzero(key <= kth)
+        order = np.lexsort((cols, key[rows, cols], rows))
+        counts = np.bincount(rows, minlength=hi - lo)
+        top[lo:hi] = cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
     src = np.repeat(np.arange(n), k)
     dst = top.reshape(-1)
 

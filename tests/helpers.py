@@ -3,10 +3,11 @@
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
+from cograph.errors import ValidationError
 from cograph.graph import Graph, labeled_map, make_graph  # noqa: F401 -- re-exported for tests
 from cograph.models import predict_logits
-from cograph.views import _unit_rows
 
 
 def with_inputs(trained, inputs):
@@ -20,11 +21,30 @@ def accuracy(trained, nodes, labels) -> float:
     return float((pred == np.asarray(labels)).mean())
 
 
+def unit_rows(X) -> np.ndarray:
+    """Rows scaled to unit length; rows of all zeros stay zero.
+
+    X must be a dense (n, m>=1) array of finite values (ValidationError
+    otherwise). Each row is first divided by its largest magnitude, so the
+    squared norm of a tiny row cannot underflow into the subnormal range.
+    """
+    if sp.issparse(X):
+        raise ValidationError("features must be a dense array, got a sparse matrix")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValidationError(f"features must be (n, m>=1), got {X.shape}")
+    peak = np.abs(X).max(axis=1)  # NaN and +-inf propagate into the peak
+    if not np.isfinite(peak).all():
+        raise ValidationError("features hold NaN or infinite values")
+    Xs = X / np.where(peak > 0, peak, 1.0)[:, None]
+    norms = np.linalg.norm(Xs, axis=1)
+    return Xs / np.where(norms > 0, norms, 1.0)[:, None]
+
+
 def cosine_similarity(X: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity from the kNN view's unit rows; rows of all
-    zeros score 0 against everything. X must be a dense (n, m>=1) array of
-    finite values (ValidationError otherwise)."""
-    Xn = _unit_rows(X)
+    """Pairwise cosine similarity of unit_rows(X): the reference for the kNN
+    view's ranking; rows of all zeros score 0 against everything."""
+    Xn = unit_rows(X)
     return Xn @ Xn.T
 
 

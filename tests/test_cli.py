@@ -257,8 +257,9 @@ BAD_INTEGERS = [
 ]
 
 
-@pytest.mark.parametrize("field, value", BAD_INTEGERS, ids=[f"{f}={v!r}" for f, v in BAD_INTEGERS])
-def test_bad_integer_in_config_exits_2_naming_the_field(capsys, tmp_path, field, value):
+def _experiment_with(capsys, tmp_path, field, value):
+    """Exit code and stderr of `experiment` on a small config whose field,
+    dotted for a nested value, is set to value; no report may be written."""
     config = {
         "synthetic": dict(n=120, C=3, p_in=0.15, p_out=0.02, m=24, feature_noise=0.1, seed=5),
         "seeds": [0],
@@ -277,9 +278,41 @@ def test_bad_integer_in_config_exits_2_naming_the_field(capsys, tmp_path, field,
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     rc = main(["experiment", "--config", str(cfg_path)])
-    assert rc == 2
-    assert f"{leaf} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", BAD_INTEGERS, ids=[f"{f}={v!r}" for f, v in BAD_INTEGERS])
+def test_bad_integer_in_config_exits_2_naming_the_field(capsys, tmp_path, field, value):
+    rc, err = _experiment_with(capsys, tmp_path, field, value)
+    assert rc == 2
+    assert f"{field.split('.')[-1]} must be" in err
+
+
+BAD_SHAPES = [
+    ("seeds", 5, "seeds must be a list"),
+    ("seeds", "01", "seeds must be a list"),
+    ("struct_model.hidden", 16, "struct_model.hidden must be a list"),
+    ("attacks", {"name": "clean"}, "attacks must be a list"),
+    ("attacks", ["clean"], "attacks[0] must be a mapping"),
+    ("synthetic", [1, 2], "synthetic must be a mapping"),
+    ("feat_model", "knn-gcn", "feat_model must be a mapping"),
+    ("struct_model.hyper", [10], "struct_model.hyper must be a mapping"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_SHAPES, ids=[f"{f}={v!r}" for f, v, _ in BAD_SHAPES])
+def test_wrong_container_in_config_exits_2_naming_the_field(capsys, tmp_path, field, value, message):
+    rc, err = _experiment_with(capsys, tmp_path, field, value)
+    assert rc == 2
+    assert message in err
+
+
+def test_config_that_is_not_a_mapping_exits_2(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert "config must be a mapping" in capsys.readouterr().err
 
 
 def test_split_without_test_nodes_exits_2(capsys, tmp_path):

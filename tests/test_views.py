@@ -233,20 +233,44 @@ def _with(value):
     return X
 
 
-@pytest.mark.parametrize(
-    "X",
-    [
-        np.full((30, 5), np.nan),
-        _with(np.nan),
-        _with(np.inf),
-        _with(-np.inf),
-        sp.csr_matrix(np.eye(30, 5)),
-        np.ones(30),
-        np.ones((30, 0)),
-    ],
-    ids=["all-nan", "one-nan", "inf", "minus-inf", "csr", "1-d", "zero-width"],
-)
-@pytest.mark.parametrize("view", [lambda X: knn_graph(X, 3), cosine_similarity], ids=["knn", "cosine"])
+BAD_FEATURES = [
+    ("all-nan", np.full((30, 5), np.nan)),
+    ("one-nan", _with(np.nan)),
+    ("inf", _with(np.inf)),
+    ("minus-inf", _with(-np.inf)),
+    ("csr", sp.csr_matrix(np.eye(30, 5))),
+    ("1-d", np.ones(30)),
+    ("zero-width", np.ones((30, 0))),
+]
+# cosine_similarity is the dense reference; the kNN view takes CSR features
+BAD_FEATURE_CASES = [
+    pytest.param(view, X, id=f"{name}-{case}")
+    for name, view in [("knn", lambda X: knn_graph(X, 3)), ("cosine", cosine_similarity)]
+    for case, X in BAD_FEATURES
+    if (name, case) != ("knn", "csr")
+]
+
+
+@pytest.mark.parametrize("view, X", BAD_FEATURE_CASES)
 def test_feature_views_reject_bad_features_at_the_boundary(view, X):
     with pytest.raises(ValidationError, match="features"):
         view(X)
+
+
+def test_knn_graph_takes_csr_features_as_their_dense_form(attack_graph, rng):
+    real = rng.standard_normal((40, 6))
+    real[7] = 0.0
+    for X in (attack_graph.X, real):
+        P = sp.csr_matrix(X)
+        data = P.data.copy()
+        dense, csr = knn_graph(X, 5), knn_graph(P, 5)
+        assert all(np.array_equal(getattr(dense, a), getattr(csr, a)) for a in ("indptr", "indices", "data"))
+        assert np.array_equal(P.data, data)  # the caller's matrix is left as it was
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_knn_graph_rejects_non_finite_csr_features(value):
+    X = sp.csr_matrix(np.eye(30, 5))
+    X.data[2] = value
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        knn_graph(X, 3)

@@ -1,12 +1,15 @@
 """Working-set bounds and bit-identity guards for the kNN view and the
 feature-flip attack.
 
-The kNN graph is compared byte for byte with the straightforward
-whole-chunk implementation kept below as the reference; traced peaks come
-from tracemalloc, which numpy reports its buffers to.
+The kNN graph is compared byte for byte with two references kept below:
+a stable argsort of dense cosine rows on real-valued features, and an
+exact rational oracle on binary features, whose tied cosines the
+floating-point reference cannot order. Traced peaks come from
+tracemalloc, which numpy reports its buffers to.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,35 +20,40 @@ from cograph import views
 from cograph.attacks import feature_flip_attack
 from cograph.graph import make_graph, with_features
 from cograph.nn import TrainHyper
-from helpers import labeled_map
+from helpers import labeled_map, unit_rows
 
 
-def _reference_unit_rows(X):
-    peak = np.abs(X).max(axis=1)
-    Xs = X / np.where(peak > 0, peak, 1.0)[:, None]
-    norms = np.linalg.norm(Xs, axis=1)
-    return Xs / np.where(norms > 0, norms, 1.0)[:, None]
-
-
-def _reference_knn_graph(X, k, chunk_budget=8_000_000):
-    """Negated full similarity rows, a stable argsort of all n columns."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    Xn = _reference_unit_rows(X)
-    srcs, dsts = [], []
-    chunk = max(1, chunk_budget // n)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        sims = Xn[start:stop] @ Xn.T
-        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        srcs.append(np.repeat(np.arange(start, stop), k))
-        dsts.append(top.reshape(-1))
-    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+def _union(top):
+    """The kNN view's adjacency from each node's (n, k) picks."""
+    n, k = top.shape
+    src, dst = np.repeat(np.arange(n), k), top.reshape(-1)
     rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
     A = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     A.data[:] = 1.0
     return A
+
+
+def _reference_knn_graph(X, k):
+    """Negated full similarity rows, a stable argsort of all n columns."""
+    Xn = unit_rows(X)
+    sims = Xn @ Xn.T
+    np.fill_diagonal(sims, -np.inf)
+    return _union(np.argsort(-sims, axis=1, kind="stable")[:, :k])
+
+
+def _exact_knn_graph(X, k):
+    """Exact oracle for binary X: node i ranks j by the rational C_ij^2 / q_j
+    (C the co-occurrence counts, q the row lengths, 1 for zero rows), then by
+    the smaller index."""
+    C = (X @ X.T).astype(np.int64)  # integer sums, exact in float64
+    q = np.maximum(np.diag(C), 1)
+    base = int(q.max()) + 1
+    pairs, inverse = np.unique((C * base + q).ravel(), return_inverse=True)
+    values = [Fraction(int(c) ** 2, int(d)) for c, d in zip(*np.divmod(pairs, base))]
+    rank_of = {v: r for r, v in enumerate(sorted(set(values), reverse=True))}
+    rank = np.array([rank_of[v] for v in values])[inverse].reshape(C.shape)
+    np.fill_diagonal(rank, len(rank_of))
+    return _union(np.argsort(rank, axis=1, kind="stable")[:, :k])
 
 
 def _same_csr(a, b):
@@ -84,18 +92,21 @@ def _subnormal():
 def test_knn_graph_matches_reference_bitwise(make, k):
     X = make()
     assert _same_csr(views.knn_graph(X, k), _reference_knn_graph(X, k))
-    Xn = _reference_unit_rows(X)
-    assert np.array_equal(views._unit_rows(X), Xn)
 
 
 def test_knn_graph_matches_reference_over_ragged_chunks_and_blocks(monkeypatch):
     rng = np.random.default_rng(6)
     X = np.repeat((rng.random((70, 15)) < 0.2).astype(float), 3, axis=0)  # n = 210
     X[5] = 0.0
-    budget = 210 * 64  # 64-row chunks: 3 full, a ragged 18-row last one
-    monkeypatch.setattr(views, "_KNN_CHUNK_BUDGET", budget)
-    monkeypatch.setattr(views, "_ROW_BLOCK_BUDGET", 210 * 9 + 5)  # 9-row sort blocks
-    assert _same_csr(views.knn_graph(X, 6), _reference_knn_graph(X, 6, chunk_budget=budget))
+    monkeypatch.setattr(views, "_ROW_BLOCK_BUDGET", 210 * 9 + 5)  # 23 9-row blocks, a 3-row last one
+    assert _same_csr(views.knn_graph(X, 6), _exact_knn_graph(X, 6))
+
+
+def test_knn_ties_follow_the_exact_order():
+    # binary rows tie often across (count, length) pairs, such as 2/sqrt(8)
+    # against 3/sqrt(18); a floating-point dot product can split such a tie
+    X = (np.random.default_rng(1).random((200, 60)) < 0.1).astype(float)
+    assert _same_csr(views.knn_graph(X, 5), _exact_knn_graph(X, 5))
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -113,10 +124,13 @@ def _binary_features(n, m, density, seed):
 
 def test_knn_graph_holds_one_similarity_chunk():
     X = _binary_features(1200, 300, 0.05, seed=0)
-    n, m = X.shape
-    A, peak = _traced_peak(views.knn_graph, X, 10)
-    assert _same_csr(A, _reference_knn_graph(X, 10))
-    assert peak <= n * n * 8 + 2 * n * m * 8 + 2**20
+    n, k = X.shape[0], 10
+    A, peak = _traced_peak(views.knn_graph, X, k)
+    assert _same_csr(A, _exact_knn_graph(X, k))
+    # a few dense copies of one row block of scores, the (n, k) picks and
+    # their union; nothing n x n or n x m
+    block = views._ROW_BLOCK_BUDGET * 8
+    assert peak <= 4 * block + 16 * n * k * 8 + 2**20
 
 
 def _wide_graph(density):
