@@ -24,6 +24,7 @@ from .errors import ValidationError, require_real
 from .graph import Graph, with_edges, with_features
 from .io import parse_edge_list, write_json
 from .models import KIND_FMLP, TrainedSubModel, input_gradient
+from .views import row_blocks
 
 ATTACK_METHODS = ("none", "random", "dice", "grad-feat", "external")
 _FLIP_BATCH = 32
@@ -210,9 +211,14 @@ def feature_flip_attack(
     attack stops early once no score is positive. The procedure is
     deterministic, so it takes no seed.
 
-    Working memory beyond g: the attacked copy of X, t x m int8 flip signs
-    and one round's t x m gradient, plus the victim's own input_gradient
-    temporaries (and, for CSR victims, the CSR inputs).
+    The victim only ever sees the t target rows: a t-row copy of its input
+    (CSR or dense, as the victim's own), built from g.X one row block of
+    about 1 MB at a time, with each round's flips applied to it.
+
+    Working memory beyond g: t x m int8 flip signs, the t-row input and one
+    round's t x m gradient, plus the victim's own input_gradient
+    temporaries. The attacked copy of X is made only once the last
+    gradient and the t-row input are freed.
     """
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
@@ -234,39 +240,57 @@ def feature_flip_attack(
     if np.unique(targets).size != targets.size:
         raise ValidationError("attack targets must not repeat a node id")
     targets = np.sort(targets)  # ascending, so row-major order over the t rows is X's
-    X = np.array(g.X)
-    if not np.isin(X, (0.0, 1.0)).all():
-        raise ValidationError("feature attack requires binary features")
-    if budget == 0:
-        return g
-    target_labels = g.labels[targets]
-
+    t, m = targets.size, g.X.shape[1]
     # +1 where a flip sets a bit, -1 where it clears one, 0 once flipped:
     # a flipped bit scores 0 and is never selected again. int8 holds these
     # exactly and multiplies a float64 gradient to the same bits as 1.0 - 2X
-    sign = X[targets].astype(np.int8)
+    sign = np.empty((t, m), dtype=np.int8)
+    csr = sp.issparse(victim.model.inputs)
+    inputs = [] if csr else np.empty((t, m))
+    for lo, hi in row_blocks(g.n, m):
+        block = g.X[lo:hi]
+        if not ((block == 0.0) | (block == 1.0)).all():
+            raise ValidationError("feature attack requires binary features")
+        a, b = np.searchsorted(targets, (lo, hi))
+        rows = block[targets[a:b] - lo]
+        sign[a:b] = rows
+        if csr:
+            inputs.append(sp.csr_matrix(rows))
+        else:
+            inputs[a:b] = rows
+    if budget == 0:
+        return g
     sign *= -2
     sign += 1
-    # CSR victims get the flips as a +-1 delta; canonical CSR addition keeps
-    # indices sorted and drops entries that cancel, matching csr_matrix(X)
-    inputs = sp.csr_matrix(X) if sp.issparse(victim.model.inputs) else X
+    if csr:
+        inputs = sp.vstack(inputs, format="csr")
+    local, target_labels = np.arange(t), g.labels[targets]
+    flipped = [np.empty(0, dtype=np.int64)]  # flat indices over the t rows
     remaining = budget
     while remaining > 0:
-        moved = replace(victim, model=replace(victim.model, inputs=inputs))
-        score = input_gradient(moved, targets, target_labels)
+        moved = replace(victim, model=replace(victim.model, n=t, inputs=inputs))
+        score = input_gradient(moved, local, target_labels)
         score *= sign
         top = _top_positive(score, min(_FLIP_BATCH, remaining))
         del score  # free this round's gradient before the next one is built
         if not top.size:
             break
-        picks, cols = np.divmod(top, X.shape[1])
-        rows = targets[picks]
+        picks, cols = np.divmod(top, m)
         delta = sign[picks, cols].astype(np.float64)
-        X[rows, cols] += delta
         sign[picks, cols] = 0
-        if inputs is not X:
-            inputs = inputs + sp.csr_matrix((delta, (rows, cols)), shape=X.shape)
+        # canonical CSR addition keeps indices sorted and drops entries
+        # that cancel, matching csr_matrix of the flipped rows
+        if csr:
+            inputs = inputs + sp.csr_matrix((delta, (picks, cols)), shape=(t, m))
+        else:
+            inputs[picks, cols] += delta
+        flipped.append(top)
         remaining -= top.size
+    del moved, inputs, sign  # freed before the one copy of X is made
+    picks, cols = np.divmod(np.concatenate(flipped), m)
+    X = np.array(g.X)
+    rows = targets[picks]
+    X[rows, cols] = 1.0 - X[rows, cols]
     X.flags.writeable = False  # lets with_features keep X without a copy
     return with_features(g, X)
 

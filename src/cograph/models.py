@@ -140,9 +140,20 @@ def build_submodel(spec: SubModelSpec, g: Graph) -> SubModel:
     elif spec.kind == KIND_SMLP:
         inputs, prop = smlp_features(adjacency(g), spec.k).coords, None
     else:  # knn-gcn: the feature graph replaces the original structure
-        A_k = knn_graph(g.X, spec.k)
-        inputs, prop = _maybe_sparse(g.X), normalize_adjacency_matrix(A_k)
+        inputs = _maybe_sparse(g.X)
+        prop = normalize_adjacency_matrix(knn_graph(inputs, spec.k))
     return SubModel(spec=spec, n=g.n, n_classes=g.C, inputs=inputs, prop=prop)
+
+
+def _every_row(inputs, rows) -> bool:
+    """Whether inputs[rows] would copy inputs unchanged: every row, in
+    order, from CSR or from a C-ordered array, the layout the copy has."""
+    n = inputs.shape[0]
+    return (
+        len(rows) == n
+        and (sp.issparse(inputs) or inputs.flags.c_contiguous)
+        and np.array_equal(rows, np.arange(n))
+    )
 
 
 class _Workspace:
@@ -152,13 +163,15 @@ class _Workspace:
     input_gradient build one per call). rows are the nodes whose logits a
     forward returns, in that order.
 
-    A row-wise model takes only those input rows forward. A propagated
-    model takes the whole graph through its hidden layers, but its output
-    layer propagates only the rows, with prop[rows], and the backward pass
-    starts from their gradient with prop[:, rows], which serves as the
-    transpose of prop[rows] because prop is symmetric. Both give the bits
-    of a whole-graph pass: every term they skip is a zero, and scipy's
-    running sums start at +0.0, so adding a zero never changes them.
+    A row-wise model takes only those input rows forward; when they are
+    every row in order, it takes the input itself rather than a copy. A
+    propagated model takes the whole graph through its hidden layers, but
+    its output layer propagates only the rows, with prop[rows], and the
+    backward pass starts from their gradient with prop[:, rows], which
+    serves as the transpose of prop[rows] because prop is symmetric. Both
+    give the bits of a whole-graph pass: every term they skip is a zero,
+    and scipy's running sums start at +0.0, so adding a zero never changes
+    them.
 
     In training, the input dropout writes into one reused output: an
     array, or for CSR inputs one CSR on the input's indices and indptr,
@@ -170,7 +183,7 @@ class _Workspace:
     def __init__(self, inputs, prop, hyper: TrainHyper, widths, rows, training=False):
         if sp.issparse(inputs):
             inputs = inputs.tocsr()
-        if prop is None:
+        if prop is None and not _every_row(inputs, rows):
             inputs = inputs[rows]
         self.inputs, self.prop, self.hyper, self.training = inputs, prop, hyper, training
         self.n_layers = len(widths) + 1

@@ -44,7 +44,7 @@ class Embedding:
         return self.coords.shape[1]
 
 
-def _row_blocks(n: int, width: int):
+def row_blocks(n: int, width: int):
     """Consecutive (start, stop) row ranges of about _ROW_BLOCK_BUDGET entries."""
     step = max(1, _ROW_BLOCK_BUDGET // max(1, width))
     return ((start, min(n, start + step)) for start in range(0, n, step))
@@ -93,7 +93,7 @@ def knn_graph(X: np.ndarray | sp.spmatrix, k: int) -> sp.csr_matrix:
     q[q == 0] = 1.0
     PT = P.T.tocsr()
     top = np.empty((n, k), dtype=np.int64)
-    for lo, hi in _row_blocks(n, n):
+    for lo, hi in row_blocks(n, n):
         # ascending key = descending cosine; the diagonal goes last
         key = (P[lo:hi] @ PT).toarray()
         key *= -np.abs(key)
@@ -105,12 +105,10 @@ def knn_graph(X: np.ndarray | sp.spmatrix, k: int) -> sp.csr_matrix:
         order = np.lexsort((cols, key[rows, cols], rows))
         counts = np.bincount(rows, minlength=hi - lo)
         top[lo:hi] = cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
-    src = np.repeat(np.arange(n), k)
-    dst = top.reshape(-1)
-
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    A = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    # each row's picks, sorted, are a canonical CSR row of the directed graph
+    top.sort(axis=1)
+    D = sp.csr_matrix((np.ones(n * k), top.reshape(-1), np.arange(0, n * k + 1, k)), shape=(n, n))
+    A = D + D.T
     A.data[:] = 1.0  # union, not sum
     return A
 

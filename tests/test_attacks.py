@@ -357,6 +357,7 @@ def test_feature_flip_feeds_csr_victims_canonical_inputs(monkeypatch):
     feature_flip_attack(g, victim, 100, targets=split.test)
     assert len(seen) == 4
     for inputs in seen:
+        assert inputs.shape == (split.test.size, g.X.shape[1])  # the target rows only
         rebuilt = sp.csr_matrix(inputs.toarray())
         assert np.array_equal(inputs.indptr, rebuilt.indptr)
         assert np.array_equal(inputs.indices, rebuilt.indices)
