@@ -28,6 +28,10 @@ from .views import row_blocks
 
 ATTACK_METHODS = ("none", "random", "dice", "grad-feat", "external")
 _FLIP_BATCH = 32
+# ~4 MB of float64 scores per block of target rows. Each block pays a fixed
+# cost beside its share of the gradient: on Cora-sized targets 1 MB blocks
+# were slower than 4 MB ones, as a round's 32 flips reach most blocks either way
+_SCORE_BLOCK_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -188,9 +192,49 @@ def _top_positive(score: np.ndarray, take: int) -> np.ndarray:
         t = np.partition(row_max[rows], rows.size - take)[rows.size - take]
         rows = rows[row_max[rows] >= t]
     block = score[rows]
-    r, c = np.nonzero((block > 0.0) & (block >= t))  # row-major order
-    order = np.argsort(-block[r, c], kind="stable")[:take]
-    return rows[r[order]] * score.shape[1] + c[order]
+    flat = np.flatnonzero(block >= t if t > 0.0 else block > 0.0)  # row-major order
+    order = flat[np.argsort(-block.reshape(-1)[flat], kind="stable")[:take]]
+    r, c = np.divmod(order, score.shape[1])
+    return rows[r] * score.shape[1] + c
+
+
+def _is_binary(X) -> bool:
+    """Whether every entry of X is 0 or 1; a dense X is read one row block
+    at a time."""
+    if sp.issparse(X):
+        return bool(((X.data == 0.0) | (X.data == 1.0)).all())
+    return all(((X[lo:hi] == 0.0) | (X[lo:hi] == 1.0)).all() for lo, hi in row_blocks(*X.shape))
+
+
+def _set_bits(rows) -> np.ndarray:
+    """Sorted row-major flat indices of the set bits of 0/1 rows, dense or
+    canonical CSR."""
+    if sp.issparse(rows):
+        return np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)) * rows.shape[1] + rows.indices
+    return np.flatnonzero(rows)
+
+
+def _csr_rows(ones: np.ndarray, b: int, m: int) -> sp.csr_matrix:
+    """The canonical CSR of b rows of m 0/1 features whose set bits are at
+    the sorted row-major flat indices ones, the inverse of _set_bits."""
+    rows, cols = np.divmod(ones, m)
+    indptr = np.searchsorted(rows, np.arange(b + 1)).astype(np.int32)
+    return sp.csr_matrix((np.ones(ones.size), cols.astype(np.int32), indptr), shape=(b, m))
+
+
+def _block_best(victim, inputs, labels, t: int, done: np.ndarray):
+    """The _FLIP_BATCH best positive scores of one block of target rows,
+    with their row-major flat indices in the block. inputs are the rows,
+    labels their classes and done the flat indices of their flipped bits;
+    the loss is divided by t, the count of all the target rows."""
+    b = inputs.shape[0]
+    part = replace(victim, model=replace(victim.model, n=b, inputs=inputs))
+    score = input_gradient(part, np.arange(b), labels, mean_over=t)
+    flat = score.reshape(-1)
+    flat[_set_bits(inputs)] *= -1.0  # clearing a set bit scores -grad
+    flat[done] = 0.0  # a flipped bit is never picked again
+    top = _top_positive(score, _FLIP_BATCH)
+    return flat[top], top
 
 
 def feature_flip_attack(
@@ -203,22 +247,30 @@ def feature_flip_attack(
 
     The victim must be an f-mlp over raw node features of g's shape, so
     its loss on the target nodes (distinct ids; default: every node) reads
-    only their t feature rows. Each round recomputes that loss's gradient
-    w.r.t. those rows and scores every target bit by grad * (1 - 2x), the
-    loss increase its flip promises to first order. It then flips the
+    only their t feature rows. Each round takes that loss's gradient w.r.t.
+    those rows and scores every target bit by grad * (1 - 2x), the loss
+    increase its flip promises to first order. It then flips the
     min(32, remaining budget) bits with the largest positive score, ties
     going to the smaller row-major index of X. No bit flips twice; the
     attack stops early once no score is positive. The procedure is
     deterministic, so it takes no seed.
 
-    The victim only ever sees the t target rows: a t-row copy of its input
-    (CSR or dense, as the victim's own), built from g.X one row block of
-    about 1 MB at a time, with each round's flips applied to it.
+    The gradient is taken in fixed blocks of target rows, about 4 MB of
+    float64 each (_SCORE_BLOCK_BUDGET), and every block's loss is divided by
+    the one count t, so scores compare across blocks. Each block keeps its
+    32 best positive scores, which hold every bit of the block a round can
+    pick, and a round picks the best of their union. The victim is
+    row-wise, so a flip changes only its own row's gradient: only the
+    blocks holding a flipped row are scored again. The victim sees one
+    block of rows at a time, in its own input format (CSR or dense), with
+    every flip so far applied.
 
-    Working memory beyond g: t x m int8 flip signs, the t-row input and one
-    round's t x m gradient, plus the victim's own input_gradient
-    temporaries. The attacked copy of X is made only once the last
-    gradient and the t-row input are freed.
+    The attacked X is CSR when the victim reads CSR (g.X with the flipped
+    bits toggled) and a dense copy of g.X otherwise. Working memory beyond
+    g: one block's gradient with the victim's input_gradient temporaries;
+    for a CSR victim, g.X as CSR (when it is dense) and the target rows'
+    set bits as flat indices; for a dense victim, its dense t-row input,
+    freed before the dense copy of X is made.
     """
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
@@ -241,57 +293,68 @@ def feature_flip_attack(
         raise ValidationError("attack targets must not repeat a node id")
     targets = np.sort(targets)  # ascending, so row-major order over the t rows is X's
     t, m = targets.size, g.X.shape[1]
-    # +1 where a flip sets a bit, -1 where it clears one, 0 once flipped:
-    # a flipped bit scores 0 and is never selected again. int8 holds these
-    # exactly and multiplies a float64 gradient to the same bits as 1.0 - 2X
-    sign = np.empty((t, m), dtype=np.int8)
     csr = sp.issparse(victim.model.inputs)
-    inputs = [] if csr else np.empty((t, m))
-    for lo, hi in row_blocks(g.n, m):
-        block = g.X[lo:hi]
-        if not ((block == 0.0) | (block == 1.0)).all():
-            raise ValidationError("feature attack requires binary features")
-        a, b = np.searchsorted(targets, (lo, hi))
-        rows = block[targets[a:b] - lo]
-        sign[a:b] = rows
-        if csr:
-            inputs.append(sp.csr_matrix(rows))
-        else:
-            inputs[a:b] = rows
+    P = sp.csr_matrix(g.X) if csr and not sp.issparse(g.X) else g.X  # CSR for a CSR victim
+    if not _is_binary(P):
+        raise ValidationError("feature attack requires binary features")
     if budget == 0:
         return g
-    sign *= -2
-    sign += 1
+    layout = list(row_blocks(t, m, _SCORE_BLOCK_BUDGET))
+    starts = np.array([lo for lo, _ in layout])
+    # the victim's input: for a CSR victim, each block's set bits as sorted
+    # flat indices over its rows; for a dense one, the dense target rows.
+    # The flips update either in place
     if csr:
-        inputs = sp.vstack(inputs, format="csr")
-    local, target_labels = np.arange(t), g.labels[targets]
-    flipped = [np.empty(0, dtype=np.int64)]  # flat indices over the t rows
+        ones = _set_bits(P[targets])
+        ones = np.split(ones, np.searchsorted(ones, starts[1:] * m))
+        ones = [keys - lo * m for keys, (lo, _) in zip(ones, layout)]
+        dense = None
+    else:
+        dense = g.X[targets].toarray() if sp.issparse(g.X) else g.X[targets]
+        ones = None
+    labels = g.labels[targets]
+    best = [None] * len(layout)  # per block: its best scores and their flat indices
+    dirty = range(len(layout))
+    flipped = np.empty(0, dtype=np.int64)  # sorted flat indices over the t rows
     remaining = budget
     while remaining > 0:
-        moved = replace(victim, model=replace(victim.model, n=t, inputs=inputs))
-        score = input_gradient(moved, local, target_labels)
-        score *= sign
-        top = _top_positive(score, min(_FLIP_BATCH, remaining))
-        del score  # free this round's gradient before the next one is built
+        for k in dirty:
+            lo, hi = layout[k]
+            a, b = np.searchsorted(flipped, (lo * m, hi * m))
+            scores, top = _block_best(
+                victim,
+                _csr_rows(ones[k], hi - lo, m) if csr else dense[lo:hi],
+                labels[lo:hi],
+                t,
+                flipped[a:b] - lo * m,
+            )
+            best[k] = (scores, top + lo * m)
+        scores = np.concatenate([s for s, _ in best])
+        index = np.concatenate([i for _, i in best])
+        top = index[np.lexsort((index, -scores))[: min(_FLIP_BATCH, remaining)]]
         if not top.size:
             break
-        picks, cols = np.divmod(top, m)
-        delta = sign[picks, cols].astype(np.float64)
-        sign[picks, cols] = 0
-        # canonical CSR addition keeps indices sorted and drops entries
-        # that cancel, matching csr_matrix of the flipped rows
+        owner = np.searchsorted(starts, top // m, side="right") - 1
+        dirty = np.unique(owner)
         if csr:
-            inputs = inputs + sp.csr_matrix((delta, (picks, cols)), shape=(t, m))
+            for k in dirty:
+                ones[k] = np.setxor1d(ones[k], top[owner == k] - starts[k] * m, assume_unique=True)
         else:
-            inputs[picks, cols] += delta
-        flipped.append(top)
+            dense.flat[top] = 1.0 - dense.flat[top]
+        flipped = np.union1d(flipped, top)
         remaining -= top.size
-    del moved, inputs, sign  # freed before the one copy of X is made
-    picks, cols = np.divmod(np.concatenate(flipped), m)
-    X = np.array(g.X)
-    rows = targets[picks]
-    X[rows, cols] = 1.0 - X[rows, cols]
-    X.flags.writeable = False  # lets with_features keep X without a copy
+    del ones, dense, best  # freed before the attacked X is made
+    picks, cols = np.divmod(flipped, m)
+    keys = targets[picks] * m + cols  # the flipped bits as flat indices over X
+    if csr:
+        X = _csr_rows(np.setxor1d(_set_bits(P), keys, assume_unique=True), g.n, m)
+        arrays = (X.data, X.indices, X.indptr)
+    else:
+        X = g.X.toarray() if sp.issparse(g.X) else np.array(g.X)
+        X.flat[keys] = 1.0 - X.flat[keys]
+        arrays = (X,)
+    for a in arrays:
+        a.flags.writeable = False  # lets with_features keep X without a copy
     return with_features(g, X)
 
 
@@ -300,13 +363,23 @@ def load_perturbed_adjacency(g: Graph, path) -> Graph:
     return with_edges(g, parse_edge_list(path, g.n))
 
 
+def changed_features(A, B) -> np.ndarray:
+    """(row, column) of every entry where two feature matrices of one shape
+    differ, in row-major order, as a (k, 2) array; each matrix dense or
+    sparse. A sparse pair is compared as canonical CSR, never densified."""
+    if not (sp.issparse(A) or sp.issparse(B)):
+        return np.argwhere(A != B)
+    rows, cols = (sp.csr_matrix(A) != sp.csr_matrix(B)).nonzero()
+    order = np.lexsort((cols, rows))
+    return np.column_stack([rows[order], cols[order]]).astype(np.int64)
+
+
 def flip_log_hash(original: Graph, perturbed: Graph) -> str:
     """SHA-256 over the symmetric edge difference and changed feature bits."""
     h = hashlib.sha256()
     for i, j in sorted(original.edges ^ perturbed.edges):
         h.update(f"e{i},{j};".encode())
-    diff = np.argwhere(original.X != perturbed.X)
-    for i, j in diff:
+    for i, j in changed_features(original.X, perturbed.X):
         h.update(f"x{i},{j};".encode())
     return h.hexdigest()
 
@@ -321,6 +394,6 @@ def write_sidecar(path, setting: AttackSetting, seed: int, original: Graph, pert
         "flip_log_hash": flip_log_hash(original, perturbed),
         "edges_before": original.num_edges,
         "edges_after": perturbed.num_edges,
-        "feature_bits_changed": int((original.X != perturbed.X).sum()),
+        "feature_bits_changed": len(changed_features(original.X, perturbed.X)),
     }
     write_json(record, path)

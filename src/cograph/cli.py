@@ -14,7 +14,7 @@ import traceback
 from dataclasses import fields
 from pathlib import Path
 
-from .attacks import ATTACK_METHODS, AttackSetting, write_sidecar
+from .attacks import ATTACK_METHODS, AttackSetting, changed_features, write_sidecar
 from .calibration import (
     RELIABILITY_COLUMNS,
     calibrate,
@@ -201,7 +201,7 @@ def cmd_attack(args) -> int:
             "feature_ratio": args.feature_ratio,
             "edges_before": g.num_edges,
             "edges_after": perturbed.num_edges,
-            "feature_bits_changed": int((g.X != perturbed.X).sum()),
+            "feature_bits_changed": len(changed_features(g.X, perturbed.X)),
             "out": str(out),
         }
     )

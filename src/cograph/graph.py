@@ -1,8 +1,8 @@
 """Graph data model: adjacency math, synthetic generation, node splitting.
 
-Graphs are undirected, unweighted, with dense real node features and
-optional integer class labels. Instances are immutable after construction
-and safe to share across threads.
+Graphs are undirected, unweighted, with real node features (a dense array
+or a CSR matrix) and optional integer class labels. Instances are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -25,18 +25,38 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen_csr(X) -> sp.csr_matrix:
+    """X as canonical float64 CSR (sorted indices, no duplicates, no stored
+    zeros) over read-only arrays; kept as is if it already is one."""
+    if (
+        isinstance(X, sp.csr_matrix)
+        and X.dtype == np.float64
+        and not X.data.flags.writeable
+        and X.has_canonical_format
+        and np.count_nonzero(X.data) == X.nnz
+    ):
+        return X
+    X = sp.csr_matrix(X, dtype=np.float64, copy=True)  # never flip flags on a caller's arrays
+    X.sum_duplicates()
+    X.eliminate_zeros()
+    for a in (X.data, X.indices, X.indptr):
+        a.flags.writeable = False
+    return X
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph with node features and optional labels.
 
     edges holds pairs (i, j) with i < j; the implied adjacency is symmetric
-    with zero diagonal. X has one row of finite values per node. labels,
-    when present, are class ids in [0, C).
+    with zero diagonal. X has one row of finite values per node, as a dense
+    array or, from make_graph, a canonical CSR matrix. labels, when
+    present, are class ids in [0, C).
     """
 
     n: int
     edges: frozenset[Edge]
-    X: np.ndarray
+    X: np.ndarray | sp.csr_matrix
     labels: np.ndarray | None = None
     C: int | None = None
 
@@ -47,7 +67,7 @@ class Graph:
             raise ValidationError(
                 f"feature matrix must be ({self.n}, m>=1), got {self.X.shape}"
             )
-        if not np.isfinite(self.X).all():
+        if not np.isfinite(self.X.data if sp.issparse(self.X) else self.X).all():
             raise ValidationError("feature matrix holds NaN or infinite values")
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
@@ -79,7 +99,8 @@ def make_graph(n, edges, X, labels=None, C=None) -> Graph:
 
     Input pairs are symmetrized by union (both (i,j) and (j,i) collapse to
     one undirected edge), duplicates are dropped, and self-loops are
-    silently discarded.
+    silently discarded. A sparse X is stored as canonical float64 CSR with
+    read-only arrays, any other X as a read-only float64 array.
     """
     norm: set[Edge] = set()
     for i, j in edges:
@@ -87,7 +108,7 @@ def make_graph(n, edges, X, labels=None, C=None) -> Graph:
         if i == j:
             continue
         norm.add((i, j) if i < j else (j, i))
-    X = _freeze(np.asarray(X, dtype=np.float64))
+    X = _frozen_csr(X) if sp.issparse(X) else _freeze(np.asarray(X, dtype=np.float64))
     if labels is not None:
         labels = _freeze(np.asarray(labels, dtype=np.int64))
         if C is None:

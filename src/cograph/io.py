@@ -2,8 +2,8 @@
 
 Edge lists are UTF-8 text with one "src<TAB>dst" pair per line ('#' starts
 a comment). Features are a dense CSV (row i = node i) or Matrix Market
-coordinate format for sparse binary features. Labels are a "node_id,label"
-CSV with an optional header line.
+coordinate format for sparse binary features, which loads as CSR. Labels
+are a "node_id,label" CSV with an optional header line.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.io
+import scipy.sparse as sp
 
 from .errors import GraphParseError, ValidationError
 from .graph import Graph, edge_array, make_graph
@@ -39,10 +40,13 @@ def parse_edge_list(path, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def load_features(path) -> np.ndarray:
+def load_features(path) -> np.ndarray | sp.csr_matrix:
+    """A feature file's matrix: Matrix Market coordinates as CSR (array
+    format as a dense array), a CSV as a dense array."""
     path = Path(path)
     if path.suffix == ".mtx":
-        return np.asarray(scipy.io.mmread(path).todense(), dtype=np.float64)
+        X = scipy.io.mmread(path)
+        return sp.csr_matrix(X, dtype=np.float64) if sp.issparse(X) else np.asarray(X, dtype=np.float64)
     try:
         X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
@@ -111,8 +115,9 @@ def save_edge_list(g: Graph, path) -> None:
             fh.write(f"{i}\t{j}\n")
 
 
-def save_features_csv(X: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(X), delimiter=",", fmt="%.17g")
+def save_features_csv(X, path) -> None:
+    """Dense CSV of X, one row per line; a CSR X writes its dense form."""
+    np.savetxt(path, X.toarray() if sp.issparse(X) else np.asarray(X), delimiter=",", fmt="%.17g")
 
 
 def save_labels_csv(labels: np.ndarray, path) -> None:

@@ -14,6 +14,7 @@ its caller reads, and a fit reuses one workspace for all its epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,11 +123,14 @@ class TrainedSubModel:
         return replace(self, temperature=float(T))
 
 
-def _maybe_sparse(X: np.ndarray):
-    density = np.count_nonzero(X) / X.size
-    if density < _SPARSE_DENSITY and X.shape[1] >= 64:
-        return sp.csr_matrix(X)
-    return X
+def _maybe_sparse(X):
+    """Raw features as the models read them: CSR when sparse enough, else
+    dense. A graph's CSR X (canonical, see make_graph) is kept or
+    densified by the same rule, so either form of X gives the same bits."""
+    nonzero = X.nnz if sp.issparse(X) else np.count_nonzero(X)
+    if nonzero / (X.shape[0] * X.shape[1]) < _SPARSE_DENSITY and X.shape[1] >= 64:
+        return X if sp.issparse(X) else sp.csr_matrix(X)
+    return X.toarray() if sp.issparse(X) else X
 
 
 def build_submodel(spec: SubModelSpec, g: Graph) -> SubModel:
@@ -188,10 +192,9 @@ class _Workspace:
         self.inputs, self.prop, self.hyper, self.training = inputs, prop, hyper, training
         self.n_layers = len(widths) + 1
         self.out_prop = None if prop is None else prop[rows]
-        self._rows, self._back_prop = rows, None
+        self._rows = rows
         dropout = training and hyper.dropout > 0.0
         # the first layer's input (the dropout output, when there is one)
-        # and its transpose for the weight gradient
         self.first = inputs
         if dropout and sp.issparse(inputs):
             self.first = type(inputs)(
@@ -199,7 +202,6 @@ class _Workspace:
             )
         elif dropout:
             self.first = np.empty(inputs.shape)
-        self.first_T = self.first.T
         # under dropout, hidden layer l draws a mask of widths[l - 1] columns
         self.masks = [None] + [np.empty((inputs.shape[0], w)) if dropout else None for w in widths]
 
@@ -207,12 +209,16 @@ class _Workspace:
     def of(cls, model: SubModel, rows, training=False) -> "_Workspace":
         return cls(model.inputs, model.prop, model.spec.hyper, model.spec.hidden_dims, rows, training)
 
-    @property
+    @cached_property
+    def first_T(self):
+        """The first layer's input transposed, for its weight gradient;
+        built on the first backward pass that needs it."""
+        return self.first.T
+
+    @cached_property
     def back_prop(self):
         """prop[:, rows], built on the first backward pass."""
-        if self._back_prop is None:
-            self._back_prop = self.prop[:, self._rows]
-        return self._back_prop
+        return self.prop[:, self._rows]
 
     def forward(self, params: dict, rng=None):
         """The rows' logits and per-layer caches (input, pre-activation,
@@ -319,14 +325,18 @@ def predict_logits(trained: TrainedSubModel, nodes) -> np.ndarray:
     return logits
 
 
-def input_gradient(trained: TrainedSubModel, nodes, labels) -> np.ndarray:
+def input_gradient(
+    trained: TrainedSubModel, nodes, labels, mean_over: int | None = None
+) -> np.ndarray:
     """Gradient of the mean cross-entropy over nodes w.r.t. their input rows,
     row i for nodes[i]; other rows' gradients are zero for the row-wise
     models (prop is None) it serves.
 
     Used by gradient-guided feature attacks; evaluation mode, so the result
     is the exact input gradient of the deterministic forward. nodes must be
-    distinct: a repeated node would count twice in the loss.
+    distinct: a repeated node would count twice in the loss. mean_over
+    (default: len(nodes)) is the count the loss divides by, so that the
+    rows of a loss over more nodes can be taken a block at a time.
     """
     model = trained.model
     if model.prop is not None:
@@ -340,6 +350,6 @@ def input_gradient(trained: TrainedSubModel, nodes, labels) -> np.ndarray:
     check_targets(labels, model.n_classes)
     ws = _Workspace.of(model, nodes)
     logits, caches = ws.forward(trained.params)
-    _, grad_rows = softmax_xent(logits, labels)
+    _, grad_rows = softmax_xent(logits, labels, mean_over)
     _, d_in = ws.backward(grad_rows, caches, trained.params, want_input_grad=True)
     return d_in

@@ -109,12 +109,16 @@ def check_targets(targets: np.ndarray, n_classes: int) -> None:
         raise ValidationError("target class out of range")
 
 
-def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+def softmax_xent(
+    logits: np.ndarray, targets: np.ndarray, mean_over: int | None = None
+) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood over the rows of logits, with its logit gradient.
 
     Every row is a loss row and targets holds each row's class id; a
     caller with other rows gathers the loss rows first. The caller checks
-    the class range (check_targets).
+    the class range (check_targets). mean_over, the count the sum of the
+    row losses is divided by, defaults to the row count; a caller taking a
+    larger loss one block of rows at a time passes that loss's row count.
     """
     # one shift, exp and row sum serve both the loss (log_softmax's
     # expression) and the gradient (softmax's expression). The row max is
@@ -124,10 +128,11 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nda
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     rows = np.arange(logits.shape[0])
-    loss = float(-(shifted[rows, targets] - np.log(total[:, 0])).mean())
+    count = mean_over or logits.shape[0]
+    loss = float(-(shifted[rows, targets] - np.log(total[:, 0])).sum() / count)
     grad = e / total
     grad[rows, targets] -= 1.0
-    grad /= logits.shape[0]
+    grad /= count
     return loss, grad
 
 

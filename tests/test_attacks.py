@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,10 @@ from cograph import (
     split_nodes,
     train_submodel,
 )
+from cograph import attacks
 from cograph.attacks import (
     AttackSetting,
+    changed_features,
     dice_perturb,
     feature_flip_attack,
     flip_log_hash,
@@ -22,7 +25,7 @@ from cograph.attacks import (
     write_sidecar,
 )
 from cograph.experiment import apply_attack
-from cograph.graph import make_graph
+from cograph.graph import make_graph, with_features
 from cograph.io import save_edge_list
 from cograph.models import input_gradient
 from cograph.nn import TrainHyper
@@ -267,26 +270,37 @@ def test_feature_attack_never_touches_smlp_logits(attack_graph, attack_split, fm
     assert np.array_equal(predict_logits(smodel, nodes), predict_logits(moved, nodes))
 
 
-def _reference_flip_attack(g, victim, budget, targets):
-    """The selection rule written out over all of X: every round, sort all
-    positive scores by (-score, flat index) and flip the first
-    min(32, remaining). Rows outside the targets get a zero gradient."""
-    X = np.array(g.X)
+def _reference_flip_attack(g, victim, budget, targets, block_rows=None, batch=32):
+    """The selection rule written out over all of X: every round, take the
+    targets' gradient afresh, in blocks of block_rows target rows (default:
+    all at once) with every block's loss divided by the target count, sort
+    all positive scores by (-score, flat index) and flip the first
+    min(batch, remaining). Rows outside the targets get a zero gradient."""
+    X = np.array(g.X.toarray() if sp.issparse(g.X) else g.X)
+    targets = np.sort(targets)
     flipped = np.zeros(X.size, dtype=bool)
     sparse = sp.issparse(victim.model.inputs)
+    step = block_rows or targets.size
     while budget > 0:
-        inputs = sp.csr_matrix(X) if sparse else X.copy()
         grad = np.zeros(X.shape)
-        grad[targets] = input_gradient(with_inputs(victim, inputs), targets, g.labels[targets])
+        for lo in range(0, targets.size, step):
+            rows = targets[lo : lo + step]
+            inputs = sp.csr_matrix(X[rows]) if sparse else X[rows]
+            part = with_inputs(victim, inputs)
+            grad[rows] = input_gradient(part, np.arange(rows.size), g.labels[rows], mean_over=targets.size)
         score = (grad * (1.0 - 2.0 * X)).ravel()
         idx = np.flatnonzero((score > 0.0) & ~flipped)
-        picked = idx[np.lexsort((idx, -score[idx]))][: min(32, budget)]
+        picked = idx[np.lexsort((idx, -score[idx]))][: min(batch, budget)]
         if not picked.size:
             break
         X.flat[picked] = 1.0 - X.flat[picked]
         flipped[picked] = True
         budget -= picked.size
     return X
+
+
+def _dense(X):
+    return X.toarray() if sp.issparse(X) else X
 
 
 def _sparse_words_graph():
@@ -326,9 +340,54 @@ def test_feature_flip_matches_exact_selection_oracle(attack_graph, fixture, budg
     victim = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=0)
     assert sp.issparse(victim.model.inputs) == sparse
     attacked = feature_flip_attack(g, victim, budget, targets=split.test)
+    assert sp.issparse(attacked.X) == sparse  # the victim's input format
     expected = _reference_flip_attack(g, victim, budget, split.test)
-    assert np.array_equal(attacked.X, expected)
-    assert 0 < int((attacked.X != g.X).sum()) <= budget
+    assert np.array_equal(_dense(attacked.X), expected)
+    assert 0 < len(changed_features(attacked.X, g.X)) <= budget
+
+
+def _tiled_rows_graph(width, density, copies=5, rows=10):
+    """One block of `rows` feature rows and labels, stacked `copies` times:
+    scored in blocks of `rows` rows, every bit's score ties with the same
+    bit's in every other copy."""
+    rng = np.random.default_rng(4)
+    X = np.tile((rng.random((rows, width)) < density).astype(float), (copies, 1))
+    labels = np.tile(rng.integers(0, 3, rows), copies)
+    n = rows * copies
+    return make_graph(n, [(i, i + 1) for i in range(n - 1)], X, labels, 3)
+
+
+@pytest.mark.parametrize("width, density, sparse", [(12, 0.3, False), (80, 0.1, True)], ids=["dense", "csr"])
+def test_feature_flip_blocks_match_rescoring_every_block(monkeypatch, width, density, sparse):
+    """Scored in five identical 10-row blocks, four flips a round: tied
+    scores in different blocks go to the smaller index, a round rescores
+    only the blocks it flipped a bit in, and the flips are those of
+    rescoring every block every round."""
+    g = _tiled_rows_graph(width, density)
+    victim = train_submodel(
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), labeled_map(g, np.arange(0, 50, 3)), seed=0
+    )
+    assert sp.issparse(victim.model.inputs) == sparse
+    monkeypatch.setattr(attacks, "_SCORE_BLOCK_BUDGET", 10 * width)
+    monkeypatch.setattr(attacks, "_FLIP_BATCH", 4)
+    calls = []
+
+    def counting(trained, nodes, labels, mean_over=None):
+        calls.append(len(nodes))
+        return input_gradient(trained, nodes, labels, mean_over)
+
+    monkeypatch.setattr("cograph.attacks.input_gradient", counting)
+    # round one: the best bit ties in all five blocks, and copies 0-3 win
+    first = changed_features(feature_flip_attack(g, victim, 4).X, g.X)
+    assert calls == [10] * 5
+    (row, col) = first[0]
+    assert first.tolist() == [[row + 10 * copy, col] for copy in range(4)]
+    calls.clear()
+    attacked = feature_flip_attack(g, victim, 41)  # 11 rounds
+    assert 5 + 10 <= len(calls) < 5 * 11  # clean blocks keep their scores
+    expected = _reference_flip_attack(g, victim, 41, np.arange(g.n), block_rows=10, batch=4)
+    assert np.array_equal(_dense(attacked.X), expected)
+    assert len(changed_features(attacked.X, g.X)) == 41
 
 
 def test_feature_flip_ignores_target_order(attack_graph, fmlp_victim, attack_split):
@@ -349,9 +408,9 @@ def test_feature_flip_feeds_csr_victims_canonical_inputs(monkeypatch):
     )
     seen = []
 
-    def recording(trained, nodes, labels):
+    def recording(trained, nodes, labels, mean_over=None):
         seen.append(trained.model.inputs)
-        return input_gradient(trained, nodes, labels)
+        return input_gradient(trained, nodes, labels, mean_over)
 
     monkeypatch.setattr("cograph.attacks.input_gradient", recording)
     feature_flip_attack(g, victim, 100, targets=split.test)
@@ -434,12 +493,34 @@ def test_sidecar_written(tmp_path, attack_graph):
     perturbed = random_structure_perturb(attack_graph, 0.05, seed=2)
     setting = AttackSetting("sidecar", method="random", rate=0.05)
     write_sidecar(tmp_path / "sidecar.json", setting, 2, attack_graph, perturbed)
-    import json
-
     record = json.loads((tmp_path / "sidecar.json").read_text())
     assert record["method"] == "random"
     assert record["flip_log_hash"] == flip_log_hash(attack_graph, perturbed)
     assert record["edges_before"] == attack_graph.num_edges
+
+
+def test_dense_and_csr_features_log_the_same_flips(tmp_path):
+    """The changed bits of a dense and of a CSR attacked graph, against a
+    dense or a CSR original, give one hash and one count."""
+    g = _sparse_words_graph()
+    g_csr = make_graph(g.n, g.edges, sp.csr_matrix(g.X), g.labels, g.C)
+    split = split_nodes(g, 0.2, 0.1, seed=0)
+    victim = train_submodel(
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), labeled_map(g, split.labeled), seed=0
+    )
+    attacked = feature_flip_attack(g_csr, victim, 100, targets=split.test)
+    assert sp.issparse(attacked.X)
+    dense = with_features(attacked, attacked.X.toarray())
+    expected = np.argwhere(g.X != dense.X)
+    assert len(expected) == 100
+    setting = AttackSetting("flip", method="grad-feat", rate=0.1)
+    records = []
+    for i, (original, perturbed) in enumerate([(g, dense), (g, attacked), (g_csr, dense), (g_csr, attacked)]):
+        assert np.array_equal(changed_features(original.X, perturbed.X), expected)
+        write_sidecar(tmp_path / f"{i}.json", setting, 0, original, perturbed)
+        records.append((tmp_path / f"{i}.json").read_bytes())
+    assert len(set(records)) == 1
+    assert json.loads(records[0])["feature_bits_changed"] == 100
 
 
 def test_plan_validation():

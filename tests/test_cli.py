@@ -3,9 +3,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
-from cograph import SubModelSpec, build_submodel, load_graph_dir, split_nodes, train_submodel
+from cograph import SubModelSpec, build_submodel, load_graph_dir, save_dataset_dir, split_nodes, train_submodel
 from cograph.cli import build_parser, main
+from cograph.graph import make_graph
 from cograph.experiment import ExperimentConfig
 from cograph.models import ALL_KINDS, FEATURE_KINDS, STRUCTURE_KINDS, predict_logits
 from cograph.nn import TrainHyper
@@ -110,6 +113,78 @@ def test_attack_subcommand_writes_sidecar(capsys, tmp_path):
     assert len(sidecar["flip_log_hash"]) == 64
 
 
+def _words_dataset(tmp_path):
+    """A bag-of-words-like dataset (300 nodes, 120 features, about 5 % set),
+    whose feature models read CSR inputs."""
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 4, 300)
+    p = np.full((4, 120), 0.02)
+    for c in range(4):
+        p[c, 30 * c : 30 * (c + 1)] = 0.15
+    X = (rng.random((300, 120)) < p[labels]).astype(float)
+    data = tmp_path / "words"
+    save_dataset_dir(make_graph(300, rng.integers(0, 300, (600, 2)), X, labels, 4), data)
+    return data
+
+
+def _mtx_twin(data):
+    """The dataset directory again, with its features in Matrix Market
+    coordinates."""
+    twin = data.with_name(data.name + "-mtx")
+    twin.mkdir()
+    for name in ("edges.tsv", "labels.csv"):
+        (twin / name).write_bytes((data / name).read_bytes())
+    X = np.loadtxt(data / "features.csv", delimiter=",")
+    scipy.io.mmwrite(twin / "features.mtx", sp.csr_matrix(X))
+    return twin
+
+
+def _same_bits(a, b):
+    if sp.issparse(a) or sp.issparse(b):
+        return sp.issparse(a) and sp.issparse(b) and a.shape == b.shape and all(
+            x.tobytes() == y.tobytes() for x, y in [(a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)]
+        )
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("dataset", ["words", "synthetic"])
+def test_matrix_market_twin_trains_like_its_csv(capsys, tmp_path, dataset, kind):
+    """.mtx features load as CSR; the models read the inputs of the CSV
+    twin bit for bit: CSR for the sparse words, dense for the 24-wide
+    synthetic set, and train to the same metrics."""
+    data = _words_dataset(tmp_path) if dataset == "words" else gen_dataset(capsys, tmp_path)
+    twin = _mtx_twin(data)
+    assert sp.issparse(load_graph_dir(twin).X)
+    spec = SubModelSpec(kind=kind, k=8)
+    csv_inputs, mtx_inputs = (build_submodel(spec, load_graph_dir(d)).inputs for d in (data, twin))
+    assert sp.issparse(csv_inputs) == (dataset == "words" and kind != "s-mlp")
+    assert _same_bits(csv_inputs, mtx_inputs)
+    argv = ["train", "--model", kind, "--k", "8", "--epochs", "20"]
+    outs = [run_cli(capsys, "--seed", "2", *argv, "--data", str(d)) for d in (data, twin)]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("method, ratio", [("grad-feat", "0"), ("dice", "0.5")])
+def test_attack_on_matrix_market_twin_writes_the_same_files(capsys, tmp_path, method, ratio):
+    """CSR features, as loaded from .mtx and attacked for a CSR victim,
+    write the bytes and the sidecar their dense CSV twin does."""
+    data = _words_dataset(tmp_path)
+    twin = _mtx_twin(data)
+    counts = []
+    for d, out in ((data, tmp_path / "from-csv"), (twin, tmp_path / "from-mtx")):
+        rc, emitted = run_cli(
+            capsys, "--seed", "1", "--out", str(out), "attack", "--data", str(d),
+            "--method", method, "--rate", "0.2", "--feature-ratio", ratio,
+        )
+        assert rc == 0
+        counts.append(json.loads(emitted)["feature_bits_changed"])
+    assert counts[0] == counts[1] > 0
+    for name in ("edges.tsv", "features.csv", "labels.csv", "perturbation.json"):
+        assert (tmp_path / "from-csv" / name).read_bytes() == (tmp_path / "from-mtx" / name).read_bytes()
+
+
 def test_calibrate_subcommand(capsys, tmp_path):
     data = gen_dataset(capsys, tmp_path)
     rc, out = run_cli(
@@ -194,6 +269,16 @@ def test_non_finite_feature_file_exits_2(capsys, tmp_path):
     X[3, 2] = np.nan
     np.savetxt(data / "features.csv", X, delimiter=",")
     rc = main(["train", "--data", str(data), "--model", "f-mlp", "--epochs", "5"])
+    assert rc == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_non_finite_matrix_market_features_exit_2(capsys, tmp_path):
+    twin = _mtx_twin(gen_dataset(capsys, tmp_path))
+    X = scipy.io.mmread(twin / "features.mtx").tocsr()
+    X.data[5] = np.nan
+    scipy.io.mmwrite(twin / "features.mtx", X)
+    rc = main(["train", "--data", str(twin), "--model", "f-mlp", "--epochs", "5"])
     assert rc == 2
     assert "NaN or infinite" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cograph import ValidationError, class_quota, generate_synthetic, split_nodes
 from cograph.graph import adjacency, make_graph, normalized_adjacency, with_edges
@@ -32,6 +33,32 @@ def test_graph_rejects_non_finite_features(bad):
     X[1, 0] = bad
     with pytest.raises(ValidationError, match="NaN or infinite"):
         make_graph(3, [(0, 1)], X, [0, 1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_rejects_non_finite_csr_features(bad):
+    X = sp.csr_matrix((np.array([1.0, bad]), np.array([0, 1]), np.array([0, 1, 2, 2])), shape=(3, 2))
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        make_graph(3, [(0, 1)], X, [0, 1, 0])
+
+
+def test_make_graph_stores_csr_features_canonical_and_read_only():
+    # row 0 repeats column 2 out of order, row 1 stores a zero, and row 2's
+    # two entries cancel: sums, no stored zeros, sorted indices, float64
+    X = sp.csr_matrix(
+        (np.array([1, 2, 1, 0, 1, -1]), np.array([2, 0, 2, 1, 1, 1]), np.array([0, 3, 4, 6])), shape=(3, 3)
+    )
+    data_before = X.data.copy()
+    g = make_graph(3, [(0, 1)], X)
+    assert sp.isspmatrix_csr(g.X) and g.X.dtype == np.float64
+    assert g.X.indptr.tolist() == [0, 2, 2, 2]
+    assert g.X.indices.tolist() == [0, 2]
+    assert g.X.data.tolist() == [2.0, 2.0]
+    assert not any(a.flags.writeable for a in (g.X.data, g.X.indices, g.X.indptr))
+    with pytest.raises(ValueError):
+        g.X.data[0] = 5.0
+    assert X.data.flags.writeable and np.array_equal(X.data, data_before)  # the caller's
+    assert with_edges(g, [(1, 2)]).X is g.X  # already canonical and frozen: kept
 
 
 def test_graph_is_immutable():

@@ -4,6 +4,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from cograph import GraphParseError, ValidationError, load_graph
+from cograph.graph import make_graph
 from cograph.io import load_graph_dir, parse_edge_list, save_dataset_dir, save_edge_list
 from helpers import graphs_equal
 
@@ -69,7 +70,19 @@ def test_matrix_market_features(tmp_path):
     (tmp_path / "labels.csv").write_text("0,0\n1,1\n2,0\n")
     g = load_graph_dir(tmp_path)
     assert g.n == 3 and g.m == 2
-    assert np.array_equal(g.X, X.toarray())
+    assert sp.issparse(g.X)  # kept sparse, never densified
+    assert np.array_equal(g.X.toarray(), X.toarray())
+
+
+def test_csr_features_save_as_their_dense_form(tmp_path, easy_graph):
+    X = easy_graph.X.copy()
+    X[0, :3] = [0.1, -2.5, 1e-300]
+    dense = make_graph(easy_graph.n, easy_graph.edges, X, easy_graph.labels)
+    csr = make_graph(easy_graph.n, easy_graph.edges, sp.csr_matrix(X), easy_graph.labels)
+    save_dataset_dir(dense, tmp_path / "dense")
+    save_dataset_dir(csr, tmp_path / "csr")
+    for name in ("edges.tsv", "features.csv", "labels.csv"):
+        assert (tmp_path / "dense" / name).read_bytes() == (tmp_path / "csr" / name).read_bytes()
 
 
 def test_symmetrization_idempotent_roundtrip(tmp_path, easy_graph):
