@@ -28,10 +28,6 @@ from .views import row_blocks
 
 ATTACK_METHODS = ("none", "random", "dice", "grad-feat", "external")
 _FLIP_BATCH = 32
-# ~4 MB of float64 scores per block of target rows. Each block pays a fixed
-# cost beside its share of the gradient: on Cora-sized targets 1 MB blocks
-# were slower than 4 MB ones, as a round's 32 flips reach most blocks either way
-_SCORE_BLOCK_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -207,11 +203,13 @@ def _is_binary(X) -> bool:
 
 
 def _set_bits(rows) -> np.ndarray:
-    """Sorted row-major flat indices of the set bits of 0/1 rows, dense or
-    canonical CSR."""
+    """Sorted row-major flat indices of the set bits of 0/1 rows, canonical
+    CSR or dense; dense rows are read one row block at a time."""
+    n, m = rows.shape
     if sp.issparse(rows):
-        return np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)) * rows.shape[1] + rows.indices
-    return np.flatnonzero(rows)
+        return np.repeat(np.arange(n), np.diff(rows.indptr)) * m + rows.indices
+    # a bool mask's nonzero is several times faster than a float array's
+    return np.concatenate([np.flatnonzero(rows[lo:hi] != 0.0) + lo * m for lo, hi in row_blocks(n, m)])
 
 
 def _csr_rows(ones: np.ndarray, b: int, m: int) -> sp.csr_matrix:
@@ -222,16 +220,17 @@ def _csr_rows(ones: np.ndarray, b: int, m: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(ones.size), cols.astype(np.int32), indptr), shape=(b, m))
 
 
-def _block_best(victim, inputs, labels, t: int, done: np.ndarray):
+def _block_best(victim, inputs, ones, labels, t: int, done: np.ndarray):
     """The _FLIP_BATCH best positive scores of one block of target rows,
     with their row-major flat indices in the block. inputs are the rows,
-    labels their classes and done the flat indices of their flipped bits;
-    the loss is divided by t, the count of all the target rows."""
+    ones and done the flat indices of their set and their flipped bits,
+    labels their classes; the loss is divided by t, the count of all the
+    target rows."""
     b = inputs.shape[0]
     part = replace(victim, model=replace(victim.model, n=b, inputs=inputs))
     score = input_gradient(part, np.arange(b), labels, mean_over=t)
     flat = score.reshape(-1)
-    flat[_set_bits(inputs)] *= -1.0  # clearing a set bit scores -grad
+    flat[ones] *= -1.0  # clearing a set bit scores -grad
     flat[done] = 0.0  # a flipped bit is never picked again
     top = _top_positive(score, _FLIP_BATCH)
     return flat[top], top
@@ -255,8 +254,8 @@ def feature_flip_attack(
     attack stops early once no score is positive. The procedure is
     deterministic, so it takes no seed.
 
-    The gradient is taken in fixed blocks of target rows, about 4 MB of
-    float64 each (_SCORE_BLOCK_BUDGET), and every block's loss is divided by
+    The gradient is taken in fixed blocks of target rows, about 1 MB of
+    float64 each (views.row_blocks), and every block's loss is divided by
     the one count t, so scores compare across blocks. Each block keeps its
     32 best positive scores, which hold every bit of the block a round can
     pick, and a round picks the best of their union. The victim is
@@ -268,9 +267,9 @@ def feature_flip_attack(
     The attacked X is CSR when the victim reads CSR (g.X with the flipped
     bits toggled) and a dense copy of g.X otherwise. Working memory beyond
     g: one block's gradient with the victim's input_gradient temporaries;
-    for a CSR victim, g.X as CSR (when it is dense) and the target rows'
-    set bits as flat indices; for a dense victim, its dense t-row input,
-    freed before the dense copy of X is made.
+    for a CSR victim, the set bits of X and of the target rows as flat
+    indices, never X as a whole CSR beside the result; for a dense victim,
+    its dense t-row input, freed before the dense copy of X is made.
     """
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
@@ -294,18 +293,23 @@ def feature_flip_attack(
     targets = np.sort(targets)  # ascending, so row-major order over the t rows is X's
     t, m = targets.size, g.X.shape[1]
     csr = sp.issparse(victim.model.inputs)
-    P = sp.csr_matrix(g.X) if csr and not sp.issparse(g.X) else g.X  # CSR for a CSR victim
-    if not _is_binary(P):
+    if not _is_binary(g.X):
         raise ValidationError("feature attack requires binary features")
     if budget == 0:
         return g
-    layout = list(row_blocks(t, m, _SCORE_BLOCK_BUDGET))
+    layout = list(row_blocks(t, m))
     starts = np.array([lo for lo, _ in layout])
     # the victim's input: for a CSR victim, each block's set bits as sorted
     # flat indices over its rows; for a dense one, the dense target rows.
     # The flips update either in place
     if csr:
-        ones = _set_bits(P[targets])
+        x_bits = _set_bits(g.X)  # X's set bits as flat indices over X
+        rows, cols = np.divmod(x_bits, m)
+        is_target = np.zeros(g.n, dtype=bool)
+        is_target[targets] = True
+        keep = is_target[rows]
+        ones = np.searchsorted(targets, rows[keep]) * m + cols[keep]
+        del rows, cols, keep
         ones = np.split(ones, np.searchsorted(ones, starts[1:] * m))
         ones = [keys - lo * m for keys, (lo, _) in zip(ones, layout)]
         dense = None
@@ -321,9 +325,11 @@ def feature_flip_attack(
         for k in dirty:
             lo, hi = layout[k]
             a, b = np.searchsorted(flipped, (lo * m, hi * m))
+            bits = ones[k] if csr else _set_bits(dense[lo:hi])
             scores, top = _block_best(
                 victim,
-                _csr_rows(ones[k], hi - lo, m) if csr else dense[lo:hi],
+                _csr_rows(bits, hi - lo, m) if csr else dense[lo:hi],
+                bits,
                 labels[lo:hi],
                 t,
                 flipped[a:b] - lo * m,
@@ -347,7 +353,7 @@ def feature_flip_attack(
     picks, cols = np.divmod(flipped, m)
     keys = targets[picks] * m + cols  # the flipped bits as flat indices over X
     if csr:
-        X = _csr_rows(np.setxor1d(_set_bits(P), keys, assume_unique=True), g.n, m)
+        X = _csr_rows(np.setxor1d(x_bits, keys, assume_unique=True), g.n, m)
         arrays = (X.data, X.indices, X.indptr)
     else:
         X = g.X.toarray() if sp.issparse(g.X) else np.array(g.X)

@@ -31,7 +31,7 @@ def _frozen_csr(X) -> sp.csr_matrix:
     if (
         isinstance(X, sp.csr_matrix)
         and X.dtype == np.float64
-        and not X.data.flags.writeable
+        and not any(a.flags.writeable for a in (X.data, X.indices, X.indptr))
         and X.has_canonical_format
         and np.count_nonzero(X.data) == X.nnz
     ):

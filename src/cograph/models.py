@@ -14,7 +14,6 @@ its caller reads, and a fit reuses one workspace for all its epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,7 +191,7 @@ class _Workspace:
         self.inputs, self.prop, self.hyper, self.training = inputs, prop, hyper, training
         self.n_layers = len(widths) + 1
         self.out_prop = None if prop is None else prop[rows]
-        self._rows = rows
+        self._rows, self._back_prop, self._first_T = rows, None, None
         dropout = training and hyper.dropout > 0.0
         # the first layer's input (the dropout output, when there is one)
         self.first = inputs
@@ -209,16 +208,21 @@ class _Workspace:
     def of(cls, model: SubModel, rows, training=False) -> "_Workspace":
         return cls(model.inputs, model.prop, model.spec.hyper, model.spec.hidden_dims, rows, training)
 
-    @cached_property
+    @property
     def first_T(self):
         """The first layer's input transposed, for its weight gradient;
-        built on the first backward pass that needs it."""
-        return self.first.T
+        built on the first backward pass that takes one, so an evaluation
+        workspace never makes the CSC view of CSR inputs."""
+        if self._first_T is None:
+            self._first_T = self.first.T
+        return self._first_T
 
-    @cached_property
+    @property
     def back_prop(self):
         """prop[:, rows], built on the first backward pass."""
-        return self.prop[:, self._rows]
+        if self._back_prop is None:
+            self._back_prop = self.prop[:, self._rows]
+        return self._back_prop
 
     def forward(self, params: dict, rng=None):
         """The rows' logits and per-layer caches (input, pre-activation,

@@ -44,10 +44,9 @@ class Embedding:
         return self.coords.shape[1]
 
 
-def row_blocks(n: int, width: int, budget: int | None = None):
-    """Consecutive (start, stop) row ranges of about budget entries
-    (default _ROW_BLOCK_BUDGET)."""
-    step = max(1, (budget or _ROW_BLOCK_BUDGET) // max(1, width))
+def row_blocks(n: int, width: int):
+    """Consecutive (start, stop) row ranges of about _ROW_BLOCK_BUDGET entries."""
+    step = max(1, _ROW_BLOCK_BUDGET // max(1, width))
     return ((start, min(n, start + step)) for start in range(0, n, step))
 
 

@@ -13,7 +13,7 @@ from cograph import (
     split_nodes,
     train_submodel,
 )
-from cograph import attacks
+from cograph import attacks, views
 from cograph.attacks import (
     AttackSetting,
     changed_features,
@@ -362,13 +362,15 @@ def test_feature_flip_blocks_match_rescoring_every_block(monkeypatch, width, den
     """Scored in five identical 10-row blocks, four flips a round: tied
     scores in different blocks go to the smaller index, a round rescores
     only the blocks it flipped a bit in, and the flips are those of
-    rescoring every block every round."""
+    rescoring every block every round. Blocks of 15, 15, 15 and 5 rows
+    flip those bits too, which holds only if every block's loss is
+    divided by the one target count."""
     g = _tiled_rows_graph(width, density)
     victim = train_submodel(
         build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), labeled_map(g, np.arange(0, 50, 3)), seed=0
     )
     assert sp.issparse(victim.model.inputs) == sparse
-    monkeypatch.setattr(attacks, "_SCORE_BLOCK_BUDGET", 10 * width)
+    monkeypatch.setattr(views, "_ROW_BLOCK_BUDGET", 10 * width)
     monkeypatch.setattr(attacks, "_FLIP_BATCH", 4)
     calls = []
 
@@ -388,6 +390,9 @@ def test_feature_flip_blocks_match_rescoring_every_block(monkeypatch, width, den
     expected = _reference_flip_attack(g, victim, 41, np.arange(g.n), block_rows=10, batch=4)
     assert np.array_equal(_dense(attacked.X), expected)
     assert len(changed_features(attacked.X, g.X)) == 41
+    monkeypatch.setattr(views, "_ROW_BLOCK_BUDGET", 15 * width)
+    uneven = feature_flip_attack(g, victim, 41)
+    assert np.array_equal(_dense(uneven.X), _reference_flip_attack(g, victim, 41, np.arange(g.n), 15, 4))
 
 
 def test_feature_flip_ignores_target_order(attack_graph, fmlp_victim, attack_split):

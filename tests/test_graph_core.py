@@ -59,6 +59,14 @@ def test_make_graph_stores_csr_features_canonical_and_read_only():
         g.X.data[0] = 5.0
     assert X.data.flags.writeable and np.array_equal(X.data, data_before)  # the caller's
     assert with_edges(g, [(1, 2)]).X is g.X  # already canonical and frozen: kept
+    # read-only values over writable index arrays: still copied and frozen
+    shared = sp.csr_matrix((np.array([1.0, 2.0]), np.array([0, 2]), np.array([0, 1, 1, 2])), shape=(3, 3))
+    shared.data.flags.writeable = False
+    stored = make_graph(3, [], shared).X
+    assert stored is not shared and not np.shares_memory(stored.indices, shared.indices)
+    assert not any(a.flags.writeable for a in (stored.data, stored.indices, stored.indptr))
+    shared.indices[0] = 1  # the caller's arrays stay theirs
+    assert stored.indices.tolist() == [0, 2]
 
 
 def test_graph_is_immutable():

@@ -344,6 +344,27 @@ def test_input_gradient_rejects_repeated_nodes(easy_graph, easy_split, kind):
     assert grad.shape == (2, trained.model.input_dim)
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_input_gradient_of_a_row_block_matches_the_whole_loss(easy_graph, easy_split, sparse):
+    """With mean_over set to the whole node count, a block of the nodes
+    gets the rows of the whole loss's gradient, whatever its own size."""
+    trained = train_submodel(
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5)), easy_graph),
+        labeled_map(easy_graph, easy_split.labeled),
+        seed=0,
+    )
+    if sparse:
+        trained = with_inputs(trained, sp.csr_matrix(trained.model.inputs))
+    nodes = easy_split.test
+    labels = easy_graph.labels[nodes]
+    whole = input_gradient(trained, nodes, labels)
+    for lo, hi in ((0, 7), (7, nodes.size)):  # blocks of unequal size
+        part = input_gradient(trained, nodes[lo:hi], labels[lo:hi], mean_over=nodes.size)
+        assert np.allclose(part, whole[lo:hi], rtol=1e-10, atol=1e-15)
+        own = input_gradient(trained, nodes[lo:hi], labels[lo:hi])  # divided by the block's size
+        assert np.allclose(own * (hi - lo) / nodes.size, whole[lo:hi], rtol=1e-10, atol=1e-15)
+
+
 @pytest.mark.parametrize("kind", ["gcn", "knn-gcn"])
 def test_input_gradient_refuses_propagated_model(easy_graph, easy_split, kind):
     """A propagated model's loss reads other nodes' inputs, so its input

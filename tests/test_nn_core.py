@@ -79,6 +79,19 @@ def test_xent_saturated_correct_logit():
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
+def test_xent_mean_over_rescales_loss_and_gradient(rng):
+    """mean_over=k divides the summed row losses by k: the default loss and
+    gradient times rows / k, and the default bits when k is the row count."""
+    logits = rng.normal(size=(7, 4))
+    targets = rng.integers(0, 4, size=7)
+    loss, grad = softmax_xent(logits, targets)
+    loss_k, grad_k = softmax_xent(logits, targets, mean_over=20)
+    assert loss_k == pytest.approx(loss * 7 / 20, rel=1e-12)
+    assert np.allclose(grad_k, grad * 7 / 20, rtol=1e-12, atol=0.0)
+    same_loss, same_grad = softmax_xent(logits, targets, mean_over=7)
+    assert same_loss == loss and same_grad.tobytes() == grad.tobytes()
+
+
 def test_xent_gradient_matches_finite_differences(rng):
     # the loss rows are gathered first, as train_submodel gathers the labeled rows
     rows = np.array([0, 2, 4])

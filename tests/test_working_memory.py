@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from cograph import SubModelSpec, build_submodel, split_nodes, train_submodel
 from cograph import views
-from cograph import attacks
 from cograph.attacks import changed_features, feature_flip_attack
 from cograph.graph import make_graph, with_features
 from cograph.nn import TrainHyper
@@ -156,7 +155,7 @@ def test_feature_flip_holds_one_gradient(density, monkeypatch):
     csr = sp.issparse(victim.model.inputs)
     assert csr == (density < 0.2)
     t, m = g.X.shape  # every node is a target
-    monkeypatch.setattr(attacks, "_SCORE_BLOCK_BUDGET", 20 * m)  # 60 blocks of 20 rows
+    monkeypatch.setattr(views, "_ROW_BLOCK_BUDGET", 20 * m)  # 60 blocks of 20 rows
     attacked, peak = _traced_peak(feature_flip_attack, g, victim, 200)
     assert len(changed_features(attacked.X, g.X)) == 200
     # a few copies of one block's gradient beside, for a CSR victim, X as
@@ -164,7 +163,7 @@ def test_feature_flip_holds_one_gradient(density, monkeypatch):
     # stored entry; a dense victim's dense t-row input is freed before the
     # dense copy of X is made. No t x m gradient: for the CSR victim the
     # bound is under a third of one
-    block = attacks._SCORE_BLOCK_BUDGET * 8
+    block = views._ROW_BLOCK_BUDGET * 8
     held = 48 * np.count_nonzero(g.X) if csr else t * m * 8
     assert peak <= 4 * block + held + 2**20
 
