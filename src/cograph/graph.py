@@ -7,7 +7,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,15 +59,18 @@ class Graph:
     X: np.ndarray | sp.csr_matrix
     labels: np.ndarray | None = None
     C: int | None = None
+    # private to this module: True when X is the X of a graph already built,
+    # whose values were checked then (with_edges, with_features)
+    _X_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _X_checked):
         if self.n < 1:
             raise ValidationError(f"graph needs at least one node, got n={self.n}")
         if self.X.ndim != 2 or self.X.shape[0] != self.n or self.X.shape[1] < 1:
             raise ValidationError(
                 f"feature matrix must be ({self.n}, m>=1), got {self.X.shape}"
             )
-        if not np.isfinite(self.X.data if sp.issparse(self.X) else self.X).all():
+        if not _X_checked and not np.isfinite(self.X.data if sp.issparse(self.X) else self.X).all():
             raise ValidationError("feature matrix holds NaN or infinite values")
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
@@ -102,28 +105,39 @@ def make_graph(n, edges, X, labels=None, C=None) -> Graph:
     silently discarded. A sparse X is stored as canonical float64 CSR with
     read-only arrays, any other X as a read-only float64 array.
     """
+    edges, X = _edge_set(edges), _frozen_features(X)
+    if labels is not None:
+        labels = _freeze(np.asarray(labels, dtype=np.int64))
+        if C is None:
+            C = int(labels.max()) + 1 if labels.size else 0
+    return Graph(n=int(n), edges=edges, X=X, labels=labels, C=C)
+
+
+def _edge_set(edges) -> frozenset[Edge]:
     norm: set[Edge] = set()
     for i, j in edges:
         i, j = int(i), int(j)
         if i == j:
             continue
         norm.add((i, j) if i < j else (j, i))
-    X = _frozen_csr(X) if sp.issparse(X) else _freeze(np.asarray(X, dtype=np.float64))
-    if labels is not None:
-        labels = _freeze(np.asarray(labels, dtype=np.int64))
-        if C is None:
-            C = int(labels.max()) + 1 if labels.size else 0
-    return Graph(n=int(n), edges=frozenset(norm), X=X, labels=labels, C=C)
+    return frozenset(norm)
+
+
+def _frozen_features(X):
+    return _frozen_csr(X) if sp.issparse(X) else _freeze(np.asarray(X, dtype=np.float64))
 
 
 def with_edges(g: Graph, edges) -> Graph:
-    """Copy of g with a replaced edge set (features and labels shared)."""
-    return make_graph(g.n, edges, g.X, g.labels, g.C)
+    """Copy of g with a replaced edge set, normalized as make_graph does
+    (features and labels shared; g's X is not checked again)."""
+    return Graph(g.n, _edge_set(edges), g.X, g.labels, g.C, _X_checked=True)
 
 
 def with_features(g: Graph, X) -> Graph:
-    """Copy of g with a replaced feature matrix (edges and labels shared)."""
-    return make_graph(g.n, g.edges, X, g.labels, g.C)
+    """Copy of g with a replaced feature matrix, stored as make_graph
+    stores it (edges and labels shared). X is checked unless it is g's."""
+    X = _frozen_features(X)
+    return Graph(g.n, g.edges, X, g.labels, g.C, _X_checked=X is g.X)
 
 
 def edge_array(g: Graph) -> np.ndarray:

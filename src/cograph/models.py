@@ -193,14 +193,9 @@ class _Workspace:
         self.out_prop = None if prop is None else prop[rows]
         self._rows, self._back_prop, self._first_T = rows, None, None
         dropout = training and hyper.dropout > 0.0
-        # the first layer's input (the dropout output, when there is one)
-        self.first = inputs
-        if dropout and sp.issparse(inputs):
-            self.first = type(inputs)(
-                (np.empty(inputs.data.shape), inputs.indices, inputs.indptr), shape=inputs.shape
-            )
-        elif dropout:
-            self.first = np.empty(inputs.shape)
+        # the first layer's input: under dropout, the output the first
+        # forward's dropout_input allocates and later ones overwrite
+        self.first = None if dropout else inputs
         # under dropout, hidden layer l draws a mask of widths[l - 1] columns
         self.masks = [None] + [np.empty((inputs.shape[0], w)) if dropout else None for w in widths]
 
@@ -231,7 +226,7 @@ class _Workspace:
         keep = 1.0 - self.hyper.dropout
         a = self.inputs
         if self.training:
-            a = dropout_input(a, self.hyper.dropout, rng, out=self.first)
+            a = self.first = dropout_input(a, self.hyper.dropout, rng, out=self.first)
         caches = []
         for l in range(self.n_layers):
             mask = self.masks[l]
@@ -247,30 +242,33 @@ class _Workspace:
             caches.append((a, z, mask))
         return z, caches
 
-    def backward(self, grad_rows, caches, params: dict, want_input_grad=False):
-        """Reverse pass from the rows' logit gradient; returns (parameter
-        gradients, None), or with want_input_grad ({}, dL/dinput),
-        skipping the parameter gradients."""
+    def backward(self, grad_rows, caches, params: dict, grads=None):
+        """Reverse pass from the rows' logit gradient. Given grads, one
+        array per parameter (an AdamState's views in training), it writes
+        each parameter's gradient into its array; without, it skips them
+        and returns dL/dinput."""
         keep = 1.0 - self.hyper.dropout
-        grads: dict[str, np.ndarray] = {}
         g = grad_rows
-        input_grad = None
         for l in reversed(range(self.n_layers)):
             a, _, mask = caches[l]
             if self.prop is not None:
                 g = (self.back_prop if l == self.n_layers - 1 else self.prop) @ g
-            if not want_input_grad:
-                grads[f"W{l}"] = np.asarray((self.first_T if l == 0 else a.T) @ g)
+            if grads is not None:
+                a_T = self.first_T if l == 0 else a.T
+                if sp.issparse(a_T):
+                    grads[f"W{l}"][...] = a_T @ g  # scipy takes no out=: one copy
+                else:
+                    np.matmul(a_T, g, out=grads[f"W{l}"])
                 if f"b{l}" in params:
-                    grads[f"b{l}"] = g.sum(axis=0)
+                    g.sum(axis=0, out=grads[f"b{l}"])
             if l > 0:
                 da = g @ params[f"W{l}"].T
                 if mask is not None:
                     masked_scale(da, mask, keep, out=da)
                 g = da * (caches[l - 1][1] > 0.0)
-            elif want_input_grad:
-                input_grad = g @ params[f"W{l}"].T
-        return grads, input_grad
+            elif grads is None:
+                return g @ params["W0"].T
+        return None
 
 
 def train_submodel(model: SubModel, labeled, seed: int = 0) -> TrainedSubModel:
@@ -308,8 +306,8 @@ def train_submodel(model: SubModel, labeled, seed: int = 0) -> TrainedSubModel:
                 f"(kind={model.spec.kind}, lr={hyper.learning_rate}); "
                 "check the learning rate or the input data"
             )
-        grads, _ = ws.backward(grad_logits, caches, params)
-        adam_step(params, grads, state, epoch, hyper)
+        ws.backward(grad_logits, caches, params, state.grads)
+        adam_step(params, state.grads, state, epoch, hyper)
         losses.append(loss)
 
     return TrainedSubModel(model=model, params=params, loss_history=tuple(losses))
@@ -355,5 +353,4 @@ def input_gradient(
     ws = _Workspace.of(model, nodes)
     logits, caches = ws.forward(trained.params)
     _, grad_rows = softmax_xent(logits, labels, mean_over)
-    _, d_in = ws.backward(grad_rows, caches, trained.params, want_input_grad=True)
-    return d_in
+    return ws.backward(grad_rows, caches, trained.params)

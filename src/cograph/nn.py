@@ -2,9 +2,9 @@
 
 Just enough machinery for two-layer graph convolution and MLP models:
 Glorot-uniform initialization, softmax cross-entropy over the loss rows
-with its gradient, Adam with L2 weight decay on weight matrices, inverted
-dropout, and a central-finite-difference gradient oracle. Everything is
-seeded numpy; no GPU, no general autodiff.
+with its gradient, Adam with L2 weight decay on weight matrices over one
+flat buffer per fit, and inverted dropout. Everything is seeded numpy; no
+GPU, no general autodiff.
 
 Dropout RNG contract, on which bitwise reproducible training rests: each
 dropout draws its mask from the generator with one ``rng.random`` call,
@@ -20,7 +20,7 @@ indices and indptr, serves every epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,9 +58,6 @@ class TrainHyper:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
-LayerPlan = list[tuple[int, int, bool]]
-
-
 def derive_seeds(*keys: int, words: int = 1) -> tuple[int, ...]:
     """words independent 32-bit seeds derived from the key tuple.
 
@@ -72,7 +69,7 @@ def derive_seeds(*keys: int, words: int = 1) -> tuple[int, ...]:
     return tuple(int(w) for w in np.random.SeedSequence(keys).generate_state(words))
 
 
-def init_params(layer_plan: LayerPlan, seed: int) -> dict[str, np.ndarray]:
+def init_params(layer_plan: list[tuple[int, int, bool]], seed: int) -> dict[str, np.ndarray]:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases.
 
     Layer l holds the weight matrix "W{l}" (subject to weight decay) and,
@@ -184,67 +181,73 @@ def dropout_input(x, rate: float, rng: np.random.Generator, out=None):
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, one pair per parameter, and the two
-    scratch arrays per parameter that each step reuses."""
+    """Adam's buffers for one fit. for_params makes each entry of params a
+    view into one new buffer, flat, holding the same values: every weight
+    matrix first, then the biases, so weight decay covers flat[:n_decay].
+    rows holds the flat gradient, the moments m and v and two scratch
+    arrays; grads maps each name to its view of the gradient."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    params: dict[str, np.ndarray]
+    flat: np.ndarray
+    n_decay: int
+    rows: tuple[np.ndarray, ...]
+    grads: dict[str, np.ndarray]
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        names = sorted(params, key=lambda k: not k.startswith("W"))  # weights first
+        flat = np.concatenate([params[k].ravel() for k in names], dtype=np.float64)
+        rows, grads, lo = tuple(np.zeros((5, flat.size))), {}, 0
+        for k in names:  # params keeps its names and their order
+            shape, hi = params[k].shape, lo + params[k].size
+            params[k], grads[k] = flat[lo:hi].reshape(shape), rows[0][lo:hi].reshape(shape)
+            lo = hi
+        n_decay = sum(params[k].size for k in names if k.startswith("W"))
+        return cls(params, flat, n_decay, rows, grads)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    t: int,
-    hyper: TrainHyper,
-) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, t: int, hyper: TrainHyper) -> None:
     """One in-place Adam update of params and state (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    Weight decay enters as an additive lambda*W term in the gradient before
-    the moment updates. t is the 1-based step counter.
+    One sweep over state's flat buffers updates all of params, the mapping
+    state was made for. grads is state.grads, or arrays of the same shapes
+    copied into it. Weight decay adds lambda*W to the weights' gradient
+    before the moment updates. t is the 1-based step counter.
     """
     if t < 1:
         raise ValidationError(f"step counter must be >= 1, got {t}")
+    if params is not state.params:
+        raise ValidationError("adam_step needs the params its AdamState was made for")
+    if grads is not state.grads:
+        for name, view in state.grads.items():
+            if name not in grads or np.shape(grads[name]) != view.shape:
+                raise ValidationError(f"gradient missing or of the wrong shape for {name}")
+            view[...] = grads[name]
+    g, m, v, step, work = state.rows
+    if hyper.weight_decay != 0.0:
+        # weights only, never biases; g + lambda*W has the bits of
+        # lambda*W + g, as IEEE addition commutes
+        nd = state.n_decay
+        decay = np.multiply(state.flat[:nd], hyper.weight_decay, out=work[:nd])
+        np.add(g[:nd], decay, out=g[:nd])
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValidationError(f"gradient shape mismatch for {name}")
-        scratch = state.scratch.get(name)
-        if scratch is None:
-            scratch = state.scratch[name] = (np.empty_like(p), np.empty_like(p))
-        step, work = scratch
-        # decay applies to weight matrices only, never biases
-        if hyper.weight_decay != 0.0 and name.startswith("W"):
-            g = np.multiply(p, hyper.weight_decay, out=work)
-            g += grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        # the step stays (lr * m_hat) / (sqrt(v_hat) + eps): regrouping it as
-        # lr * (m_hat / denom) changes the last bits of the parameters
-        np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-        m *= ADAM_BETA1
-        m += step
-        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
-        step *= g
-        v *= ADAM_BETA2
-        v += step
-        denom = np.divide(v, c2, out=work)  # the decayed gradient is spent
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, c1, out=step)
-        step *= hyper.learning_rate
-        step /= denom
-        p -= step
+    # the step stays (lr * m_hat) / (sqrt(v_hat) + eps): regrouping it as
+    # lr * (m_hat / denom) changes the last bits of the parameters
+    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    m *= ADAM_BETA1
+    m += step
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+    step *= g
+    v *= ADAM_BETA2
+    v += step
+    denom = np.divide(v, c2, out=work)  # the decay term is spent
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, c1, out=step)
+    step *= hyper.learning_rate
+    step /= denom
+    state.flat -= step
 
 
 def save_params_csv(params: dict[str, np.ndarray], path) -> None:

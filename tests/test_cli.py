@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -56,6 +57,30 @@ def test_train_subcommand(capsys, tmp_path):
     assert 0.0 <= metrics["test_accuracy"] <= 1.0
     assert (tmp_path / "run" / "checkpoint.csv").exists()
     assert (tmp_path / "run" / "metrics.json").exists()
+
+
+# sha256 of checkpoint.csv written by `cograph --seed 0 --out D train --data
+# <attack fixture> --model K`; where a fit keeps its parameters must not move them
+CHECKPOINT_SHA256 = {
+    "f-mlp": "8faf042a11698b919d5d5c4c41ac34b66fbd71e89e3b51e00e28dfe9b6c3c996",
+    "gcn": "ede5b8e597a9622277ee529d458e947e0b1350bd88c3091d533373feef3001df",
+}
+
+
+@pytest.mark.parametrize("kind", ["f-mlp", "gcn"])
+def test_train_checkpoint_bytes_are_pinned(capsys, tmp_path, attack_graph, kind):
+    """Checkpoint rows stay in W0, b0, W1, b1 order with unchanged values,
+    whatever order the parameter buffer holds them in."""
+    save_dataset_dir(attack_graph, tmp_path / "data")
+    rc, _ = run_cli(
+        capsys, "--seed", "0", "--out", str(tmp_path / "run"), "train",
+        "--data", str(tmp_path / "data"), "--model", kind,
+    )
+    assert rc == 0
+    text = (tmp_path / "run" / "checkpoint.csv").read_bytes()
+    names = [line.split(b",")[0].decode() for line in text.splitlines()]
+    assert names == (["W0", "b0", "W1", "b1"] if kind == "f-mlp" else ["W0", "W1"])
+    assert hashlib.sha256(text).hexdigest() == CHECKPOINT_SHA256[kind]
 
 
 @pytest.mark.parametrize("command", ["train", "calibrate"])

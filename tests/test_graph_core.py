@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cograph import ValidationError, class_quota, generate_synthetic, split_nodes
-from cograph.graph import adjacency, make_graph, normalized_adjacency, with_edges
+from cograph.graph import Graph, adjacency, make_graph, normalized_adjacency, with_edges, with_features
 from helpers import components_cover, graphs_equal
 
 
@@ -229,3 +229,38 @@ def test_with_edges_preserves_everything_else(easy_graph):
     assert g2.edges == frozenset({(0, 1)})
     assert np.array_equal(g2.X, easy_graph.X)
     assert np.array_equal(g2.labels, easy_graph.labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_constructor_rejects_non_finite_features(bad):
+    X = np.ones((3, 2))
+    X[2, 1] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        Graph(3, frozenset({(0, 1)}), X)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_with_features_rejects_a_non_finite_caller_matrix(bad, sparse):
+    g = make_graph(3, [(0, 1)], np.ones((3, 2)), [0, 1, 0])
+    X = np.ones((3, 2))
+    X[0, 1] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        with_features(g, sp.csr_matrix(X) if sparse else X)
+
+
+def test_a_graphs_own_features_are_not_checked_again(monkeypatch):
+    """with_edges, and with_features given g.X, share X checked when g was
+    built, so neither scans it for NaN or inf again."""
+    g = make_graph(3, [(0, 1)], np.ones((3, 2)), [0, 1, 0])
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(a) or isfinite(a))
+    h = with_edges(g, [(1, 2), (2, 1)])
+    k = with_features(h, g.X)
+    assert h.edges == frozenset({(1, 2)}) and h.X is g.X and k.X is g.X
+    assert scans == []
+    with pytest.raises(ValidationError, match="out of range"):
+        with_edges(g, [(0, 3)])  # the edges are still checked
+    with_features(g, np.zeros((3, 2)))
+    assert len(scans) == 1  # a caller's X is scanned

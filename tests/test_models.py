@@ -211,7 +211,8 @@ def test_relu_gradient_check_away_from_kinks():
     def grad_fn(p):
         logits, caches = ws.forward(p)
         _, gl = softmax_xent(logits, targets)
-        grads, _ = ws.backward(gl, caches, p)
+        grads = {k: np.empty_like(v) for k, v in p.items()}
+        ws.backward(gl, caches, p, grads)  # writes each gradient into grads
         return grads
 
     assert finite_diff_check(loss_fn, grad_fn, params, eps=eps) < 1e-4
@@ -327,6 +328,25 @@ def test_epoch_matches_reference_formulas_bitwise(kind, features):
     reference = _reference_params(model, labeled, seed=2)
     assert trained.params.keys() == reference.keys()
     assert all(trained.params[k].tobytes() == reference[k].tobytes() for k in reference)
+
+
+@pytest.mark.parametrize("kind", ["f-mlp", "gcn"])
+def test_fits_share_no_parameter_buffer(attack_graph, attack_split, kind):
+    """Each fit's parameters live in a buffer of their own: a second fit of
+    the same model, and scoring the first, leave them byte for byte."""
+    model = build_submodel(SubModelSpec(kind=kind, hyper=TrainHyper(epochs=20)), attack_graph)
+    labeled = labeled_map(attack_graph, attack_split.labeled)
+    first = train_submodel(model, labeled, seed=0)
+    before = {k: p.tobytes() for k, p in first.params.items()}
+    second = train_submodel(model, labeled, seed=0)
+    assert all(second.params[k].tobytes() == before[k] for k in before)  # same seed, same bits
+    nodes = attack_split.test
+    predict_logits(first, nodes)
+    if kind == "f-mlp":
+        input_gradient(first, nodes, attack_graph.labels[nodes])
+    train_submodel(model, labeled, seed=1)
+    assert {k: p.tobytes() for k, p in first.params.items()} == before
+    assert not any(np.shares_memory(first.params[k], second.params[k]) for k in before)
 
 
 @pytest.mark.parametrize("kind", ["f-mlp", "s-mlp"])

@@ -165,6 +165,43 @@ def test_adam_shape_mismatch_rejected():
         adam_step(params, {"W0": np.zeros((3, 3))}, state, 1, TrainHyper())
 
 
+def test_adam_broadcastable_gradient_rejected():
+    # a (1, 1) gradient would broadcast silently into a (2, 2) weight's view
+    params = {"W0": np.ones((2, 2))}
+    state = AdamState.for_params(params)
+    with pytest.raises(ValidationError, match="W0"):
+        adam_step(params, {"W0": np.ones((1, 1))}, state, 1, TrainHyper())
+    assert np.array_equal(params["W0"], np.ones((2, 2)))
+
+
+def test_adam_missing_gradient_rejected():
+    params = {"W0": np.ones((2, 2)), "b0": np.zeros(2)}
+    state = AdamState.for_params(params)
+    with pytest.raises(ValidationError, match="b0"):
+        adam_step(params, {"W0": np.ones((2, 2))}, state, 1, TrainHyper())
+
+
+def test_adam_rejects_params_its_state_was_not_made_for():
+    params = {"W0": np.ones((2, 2))}
+    state = AdamState.for_params(params)
+    other = {"W0": params["W0"].copy()}
+    with pytest.raises(ValidationError, match="params"):
+        adam_step(other, {"W0": np.ones((2, 2))}, state, 1, TrainHyper())
+
+
+def test_adam_state_rehomes_params_weights_first_in_their_order():
+    params = init_params([(3, 4, True), (4, 2, True)], seed=5)
+    before = {k: v.copy() for k, v in params.items()}
+    state = AdamState.for_params(params)
+    assert list(params) == ["W0", "b0", "W1", "b1"]
+    assert all(np.array_equal(params[k], before[k]) for k in before)
+    # one buffer: W0, W1, then b0, b1; weight decay covers the weights' prefix
+    assert all(p.base is state.flat for p in params.values())
+    offsets = [params[k].ctypes.data for k in ("W0", "W1", "b0", "b1")]
+    assert offsets == sorted(offsets) and state.n_decay == 3 * 4 + 4 * 2
+    assert state.flat.size == sum(p.size for p in params.values())
+
+
 def test_finite_diff_linear_model_exact(rng):
     X = rng.normal(size=(6, 3))
     y = rng.normal(size=6)
