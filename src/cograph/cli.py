@@ -26,7 +26,7 @@ from .calibration import (
 from .cotrain import cotrain
 from .errors import ValidationError
 from .experiment import ExperimentConfig, apply_attack, emit_report, run_experiment
-from .graph import generate_synthetic, labeled_map, split_nodes
+from .graph import generate_synthetic, split_nodes
 from .io import load_graph_dir, save_dataset_dir, write_csv, write_json
 from .models import (
     ALL_KINDS,
@@ -90,7 +90,9 @@ def _train_one(args):
     """Load, split and train the single sub-model that args describe."""
     g, split = _load_split(args)
     spec = _spec(args.model, args.k, args.hidden, _hyper_from_args(args))
-    model = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=args.seed)
+    model = train_submodel(
+        build_submodel(spec, g), split.labeled, g.labels[split.labeled], seed=args.seed
+    )
     return g, split, model
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,8 @@ from .nn import derive_seeds
 PROV_TRUTH = "ground-truth"
 PROV_STRUCT = "pseudo:struct"
 PROV_FEAT = "pseudo:feat"
+# a state's provenance codes index this tuple
+PROVENANCE = (PROV_TRUTH, PROV_STRUCT, PROV_FEAT)
 
 # From this many nodes a round fits its two views at the same time. Below
 # it a fit is made of microsecond-long numpy calls, and handing the
@@ -76,83 +77,65 @@ def class_quota(histogram, n_add: int) -> Quota:
     return Quota(per_class=tuple(int(q) for q in counts), total=n_add)
 
 
-class Selection(NamedTuple):
-    node: int
-    label: int
-    confidence: float
-
-
 def select_confident(
     nodes: np.ndarray, probs: np.ndarray, quota: Quota | None, n_add: int | None = None
-) -> tuple[list[Selection], tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Pick the most confident predictions, per class under a quota.
 
-    For each class, nodes whose argmax is that class compete by max
-    probability; confidence ties break toward the smaller node index.
+    Returns the picked nodes, their predicted labels and confidences, and
+    the shortfall. For each class, nodes whose argmax is that class compete
+    by max probability; confidence ties break toward the smaller node index.
     Classes with fewer candidates than quota yield a recorded shortfall
     that is never redistributed. With quota=None (class balancing off) the
-    top n_add nodes are taken regardless of class; the shortfall tuple is
-    then a single total.
+    top n_add >= 0 nodes are taken regardless of class; the shortfall
+    tuple is then a single total.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if probs.shape[0] != nodes.size:
         raise ValidationError("probability rows must align with the node list")
-    if nodes.size == 0:
-        empty = (0,) * len(quota.per_class) if quota is not None else (n_add or 0,)
-        return [], empty
+    if quota is None and (n_add is None or n_add < 0):
+        raise ValidationError(f"unbalanced selection needs n_add >= 0, got {n_add}")
     conf = probs.max(axis=1)
     pred = probs.argmax(axis=1)
     # one ranking serves both paths: confidence descending, ties to the smaller node
     order = np.lexsort((nodes, -conf))
 
     if quota is None:
-        if n_add is None:
-            raise ValidationError("unbalanced selection needs n_add")
-        picks = [Selection(int(nodes[r]), int(pred[r]), float(conf[r])) for r in order[:n_add]]
-        return picks, (max(0, n_add - len(picks)),)
-
-    picks: list[Selection] = []
-    shortfall = []
-    ranked_pred = pred[order]
-    for c, budget in enumerate(quota.per_class):
-        take = order[ranked_pred == c][:budget]
-        shortfall.append(budget - take.size)
-        picks.extend(Selection(int(nodes[r]), c, float(conf[r])) for r in take)
-    return picks, tuple(shortfall)
+        take = order[:n_add]
+        shortfall = (n_add - take.size,)
+    else:
+        ranked_pred = pred[order]
+        takes = [order[ranked_pred == c][:budget] for c, budget in enumerate(quota.per_class)]
+        shortfall = tuple(budget - t.size for budget, t in zip(quota.per_class, takes))
+        take = np.concatenate(takes)
+    return nodes[take], pred[take], conf[take], shortfall
 
 
-class Addition(NamedTuple):
-    label: int
-    provenance: str
-    confidence: float
+def resolve_conflicts(sel_struct, sel_feat, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Union of two select_confident results over n nodes; conflicts keep
+    the more confident label.
 
-
-def resolve_conflicts(
-    sel_struct: list[Selection], sel_feat: list[Selection]
-) -> tuple[dict[int, Addition], int]:
-    """Union of both selections; conflicts keep the more confident label.
-
-    A node chosen by both models counts as one conflict; on an exact
-    confidence tie the structure model wins.
+    Returns length-n label (-1 where neither view picked the node) and
+    provenance-code arrays, and the number of nodes both views picked. On
+    an exact confidence tie the structure model wins.
     """
-    merged = {
-        s.node: Addition(s.label, PROV_STRUCT, s.confidence) for s in sel_struct
-    }
-    if len(merged) != len(sel_struct):
-        raise ValidationError("duplicate node in structure selection")
-    conflicts = 0
-    for s in sel_feat:
-        if s.node in merged:
-            conflicts += 1
-            if s.confidence > merged[s.node].confidence:
-                merged[s.node] = Addition(s.label, PROV_FEAT, s.confidence)
-        else:
-            merged[s.node] = Addition(s.label, PROV_FEAT, s.confidence)
-    return merged, conflicts
+    nodes_s, labels_s, conf_s, _ = sel_struct
+    nodes_f, labels_f, conf_f, _ = sel_feat
+    label = np.full(n, -1)
+    provenance = np.zeros(n, dtype=np.int8)
+    best = np.full(n, -np.inf)
+    label[nodes_s], best[nodes_s] = labels_s, conf_s
+    provenance[nodes_s] = PROVENANCE.index(PROV_STRUCT)
+    wins = conf_f > best[nodes_f]
+    label[nodes_f[wins]] = labels_f[wins]
+    provenance[nodes_f[wins]] = PROVENANCE.index(PROV_FEAT)
+    return label, provenance, int(np.intersect1d(nodes_s, nodes_f).size)
 
 
 @dataclass(frozen=True)
 class LabelEntry:
+    """One labeled node as CoTrainState.entries shows it."""
+
     label: int
     provenance: str
     iteration: int
@@ -194,36 +177,56 @@ def _as_lists(value):
 class CoTrainState:
     """Growing labeled set with provenance, and the per-iteration history.
 
-    Mutated only by its owning cotrain loop; ground-truth entries are never
-    overwritten and pseudo-labels freeze once added. The unlabeled pool is
-    every test node without an entry. When the loop returns, final_logits
-    holds the raw logits of every node (row = node id) from the last
-    round's structure and feature models, the scores those returned models
-    give.
+    The labeled set is three length-n arrays indexed by node id: label (the
+    class id, or -1 while unlabeled), provenance (an index into PROVENANCE)
+    and added_in (the iteration the label was added in); provenance and
+    added_in mean nothing where label is -1. Mutated only by its owning
+    cotrain loop; ground-truth labels are never overwritten and
+    pseudo-labels freeze once added. The unlabeled pool is every test node
+    without a label. When the loop returns, final_logits holds the raw
+    logits of every node (row = node id) from the last round's structure
+    and feature models, the scores those returned models give.
     """
 
-    entries: dict[int, LabelEntry]
+    label: np.ndarray
+    provenance: np.ndarray
+    added_in: np.ndarray
     iteration: int = 0
     history: list[IterationRecord] = field(default_factory=list)
     final_logits: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def s_size(self) -> int:
-        return len(self.entries)
+        return int(np.count_nonzero(self.label >= 0))
 
-    def labeled_map(self) -> dict[int, int]:
-        return {node: e.label for node, e in self.entries.items()}
+    @property
+    def entries(self) -> dict[int, LabelEntry]:
+        """Node -> LabelEntry for every labeled node, read off the arrays.
+
+        A read-only view kept for the benchmark's co-training probe in
+        bench/spans.py; the library never reads it. It goes when ROADMAP
+        item 4 moves that probe into the library.
+        """
+        return {
+            int(i): LabelEntry(
+                int(self.label[i]), PROVENANCE[self.provenance[i]], int(self.added_in[i])
+            )
+            for i in np.flatnonzero(self.label >= 0)
+        }
 
 
 def audit_state(state: CoTrainState, g: Graph, split: NodeSplit) -> None:
     """Assert the co-training bookkeeping invariants; raises on violation."""
-    universe = set(split.labeled.tolist()) | set(split.test.tolist())
-    if not set(state.entries) <= universe:
+    labeled = np.flatnonzero(state.label >= 0)
+    if np.setdiff1d(labeled, np.union1d(split.labeled, split.test)).size:
         raise ValidationError("an entry lies outside the labeled and test nodes")
-    for node in split.labeled:
-        e = state.entries[int(node)]
-        if e.provenance != PROV_TRUTH or e.label != int(g.labels[node]):
-            raise ValidationError(f"ground-truth entry for node {node} was altered")
+    truth = split.labeled
+    altered = truth[
+        (state.label[truth] != g.labels[truth])
+        | (state.provenance[truth] != PROVENANCE.index(PROV_TRUTH))
+    ]
+    if altered.size:
+        raise ValidationError(f"ground-truth entry for node {altered[0]} was altered")
     sizes = [rec.s_size for rec in state.history]
     if any(b < a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError("labeled-set size decreased across iterations")
@@ -250,11 +253,6 @@ def _confusion(true_labels: np.ndarray, pred: np.ndarray, C: int):
     mat = np.zeros((C, C), dtype=np.int64)
     np.add.at(mat, (true_labels, pred), 1)
     return tuple(tuple(int(v) for v in row) for row in mat)
-
-
-def _label_histogram(picks: list[Selection], C: int) -> tuple[int, ...]:
-    hist = np.bincount(np.array([s.label for s in picks], dtype=np.int64), minlength=C)
-    return tuple(int(v) for v in hist)
 
 
 def cotrain(
@@ -302,18 +300,17 @@ def cotrain(
     test_nodes = split.test
     test_labels = g.labels[test_nodes]
 
-    state = CoTrainState(
-        entries={
-            int(i): LabelEntry(int(g.labels[i]), PROV_TRUTH, 0) for i in split.labeled
-        },
-    )
+    label = np.full(g.n, -1)
+    label[split.labeled] = g.labels[split.labeled]
+    # provenance code 0 is PROV_TRUTH
+    state = CoTrainState(label, np.zeros(g.n, np.int8), np.zeros(g.n, np.int64))
     quota = class_quota(split.class_histogram, n_add) if class_balancing else None
 
-    def fit(model: SubModel, labeled: dict[int, int], iteration: int, role: int):
+    def fit(model: SubModel, labeled: tuple[np.ndarray, np.ndarray], iteration: int, role: int):
         """The trained model, its raw logits for every node (row = node id)
         and their calibrated probabilities: its only forward pass."""
         (fit_seed,) = derive_seeds(seed, iteration, role)
-        trained = train_submodel(model, labeled, seed=fit_seed)
+        trained = train_submodel(model, *labeled, seed=fit_seed)
         logits = predict_logits(trained, all_nodes)
         if calibration and val_nodes.size:
             trained = trained.with_temperature(fit_temperature(logits[val_nodes], val_labels))
@@ -330,7 +327,8 @@ def cotrain(
 
     while True:
         it = state.iteration
-        labeled = state.labeled_map()
+        nodes = np.flatnonzero(state.label >= 0)
+        labeled = (nodes, state.label[nodes])
         if g.n >= OVERLAP_MIN_NODES:
             with ThreadPoolExecutor(max_workers=1) as helper:
                 feat_fit = helper.submit(fit, model_f, labeled, it, 1)
@@ -357,20 +355,19 @@ def cotrain(
         state.history.append(record)
         audit_state(state, g, split)
 
-        pool = np.setdiff1d(test_nodes, np.fromiter(state.entries, np.int64, state.s_size))
+        pool = test_nodes[state.label[test_nodes] < 0]
         if it >= max_iters or not pool.size:
             state.final_logits = (logits_s, logits_f)
             return f_struct, f_feat, state
 
-        sel_s, short_s = select_confident(pool, probs_s[pool], quota, n_add)
-        sel_f, short_f = select_confident(pool, probs_f[pool], quota, n_add)
-        merged, conflicts = resolve_conflicts(sel_s, sel_f)
+        sel_s = select_confident(pool, probs_s[pool], quota, n_add)
+        sel_f = select_confident(pool, probs_f[pool], quota, n_add)
+        label, provenance, conflicts = resolve_conflicts(sel_s, sel_f, g.n)
 
-        next_iter = it + 1
-        for node, add in merged.items():
-            if node in state.entries:
-                raise ValidationError(f"node {node} already labeled; refusing overwrite")
-            state.entries[node] = LabelEntry(add.label, add.provenance, next_iter)
-        added_s = _label_histogram(sel_s, g.C)
-        added_f = _label_histogram(sel_f, g.C)
-        state.iteration = next_iter
+        state.iteration = it + 1
+        new = label >= 0  # all in the pool, so no label is overwritten
+        state.label[new], state.provenance[new] = label[new], provenance[new]
+        state.added_in[new] = state.iteration
+        added_s = tuple(np.bincount(sel_s[1], minlength=g.C).tolist())
+        added_f = tuple(np.bincount(sel_f[1], minlength=g.C).tolist())
+        short_s, short_f = sel_s[3], sel_f[3]

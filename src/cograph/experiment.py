@@ -28,7 +28,7 @@ from .attacks import (
 from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
 from .cotrain import cotrain
 from .errors import ValidationError, require_int, require_real
-from .graph import Graph, generate_synthetic, labeled_map, split_nodes
+from .graph import Graph, generate_synthetic, split_nodes
 from .io import load_graph_dir, write_csv, write_json
 from .models import (  # noqa: F401 -- predict_logits: the benchmark traces it here
     KIND_FMLP,
@@ -216,7 +216,7 @@ def apply_attack(
         victim_spec = SubModelSpec(kind=KIND_FMLP, hyper=victim_hyper or TrainHyper())
         (victim_seed,) = derive_seeds(seed, _SEED_ROLE_VICTIM)
         victim = train_submodel(
-            build_submodel(victim_spec, g), labeled_map(g, split.labeled), seed=victim_seed
+            build_submodel(victim_spec, g), split.labeled, g.labels[split.labeled], seed=victim_seed
         )
         perturbed = feature_flip_attack(
             perturbed, victim, feature_bits, targets=split.test

@@ -246,11 +246,6 @@ class NodeSplit:
             raise ValidationError("class_histogram must sum to the labeled-set size")
 
 
-def labeled_map(g: Graph, nodes) -> dict[int, int]:
-    """Node -> true label for the given nodes, the form training consumes."""
-    return {int(i): int(g.labels[i]) for i in nodes}
-
-
 def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> NodeSplit:
     """Seeded uniform split into labeled/validation/test index sets.
 

@@ -271,22 +271,25 @@ class _Workspace:
         return None
 
 
-def train_submodel(model: SubModel, labeled, seed: int = 0) -> TrainedSubModel:
+def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSubModel:
     """Fit parameters by softmax cross-entropy over the labeled rows.
 
-    labeled maps node index to class id; entries may mix ground-truth and
-    pseudo-labels, which enter through exactly the same path. Training is
-    full-batch Adam for hyper.epochs from a fresh Glorot initialization and
-    is bitwise reproducible for a fixed (seed, spec, data); seed is the only
-    seed source. One _Workspace serves every epoch, and the loss reads only
-    the labeled rows' logits.
+    nodes holds the labeled node ids, strictly increasing, and targets the
+    class id of each; labels may mix ground truth and pseudo-labels, which
+    enter through exactly the same path. Training is full-batch Adam for
+    hyper.epochs from a fresh Glorot initialization and is bitwise
+    reproducible for a fixed (seed, spec, data); seed is the only seed
+    source. One _Workspace serves every epoch, and the loss reads only the
+    labeled rows' logits.
     """
-    if not labeled:
+    idx = _node_ids(model, nodes)
+    targets = np.asarray(targets, dtype=np.int64)
+    if idx.ndim != 1 or not idx.size:
         raise ValidationError("train_submodel needs at least one labeled node")
-    idx = np.array(sorted(labeled), dtype=np.int64)
-    if idx[0] < 0 or idx[-1] >= model.n:
-        raise ValidationError("labeled node index out of range")
-    targets = np.array([labeled[i] for i in idx], dtype=np.int64)
+    if targets.shape != idx.shape:
+        raise ValidationError(f"{targets.size} targets for {idx.size} labeled nodes")
+    if (np.diff(idx) <= 0).any():
+        raise ValidationError("labeled node ids must be strictly increasing")
     check_targets(targets, model.n_classes)
     hyper = model.spec.hyper
     init_seed, dropout_seed = derive_seeds(seed, words=2)

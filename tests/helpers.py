@@ -6,8 +6,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from cograph.errors import ValidationError
-from cograph.graph import Graph, labeled_map, make_graph  # noqa: F401 -- re-exported for tests
+from cograph.graph import Graph, make_graph
 from cograph.models import predict_logits
+
+
+def truth(g: Graph, nodes):
+    """The (nodes, targets) train_submodel takes: the ids and their true labels."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return nodes, g.labels[nodes]
 
 
 def with_inputs(trained, inputs):

@@ -35,7 +35,7 @@ from cograph.graph import adjacency
 from cograph.io import load_graph_dir
 from cograph.nn import TrainHyper, init_params, softmax, softmax_xent
 from conftest import ATTACK_PARAMS
-from helpers import accuracy, finite_diff_check, labeled_map, merge_classes
+from helpers import accuracy, finite_diff_check, merge_classes, truth
 
 SEEDS = (0, 1, 2)
 CORA_SEEDS = (0, 1, 2, 3, 4)
@@ -91,8 +91,8 @@ def dice_runs(fixture_graph):
     for seed in SEEDS:
         perturbed = dice_perturb(g, g.labels, 0.2, seed=seed)
         split = split_nodes(perturbed, 0.1, 0.1, seed)
-        labs = labeled_map(perturbed, split.labeled)
-        gcn = train_submodel(build_submodel(SubModelSpec(kind="gcn"), perturbed), labs, seed=seed)
+        labs = truth(perturbed, split.labeled)
+        gcn = train_submodel(build_submodel(SubModelSpec(kind="gcn"), perturbed), *labs, seed=seed)
         gcn_acc = accuracy(gcn, split.test, g.labels[split.test])
         _, _, state = cotrain(
             perturbed,
@@ -124,7 +124,7 @@ def cora_gcn_baseline(cora_graph):
     for seed in CORA_SEEDS:
         split = split_nodes(g, 0.1, 0.1, seed)
         model = train_submodel(
-            build_submodel(SubModelSpec(kind="gcn"), g), labeled_map(g, split.labeled), seed=seed
+            build_submodel(SubModelSpec(kind="gcn"), g), *truth(g, split.labeled), seed=seed
         )
         accs.append(accuracy(model, split.test, g.labels[split.test]))
     return {"accs": accs, "mean": float(np.mean(accs)), "elapsed": time.perf_counter() - start}
@@ -190,8 +190,8 @@ def test_acceptance_3_robustness(fixture_graph, dice_runs, cora_graph):
         gcn_accs, ens_accs = [], []
         for seed in SEEDS:
             split = split_nodes(g, 0.1, 0.1, seed)
-            labs = labeled_map(g, split.labeled)
-            gcn = train_submodel(build_submodel(SubModelSpec(kind="gcn"), g), labs, seed=seed)
+            labs = truth(g, split.labeled)
+            gcn = train_submodel(build_submodel(SubModelSpec(kind="gcn"), g), *labs, seed=seed)
             gcn_accs.append(accuracy(gcn, split.test, g.labels[split.test]))
             _, _, state = cotrain(
                 g, split, SubModelSpec(kind="gcn"), SubModelSpec(kind="f-mlp"),
@@ -212,9 +212,9 @@ def test_acceptance_3_robustness(fixture_graph, dice_runs, cora_graph):
             for seed in SEEDS:
                 perturbed = dice_perturb(g, g.labels, 0.2, seed=seed)
                 split = split_nodes(perturbed, 0.1, 0.1, seed)
-                labs = labeled_map(perturbed, split.labeled)
+                labs = truth(perturbed, split.labeled)
                 gcn = train_submodel(
-                    build_submodel(SubModelSpec(kind="gcn"), perturbed), labs, seed=seed
+                    build_submodel(SubModelSpec(kind="gcn"), perturbed), *labs, seed=seed
                 )
                 gcn_accs.append(accuracy(gcn, split.test, g.labels[split.test]))
                 _, _, state = cotrain(
@@ -266,7 +266,7 @@ def test_acceptance_5_calibration(fixture_graph, cora_graph):
         split = split_nodes(graph, 0.1, 0.1, seed)
         model = train_submodel(
             build_submodel(SubModelSpec(kind="gcn"), graph),
-            labeled_map(graph, split.labeled),
+            *truth(graph, split.labeled),
             seed=seed,
         )
         logits = predict_logits(model, split.validation)
@@ -351,9 +351,9 @@ def test_acceptance_7_mixed_attack(fixture_graph):
             setting = AttackSetting(name=f"mix{ratio}", method="dice", rate=0.2, feature_ratio=ratio)
             perturbed = apply_attack(g, setting, seed)
             split = split_nodes(perturbed, 0.1, 0.1, seed)
-            labs = labeled_map(perturbed, split.labeled)
+            labs = truth(perturbed, split.labeled)
             gcn = train_submodel(
-                build_submodel(SubModelSpec(kind="gcn"), perturbed), labs, seed=seed
+                build_submodel(SubModelSpec(kind="gcn"), perturbed), *labs, seed=seed
             )
             gcn_accs.append(accuracy(gcn, split.test, g.labels[split.test]))
             _, _, state = cotrain(

@@ -29,7 +29,7 @@ from cograph.graph import make_graph, with_features
 from cograph.io import save_edge_list
 from cograph.models import input_gradient
 from cograph.nn import TrainHyper
-from helpers import accuracy, graphs_equal, labeled_map, with_inputs
+from helpers import accuracy, graphs_equal, truth, with_inputs
 
 FAST = TrainHyper(epochs=60)
 
@@ -89,10 +89,10 @@ def test_dice_deletes_internal_inserts_cross(attack_graph):
 
 
 def test_dice_degrades_gcn(attack_graph, attack_split):
-    labs = labeled_map(attack_graph, attack_split.labeled)
-    clean = train_submodel(build_submodel(SubModelSpec(kind="gcn", hyper=FAST), attack_graph), labs, seed=0)
+    labs = truth(attack_graph, attack_split.labeled)
+    clean = train_submodel(build_submodel(SubModelSpec(kind="gcn", hyper=FAST), attack_graph), *labs, seed=0)
     perturbed_graph = dice_perturb(attack_graph, attack_graph.labels, 0.2, seed=7)
-    hit = train_submodel(build_submodel(SubModelSpec(kind="gcn", hyper=FAST), perturbed_graph), labs, seed=0)
+    hit = train_submodel(build_submodel(SubModelSpec(kind="gcn", hyper=FAST), perturbed_graph), *labs, seed=0)
     test_y = attack_graph.labels[attack_split.test]
     drop = accuracy(clean, attack_split.test, test_y) - accuracy(hit, attack_split.test, test_y)
     assert drop >= 0.05
@@ -198,7 +198,7 @@ def test_dice_memory_is_linear_on_imbalanced_labels():
 def fmlp_victim(attack_graph, attack_split):
     spec = SubModelSpec(kind="f-mlp", hyper=FAST)
     return train_submodel(
-        build_submodel(spec, attack_graph), labeled_map(attack_graph, attack_split.labeled), seed=0
+        build_submodel(spec, attack_graph), *truth(attack_graph, attack_split.labeled), seed=0
     )
 
 
@@ -227,7 +227,7 @@ def test_feature_flip_rejects_structure_victim(attack_graph, attack_split, kind)
     (knn-gcn) is refused like the structure kinds."""
     victim = train_submodel(
         build_submodel(SubModelSpec(kind=kind, k=8, hyper=FAST), attack_graph),
-        labeled_map(attack_graph, attack_split.labeled),
+        *truth(attack_graph, attack_split.labeled),
         seed=0,
     )
     with pytest.raises(ValidationError, match="f-mlp"):
@@ -236,12 +236,12 @@ def test_feature_flip_rejects_structure_victim(attack_graph, attack_split, kind)
 
 def test_feature_flip_budget_sweep_degrades_victim(attack_graph, attack_split, fmlp_victim):
     # retrained victim accuracy is non-increasing (within noise) in budget
-    labs = labeled_map(attack_graph, attack_split.labeled)
+    labs = truth(attack_graph, attack_split.labeled)
     test_y = attack_graph.labels[attack_split.test]
     accs = []
     for budget in (0, 150, 471):
         g2 = feature_flip_attack(attack_graph, fmlp_victim, budget, targets=attack_split.test)
-        m = train_submodel(build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g2), labs, seed=0)
+        m = train_submodel(build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g2), *labs, seed=0)
         accs.append(accuracy(m, attack_split.test, test_y))
     assert accs[-1] <= accs[0]  # net drop over the sweep
     for a, b in zip(accs, accs[1:]):
@@ -261,7 +261,7 @@ def test_structural_attack_never_touches_fmlp_logits(attack_graph, attack_split,
 def test_feature_attack_never_touches_smlp_logits(attack_graph, attack_split, fmlp_victim):
     spec = SubModelSpec(kind="s-mlp", k=8, hyper=FAST)
     smodel = train_submodel(
-        build_submodel(spec, attack_graph), labeled_map(attack_graph, attack_split.labeled), seed=0
+        build_submodel(spec, attack_graph), *truth(attack_graph, attack_split.labeled), seed=0
     )
     flipped = feature_flip_attack(attack_graph, fmlp_victim, 200, targets=attack_split.test)
     rebuilt = build_submodel(spec, flipped)
@@ -337,7 +337,7 @@ def test_feature_flip_matches_exact_selection_oracle(attack_graph, fixture, budg
     g = {"attack": attack_graph, "words": _sparse_words_graph(), "ties": _duplicated_rows_graph()}[fixture]
     split = split_nodes(g, 0.2, 0.1, seed=0)
     spec = SubModelSpec(kind="f-mlp", hyper=FAST)
-    victim = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=0)
+    victim = train_submodel(build_submodel(spec, g), *truth(g, split.labeled), seed=0)
     assert sp.issparse(victim.model.inputs) == sparse
     attacked = feature_flip_attack(g, victim, budget, targets=split.test)
     assert sp.issparse(attacked.X) == sparse  # the victim's input format
@@ -367,7 +367,7 @@ def test_feature_flip_blocks_match_rescoring_every_block(monkeypatch, width, den
     divided by the one target count."""
     g = _tiled_rows_graph(width, density)
     victim = train_submodel(
-        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), labeled_map(g, np.arange(0, 50, 3)), seed=0
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), *truth(g, np.arange(0, 50, 3)), seed=0
     )
     assert sp.issparse(victim.model.inputs) == sparse
     monkeypatch.setattr(views, "_ROW_BLOCK_BUDGET", 10 * width)
@@ -409,7 +409,7 @@ def test_feature_flip_feeds_csr_victims_canonical_inputs(monkeypatch):
     g = _sparse_words_graph()
     split = split_nodes(g, 0.2, 0.1, seed=0)
     victim = train_submodel(
-        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), labeled_map(g, split.labeled), seed=0
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), *truth(g, split.labeled), seed=0
     )
     seen = []
 
@@ -511,7 +511,7 @@ def test_dense_and_csr_features_log_the_same_flips(tmp_path):
     g_csr = make_graph(g.n, g.edges, sp.csr_matrix(g.X), g.labels, g.C)
     split = split_nodes(g, 0.2, 0.1, seed=0)
     victim = train_submodel(
-        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), labeled_map(g, split.labeled), seed=0
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), g), *truth(g, split.labeled), seed=0
     )
     attacked = feature_flip_attack(g_csr, victim, 100, targets=split.test)
     assert sp.issparse(attacked.X)

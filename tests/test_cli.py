@@ -13,7 +13,7 @@ from cograph.graph import make_graph
 from cograph.experiment import ExperimentConfig
 from cograph.models import ALL_KINDS, FEATURE_KINDS, STRUCTURE_KINDS, predict_logits
 from cograph.nn import TrainHyper
-from helpers import accuracy, labeled_map
+from helpers import accuracy, truth
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,16 @@ CHECKPOINT_SHA256 = {
 }
 
 
+# sha256 of each file `cograph --seed 0 --out D cotrain --data <attack fixture>`
+# writes; how co-training keeps its labeled set must not move them
+COTRAIN_SHA256 = {
+    "history.jsonl": "c674e9af071db6d89d607c70b2dac4a49d0ba1ee58cdb8dd701ec3522fe8f351",
+    "metrics.json": "6fc2eb9aca46ac13dba25fa027587051994f7393329ba053000406dd692ec598",
+    "struct_checkpoint.csv": "aecd0c823592f63281db6d7a3241a265564276c1b53c2b65c7bfbb3fb40ae4b9",
+    "feat_checkpoint.csv": "2d1b78ae089be96bf8424fcd1a13aee45f51bed616c8008f7be429e96ed58e35",
+}
+
+
 @pytest.mark.parametrize("kind", ["f-mlp", "gcn"])
 def test_train_checkpoint_bytes_are_pinned(capsys, tmp_path, attack_graph, kind):
     """Checkpoint rows stay in W0, b0, W1, b1 order with unchanged values,
@@ -81,6 +91,19 @@ def test_train_checkpoint_bytes_are_pinned(capsys, tmp_path, attack_graph, kind)
     names = [line.split(b",")[0].decode() for line in text.splitlines()]
     assert names == (["W0", "b0", "W1", "b1"] if kind == "f-mlp" else ["W0", "W1"])
     assert hashlib.sha256(text).hexdigest() == CHECKPOINT_SHA256[kind]
+
+
+def test_cotrain_output_bytes_are_pinned(capsys, tmp_path, attack_graph):
+    save_dataset_dir(attack_graph, tmp_path / "data")
+    rc, _ = run_cli(
+        capsys, "--seed", "0", "--out", str(tmp_path / "run"), "cotrain",
+        "--data", str(tmp_path / "data"),
+    )
+    assert rc == 0
+    history = (tmp_path / "run" / "history.jsonl").read_text().splitlines()
+    assert len(history) > 2 and json.loads(history[-1])["S_size"] > json.loads(history[0])["S_size"]
+    for name, digest in COTRAIN_SHA256.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("command", ["train", "calibrate"])
@@ -102,7 +125,7 @@ def test_train_scores_every_node_in_one_pass(capsys, tmp_path, monkeypatch, comm
     g = load_graph_dir(data)
     split = split_nodes(g, 0.1, 0.1, 1)
     spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=20))
-    model = train_submodel(build_submodel(spec, g), labeled_map(g, split.labeled), seed=1)
+    model = train_submodel(build_submodel(spec, g), *truth(g, split.labeled), seed=1)
     metrics = json.loads(out)
     splits = {"train": split.labeled, "val": split.validation, "test": split.test}
     for key in ("train", "val", "test") if command == "train" else ("test",):

@@ -11,7 +11,7 @@ import pytest
 
 from cograph import SubModelSpec, build_submodel, split_nodes, train_submodel
 from cograph.io import load_graph_dir
-from helpers import accuracy, labeled_map
+from helpers import accuracy, truth
 from test_acceptance import cora_dir
 
 pytestmark = pytest.mark.skipif(
@@ -39,7 +39,7 @@ def test_gcn_reference_band(cora):
     for seed in (0, 1, 2):
         split = split_nodes(cora, 0.1, 0.1, seed)
         model = train_submodel(
-            build_submodel(SubModelSpec(kind="gcn"), cora), labeled_map(cora, split.labeled), seed=seed
+            build_submodel(SubModelSpec(kind="gcn"), cora), *truth(cora, split.labeled), seed=seed
         )
         accs.append(accuracy(model, split.test, cora.labels[split.test]))
     assert 0.815 <= float(np.mean(accs)) <= 0.855
@@ -51,7 +51,7 @@ def test_smlp_reference_band(cora):
         split = split_nodes(cora, 0.1, 0.1, seed)
         model = train_submodel(
             build_submodel(SubModelSpec(kind="s-mlp", k=50), cora),
-            labeled_map(cora, split.labeled),
+            *truth(cora, split.labeled),
             seed=seed,
         )
         accs.append(accuracy(model, split.test, cora.labels[split.test]))

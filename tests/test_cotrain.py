@@ -22,15 +22,14 @@ from cograph.cotrain import (
     PROV_FEAT,
     PROV_STRUCT,
     PROV_TRUTH,
-    LabelEntry,
-    Selection,
+    PROVENANCE,
     audit_state,
     resolve_conflicts,
     select_confident,
 )
 from cograph.models import build_submodel, predict_logits, train_submodel
 from cograph.nn import TrainHyper
-from helpers import labeled_map
+from helpers import truth
 
 FAST = TrainHyper(epochs=60)
 # the package exports the cotrain function under the submodule's name
@@ -83,41 +82,55 @@ def test_quota_sums_exact_and_near_proportional(hist, n_add):
 # --- confident selection ----------------------------------------------------
 
 
+def _picks(sel):
+    """A select_confident result as (node, label, confidence) triples."""
+    nodes, labels, conf, _ = sel
+    return list(zip(nodes.tolist(), labels.tolist(), conf.tolist()))
+
+
 def test_select_confident_enumerated_example():
     nodes = np.array([10, 20, 30])
     probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]])
     q = class_quota([1, 1], 2)
-    picks, shortfall = select_confident(nodes, probs, q)
-    assert set(picks) == {Selection(10, 0, 0.9), Selection(30, 1, 0.7)}
-    assert shortfall == (0, 0)
+    sel = select_confident(nodes, probs, q)
+    assert _picks(sel) == [(10, 0, 0.9), (30, 1, 0.7)]
+    assert sel[3] == (0, 0)
 
 
 def test_select_confident_tie_breaks_to_lower_node_index():
     nodes = np.array([7, 3])
     probs = np.array([[0.8, 0.2], [0.8, 0.2]])
-    picks, _ = select_confident(nodes, probs, class_quota([1], 1))
-    assert picks == [Selection(3, 0, 0.8)]
+    assert _picks(select_confident(nodes, probs, class_quota([1], 1))) == [(3, 0, 0.8)]
 
 
 def test_select_confident_shortfall_not_redistributed():
     nodes = np.array([1, 2])
     probs = np.array([[0.9, 0.1], [0.8, 0.2]])  # nobody predicts class 1
-    picks, shortfall = select_confident(nodes, probs, class_quota([1, 1], 2))
-    assert [p.node for p in picks] == [1]
+    picked, _, _, shortfall = select_confident(nodes, probs, class_quota([1, 1], 2))
+    assert picked.tolist() == [1]
     assert shortfall == (0, 1)
 
 
 def test_select_unbalanced_top_n():
     nodes = np.array([1, 2, 3])
     probs = np.array([[0.6, 0.4], [0.95, 0.05], [0.1, 0.9]])
-    picks, shortfall = select_confident(nodes, probs, None, n_add=2)
-    assert [p.node for p in picks] == [2, 3]
+    picked, _, _, shortfall = select_confident(nodes, probs, None, n_add=2)
+    assert picked.tolist() == [2, 3]
     assert shortfall == (0,)
+    with pytest.raises(ValidationError, match="needs n_add >= 0"):
+        select_confident(nodes, probs, None, n_add=-1)
 
 
 def test_select_empty_pool():
-    picks, shortfall = select_confident(np.array([], dtype=int), np.zeros((0, 2)), class_quota([1, 1], 2))
-    assert picks == [] and shortfall == (0, 0)
+    """An empty pool falls short of every class's whole quota, as a pool in
+    which no node predicts the class does; unbalanced selection still needs
+    n_add."""
+    empty, probs = np.array([], dtype=int), np.zeros((0, 2))
+    picked, _, _, shortfall = select_confident(empty, probs, class_quota([1, 1], 2))
+    assert picked.size == 0 and shortfall == (1, 1)
+    assert select_confident(empty, probs, None, n_add=3)[3] == (3,)
+    with pytest.raises(ValidationError, match="needs n_add >= 0"):
+        select_confident(empty, probs, None)
 
 
 def _select_reference(nodes, probs, quota, n_add):
@@ -130,11 +143,11 @@ def _select_reference(nodes, probs, quota, n_add):
 
     if quota is None:
         chosen = rank(range(nodes.size))[:n_add]
-        return [Selection(int(nodes[r]), int(pred[r]), float(conf[r])) for r in chosen]
+        return [(int(nodes[r]), int(pred[r]), float(conf[r])) for r in chosen]
     picks = []
     for c, budget in enumerate(quota.per_class):
         take = rank(np.flatnonzero(pred == c).tolist())[:budget]
-        picks += [Selection(int(nodes[r]), c, float(conf[r])) for r in take]
+        picks += [(int(nodes[r]), c, float(conf[r])) for r in take]
     return picks
 
 
@@ -146,39 +159,44 @@ def test_select_confident_matches_sorted_reference(seed, n, balanced):
     probs = rng.dirichlet(np.ones(3), size=n).round(1)  # coarse values tie often
     n_add = int(rng.integers(0, n + 5))
     quota = class_quota(rng.integers(1, 5, size=3), n_add) if balanced else None
-    picks, _ = select_confident(nodes, probs, quota, n_add)
-    assert picks == _select_reference(nodes, probs, quota, n_add)
+    assert _picks(select_confident(nodes, probs, quota, n_add)) == _select_reference(
+        nodes, probs, quota, n_add
+    )
 
 
 # --- conflict resolution -----------------------------------------------------
 
 
+def _sel(*picks):
+    """A select_confident result holding the given (node, label, confidence) picks."""
+    nodes, labels, conf = (np.array(col) for col in zip(*picks))
+    return nodes, labels, conf, ()
+
+
+def _merged(label, provenance):
+    """node -> (label, provenance name) for every node a merge labeled."""
+    return {int(i): (int(label[i]), PROVENANCE[provenance[i]]) for i in np.flatnonzero(label >= 0)}
+
+
 def test_resolve_disjoint_union():
-    merged, conflicts = resolve_conflicts(
-        [Selection(1, 0, 0.9)], [Selection(2, 1, 0.8)]
-    )
+    label, provenance, conflicts = resolve_conflicts(_sel((1, 0, 0.9)), _sel((2, 1, 0.8)), 6)
     assert conflicts == 0
-    assert merged[1].provenance == PROV_STRUCT
-    assert merged[2].provenance == PROV_FEAT
+    assert _merged(label, provenance) == {1: (0, PROV_STRUCT), 2: (1, PROV_FEAT)}
 
 
 def test_resolve_conflict_higher_confidence_wins():
-    merged, conflicts = resolve_conflicts(
-        [Selection(5, 2, 0.95)], [Selection(5, 4, 0.90)]
-    )
+    label, provenance, conflicts = resolve_conflicts(_sel((5, 2, 0.95)), _sel((5, 4, 0.90)), 6)
     assert conflicts == 1
-    assert merged[5].label == 2 and merged[5].provenance == PROV_STRUCT
+    assert _merged(label, provenance) == {5: (2, PROV_STRUCT)}
 
-    merged, _ = resolve_conflicts([Selection(5, 2, 0.80)], [Selection(5, 4, 0.90)])
-    assert merged[5].label == 4 and merged[5].provenance == PROV_FEAT
+    label, provenance, _ = resolve_conflicts(_sel((5, 2, 0.80)), _sel((5, 4, 0.90)), 6)
+    assert _merged(label, provenance) == {5: (4, PROV_FEAT)}
 
 
 def test_resolve_exact_tie_structure_wins():
-    merged, conflicts = resolve_conflicts(
-        [Selection(5, 2, 0.9)], [Selection(5, 2, 0.9)]
-    )
+    label, provenance, conflicts = resolve_conflicts(_sel((5, 2, 0.9)), _sel((5, 3, 0.9)), 6)
     assert conflicts == 1
-    assert merged[5].provenance == PROV_STRUCT
+    assert _merged(label, provenance) == {5: (2, PROV_STRUCT)}
 
 
 # --- ensemble -----------------------------------------------------------------
@@ -187,7 +205,7 @@ def test_resolve_exact_tie_structure_wins():
 def test_ensemble_identical_models_equal_either(easy_graph, easy_split):
     spec = SubModelSpec(kind="f-mlp", hyper=FAST)
     model = train_submodel(
-        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
     )
     nodes = easy_split.test[:20]
     labels, probs = ensemble_predict(model, model, nodes)
@@ -208,12 +226,12 @@ def test_ensemble_averaging_arithmetic():
 def test_ensemble_rows_sum_to_one(attack_graph, attack_split):
     fs = train_submodel(
         build_submodel(SubModelSpec(kind="gcn", hyper=FAST), attack_graph),
-        labeled_map(attack_graph, attack_split.labeled),
+        *truth(attack_graph, attack_split.labeled),
         seed=0,
     )
     ff = train_submodel(
         build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), attack_graph),
-        labeled_map(attack_graph, attack_split.labeled),
+        *truth(attack_graph, attack_split.labeled),
         seed=0,
     )
     _, probs = ensemble_predict(fs, ff, attack_split.test)
@@ -250,11 +268,35 @@ def test_cotrain_bookkeeping(easy_graph, easy_split, small_run):
     assert state.s_size == state.history[-1].s_size
 
 
+def _altered(state, node, **changes):
+    """A copy of state's arrays in which node's entry takes the given values."""
+    arrays = {name: getattr(state, name).copy() for name in ("label", "provenance", "added_in")}
+    for name, value in changes.items():
+        arrays[name][node] = value
+    return replace(state, **arrays)
+
+
 def test_audit_state_rejects_an_entry_on_a_validation_node(easy_graph, easy_split, small_run):
     _, _, state = small_run
     node = int(easy_split.validation[0])
-    bad = replace(state, entries={**state.entries, node: LabelEntry(0, PROV_FEAT, 1)})
+    bad = _altered(state, node, label=0, provenance=PROVENANCE.index(PROV_FEAT), added_in=1)
     with pytest.raises(ValidationError, match="outside the labeled and test nodes"):
+        audit_state(bad, easy_graph, easy_split)
+
+
+def test_audit_state_rejects_a_changed_ground_truth_label(easy_graph, easy_split, small_run):
+    _, _, state = small_run
+    node = int(easy_split.labeled[3])
+    bad = _altered(state, node, label=(easy_graph.labels[node] + 1) % easy_graph.C)
+    with pytest.raises(ValidationError, match=f"ground-truth entry for node {node} was altered"):
+        audit_state(bad, easy_graph, easy_split)
+
+
+def test_audit_state_rejects_a_ground_truth_node_marked_pseudo(easy_graph, easy_split, small_run):
+    _, _, state = small_run
+    node = int(easy_split.labeled[3])
+    bad = _altered(state, node, provenance=PROVENANCE.index(PROV_STRUCT))
+    with pytest.raises(ValidationError, match=f"ground-truth entry for node {node} was altered"):
         audit_state(bad, easy_graph, easy_split)
 
 
@@ -272,18 +314,18 @@ def test_cotrain_additions_match_quota_minus_shortfall(small_run, easy_split):
 
 def test_cotrain_provenance_and_freezing(easy_graph, easy_split, small_run):
     _, _, state = small_run
-    for node in easy_split.labeled:
-        assert state.entries[int(node)].provenance == PROV_TRUTH
-        assert state.entries[int(node)].iteration == 0
-    pseudo = {n: e for n, e in state.entries.items() if e.provenance != PROV_TRUTH}
-    assert pseudo, "co-training must have added pseudo-labels"
-    assert all(e.provenance in (PROV_STRUCT, PROV_FEAT) for e in pseudo.values())
-    assert all(1 <= e.iteration <= 3 for e in pseudo.values())
+    truth_code = PROVENANCE.index(PROV_TRUTH)
+    assert (state.provenance[easy_split.labeled] == truth_code).all()
+    assert (state.added_in[easy_split.labeled] == 0).all()
+    pseudo = np.flatnonzero((state.label >= 0) & (state.provenance != truth_code))
+    assert pseudo.size, "co-training must have added pseudo-labels"
+    assert {PROVENANCE[p] for p in state.provenance[pseudo]} <= {PROV_STRUCT, PROV_FEAT}
+    assert ((1 <= state.added_in[pseudo]) & (state.added_in[pseudo] <= 3)).all()
     # pseudo-labeled nodes come from the test pool only
     test_set = set(easy_split.test.tolist())
-    assert set(pseudo) <= test_set
+    assert set(pseudo.tolist()) <= test_set
     val_set = set(easy_split.validation.tolist())
-    assert not (set(pseudo) & val_set)
+    assert not (set(pseudo.tolist()) & val_set)
 
 
 def test_cotrain_zero_iterations_is_plain_ensemble(easy_graph, easy_split):
@@ -296,10 +338,10 @@ def test_cotrain_zero_iterations_is_plain_ensemble(easy_graph, easy_split):
     # oracle: train the two models directly with the same derived seeds
     from cograph.nn import derive_seeds
 
-    lab = labeled_map(easy_graph, easy_split.labeled)
+    lab = truth(easy_graph, easy_split.labeled)
     (seed_s,), (seed_f,) = derive_seeds(4, 0, 0), derive_seeds(4, 0, 1)
-    ref_s = train_submodel(build_submodel(spec_s, easy_graph), lab, seed=seed_s)
-    ref_f = train_submodel(build_submodel(spec_f, easy_graph), lab, seed=seed_f)
+    ref_s = train_submodel(build_submodel(spec_s, easy_graph), *lab, seed=seed_s)
+    ref_f = train_submodel(build_submodel(spec_f, easy_graph), *lab, seed=seed_f)
     assert all(np.array_equal(fs.params[k], ref_s.params[k]) for k in fs.params)
     assert all(np.array_equal(ff.params[k], ref_f.params[k]) for k in ff.params)
 
@@ -311,7 +353,7 @@ def test_cotrain_stops_when_pool_empties(easy_graph):
     spec_s = SubModelSpec(kind="gcn", hyper=FAST)
     spec_f = SubModelSpec(kind="f-mlp", hyper=FAST)
     fs, ff, state = cotrain(easy_graph, split, spec_s, spec_f, n_add=25, max_iters=50, seed=0)
-    assert set(split.test.tolist()) <= set(state.entries)
+    assert (state.label[split.test] >= 0).all()
     assert state.iteration < 50
     assert state.s_size == len(split.labeled) + len(split.test)
 

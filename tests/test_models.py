@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cograph import SubModelSpec, TrainingError, ValidationError, build_submodel, predict_logits, train_submodel
+from cograph.cotrain import PROV_FEAT, PROVENANCE, CoTrainState
 from cograph.graph import make_graph, with_edges, with_features
 from cograph.models import ALL_KINDS, _Workspace, input_gradient
 from cograph.nn import (
@@ -18,7 +19,7 @@ from cograph.nn import (
     softmax,
     softmax_xent,
 )
-from helpers import accuracy, finite_diff_check, labeled_map, with_inputs
+from helpers import accuracy, finite_diff_check, truth, with_inputs
 
 FAST = TrainHyper(epochs=60)
 
@@ -63,7 +64,7 @@ def test_gcn_layers_have_no_bias_mlp_layers_do(easy_graph):
 def test_noiseless_fixture_fmlp_reaches_full_train_accuracy(easy_graph, easy_split):
     spec = SubModelSpec(kind="f-mlp")
     model = train_submodel(
-        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
     )
     train_acc = accuracy(model, easy_split.labeled, easy_graph.labels[easy_split.labeled])
     assert train_acc == 1.0
@@ -73,7 +74,7 @@ def test_noiseless_fixture_fmlp_reaches_full_train_accuracy(easy_graph, easy_spl
 def test_loss_decreases_over_first_ten_epochs(easy_graph, easy_split, kind):
     spec = SubModelSpec(kind=kind, k=10, hyper=FAST)
     model = train_submodel(
-        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=1
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=1
     )
     assert model.loss_history[9] < model.loss_history[0]
 
@@ -81,9 +82,9 @@ def test_loss_decreases_over_first_ten_epochs(easy_graph, easy_split, kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_training_bitwise_reproducible(easy_graph, easy_split, kind):
     spec = SubModelSpec(kind=kind, k=10, hyper=FAST)
-    lab = labeled_map(easy_graph, easy_split.labeled)
-    a = train_submodel(build_submodel(spec, easy_graph), lab, seed=3)
-    b = train_submodel(build_submodel(spec, easy_graph), lab, seed=3)
+    lab = truth(easy_graph, easy_split.labeled)
+    a = train_submodel(build_submodel(spec, easy_graph), *lab, seed=3)
+    b = train_submodel(build_submodel(spec, easy_graph), *lab, seed=3)
     assert a.loss_history == b.loss_history
     assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
@@ -91,7 +92,7 @@ def test_training_bitwise_reproducible(easy_graph, easy_split, kind):
 def test_predict_deterministic(easy_graph, easy_split):
     model = train_submodel(
         build_submodel(SubModelSpec(kind="gcn", hyper=FAST), easy_graph),
-        labeled_map(easy_graph, easy_split.labeled),
+        *truth(easy_graph, easy_split.labeled),
         seed=0,
     )
     nodes = np.arange(easy_graph.n)
@@ -101,7 +102,7 @@ def test_predict_deterministic(easy_graph, easy_split):
 def test_predict_rejects_out_of_range(easy_graph, easy_split):
     model = train_submodel(
         build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), easy_graph),
-        labeled_map(easy_graph, easy_split.labeled),
+        *truth(easy_graph, easy_split.labeled),
         seed=0,
     )
     with pytest.raises(ValidationError):
@@ -114,7 +115,7 @@ def test_gcn_logits_local_to_two_hops():
     X = rng.random((6, 4))
     g = make_graph(6, [(i, i + 1) for i in range(5)], X, np.array([0, 1] * 3), 2)
     model = train_submodel(
-        build_submodel(SubModelSpec(kind="gcn", hyper=FAST), g), {0: 0, 1: 1}, seed=0
+        build_submodel(SubModelSpec(kind="gcn", hyper=FAST), g), [0, 1], [0, 1], seed=0
     )
     before = predict_logits(model, [0, 1, 2, 3])
 
@@ -133,7 +134,7 @@ def test_gcn_logits_local_to_two_hops():
 def test_fmlp_invariant_to_any_structural_perturbation(easy_graph, easy_split):
     model = train_submodel(
         build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), easy_graph),
-        labeled_map(easy_graph, easy_split.labeled),
+        *truth(easy_graph, easy_split.labeled),
         seed=0,
     )
     nodes = np.arange(easy_graph.n)
@@ -151,7 +152,7 @@ def test_fmlp_invariant_to_any_structural_perturbation(easy_graph, easy_split):
 def test_smlp_invariant_to_any_feature_perturbation(easy_graph, easy_split):
     spec = SubModelSpec(kind="s-mlp", k=8, hyper=FAST)
     model = train_submodel(
-        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
     )
     flipped = with_features(easy_graph, 1.0 - easy_graph.X)
     rebuilt = build_submodel(spec, flipped)
@@ -160,18 +161,43 @@ def test_smlp_invariant_to_any_feature_perturbation(easy_graph, easy_split):
 
 
 def test_pseudo_labels_use_same_code_path(easy_graph, easy_split):
-    # training on {true labels} == training on a dict carrying the same
-    # values regardless of their provenance
-    lab = labeled_map(easy_graph, easy_split.labeled)
+    # the (nodes, targets) read off a co-training state's arrays train
+    # exactly like the truth arrays of the same nodes, whatever the provenance
+    g = easy_graph
+    pseudo = easy_split.test[::4]
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[easy_split.labeled] = g.labels[easy_split.labeled]
+    label[pseudo] = g.labels[pseudo]
+    provenance = np.zeros(g.n, dtype=np.int8)
+    provenance[pseudo] = PROVENANCE.index(PROV_FEAT)
+    state = CoTrainState(label=label, provenance=provenance, added_in=provenance.astype(np.int64))
+    nodes = np.flatnonzero(state.label >= 0)
     spec = SubModelSpec(kind="gcn", hyper=FAST)
-    a = train_submodel(build_submodel(spec, easy_graph), lab, seed=5)
-    b = train_submodel(build_submodel(spec, easy_graph), dict(reversed(lab.items())), seed=5)
+    a = train_submodel(build_submodel(spec, g), nodes, state.label[nodes], seed=5)
+    b = train_submodel(
+        build_submodel(spec, g), *truth(g, np.union1d(easy_split.labeled, pseudo)), seed=5
+    )
     assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
 
-def test_train_rejects_empty_labeled_set(easy_graph):
+@pytest.mark.parametrize(
+    "nodes, targets",
+    [
+        ([], []),
+        ([3, 1], [0, 1]),
+        ([1, 1], [0, 0]),
+        ([1, 3], [0]),
+        ([-1, 3], [0, 1]),
+        ([1, 300], [0, 1]),
+        ([1, 3], [0, 3]),
+    ],
+    ids=["empty", "unsorted", "repeated", "short-targets", "negative-id", "id-past-n", "class-past-C"],
+)
+def test_train_rejects_a_bad_labeled_set(easy_graph, nodes, targets):
+    assert easy_graph.n == 300 and easy_graph.C == 3
+    model = build_submodel(SubModelSpec(kind="gcn"), easy_graph)
     with pytest.raises(ValidationError):
-        train_submodel(build_submodel(SubModelSpec(kind="gcn"), easy_graph), {}, seed=0)
+        train_submodel(model, nodes, targets, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -181,7 +207,7 @@ def test_train_aborts_on_divergence(easy_graph, easy_split):
     spec = SubModelSpec(kind="f-mlp", hyper=crazy)
     with pytest.raises(TrainingError):
         train_submodel(
-            build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+            build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
         )
 
 
@@ -224,7 +250,7 @@ def test_input_gradient_matches_finite_differences():
     g = make_graph(8, [(0, 1), (2, 3)], X, rng.integers(0, 2, 8), 2)
     hyper = TrainHyper(dropout=0.0, epochs=40)
     model = train_submodel(
-        build_submodel(SubModelSpec(kind="f-mlp", hyper=hyper), g), {0: 0, 1: 1}, seed=2
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=hyper), g), [0, 1], [0, 1], seed=2
     )
     nodes = np.array([4, 5, 6])
     labels = g.labels[nodes]
@@ -254,8 +280,7 @@ def _reference_params(model, labeled, seed):
     params = init_params(model.layer_plan(), init_seed)
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
-    idx = np.array(sorted(labeled))
-    y = np.array([labeled[i] for i in idx])
+    idx, y = labeled
     if model.prop is None:
         inputs, rows = model.inputs[idx], np.arange(idx.size)
     else:
@@ -323,8 +348,8 @@ def test_epoch_matches_reference_formulas_bitwise(kind, features):
     assert sp.issparse(model.inputs)
     if features == "dense":  # negative inputs, so dropped values start out -0.0
         model = replace(model, inputs=rng.normal(size=(n, 80)))
-    labeled = {i: int(g.labels[i]) for i in range(0, n, 3)}
-    trained = train_submodel(model, labeled, seed=2)
+    labeled = truth(g, range(0, n, 3))
+    trained = train_submodel(model, *labeled, seed=2)
     reference = _reference_params(model, labeled, seed=2)
     assert trained.params.keys() == reference.keys()
     assert all(trained.params[k].tobytes() == reference[k].tobytes() for k in reference)
@@ -335,16 +360,16 @@ def test_fits_share_no_parameter_buffer(attack_graph, attack_split, kind):
     """Each fit's parameters live in a buffer of their own: a second fit of
     the same model, and scoring the first, leave them byte for byte."""
     model = build_submodel(SubModelSpec(kind=kind, hyper=TrainHyper(epochs=20)), attack_graph)
-    labeled = labeled_map(attack_graph, attack_split.labeled)
-    first = train_submodel(model, labeled, seed=0)
+    labeled = truth(attack_graph, attack_split.labeled)
+    first = train_submodel(model, *labeled, seed=0)
     before = {k: p.tobytes() for k, p in first.params.items()}
-    second = train_submodel(model, labeled, seed=0)
+    second = train_submodel(model, *labeled, seed=0)
     assert all(second.params[k].tobytes() == before[k] for k in before)  # same seed, same bits
     nodes = attack_split.test
     predict_logits(first, nodes)
     if kind == "f-mlp":
         input_gradient(first, nodes, attack_graph.labels[nodes])
-    train_submodel(model, labeled, seed=1)
+    train_submodel(model, *labeled, seed=1)
     assert {k: p.tobytes() for k, p in first.params.items()} == before
     assert not any(np.shares_memory(first.params[k], second.params[k]) for k in before)
 
@@ -355,7 +380,7 @@ def test_input_gradient_rejects_repeated_nodes(easy_graph, easy_split, kind):
     gradient; the ids must be distinct."""
     spec = SubModelSpec(kind=kind, k=5, hyper=TrainHyper(epochs=5))
     trained = train_submodel(
-        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
     )
     nodes = np.array([5, 5, 7])
     with pytest.raises(ValidationError, match="distinct"):
@@ -370,7 +395,7 @@ def test_input_gradient_of_a_row_block_matches_the_whole_loss(easy_graph, easy_s
     gets the rows of the whole loss's gradient, whatever its own size."""
     trained = train_submodel(
         build_submodel(SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5)), easy_graph),
-        labeled_map(easy_graph, easy_split.labeled),
+        *truth(easy_graph, easy_split.labeled),
         seed=0,
     )
     if sparse:
@@ -391,7 +416,7 @@ def test_input_gradient_refuses_propagated_model(easy_graph, easy_split, kind):
     gradient is not row-wise; input_gradient refuses it."""
     spec = SubModelSpec(kind=kind, k=5, hyper=TrainHyper(epochs=5))
     trained = train_submodel(
-        build_submodel(spec, easy_graph), labeled_map(easy_graph, easy_split.labeled), seed=0
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
     )
     nodes = np.array([5, 7])
     with pytest.raises(ValidationError, match="row-wise"):

@@ -20,7 +20,7 @@ from cograph import views
 from cograph.attacks import changed_features, feature_flip_attack
 from cograph.graph import make_graph, with_features
 from cograph.nn import TrainHyper
-from helpers import labeled_map, unit_rows
+from helpers import truth, unit_rows
 
 
 def _union(top):
@@ -145,7 +145,7 @@ def _wide_graph(density):
 def _fmlp_victim(g):
     split = split_nodes(g, 0.2, 0.1, seed=0)
     model = build_submodel(SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=20)), g)
-    return train_submodel(model, labeled_map(g, split.labeled), seed=0)
+    return train_submodel(model, *truth(g, split.labeled), seed=0)
 
 
 @pytest.mark.parametrize("density", [0.02, 0.3], ids=["csr", "dense"])

@@ -26,6 +26,7 @@ from cograph.nn import (
     derive_seeds,
     init_params,
 )
+from helpers import truth
 
 cotrain_mod = importlib.import_module("cograph.cotrain")
 
@@ -137,7 +138,7 @@ def _rows(model, nodes):
 def _whole_graph_fit(model, labeled, seed):
     """(params, loss history) of the whole-graph epoch loop."""
     hyper = model.spec.hyper
-    idx = np.array(sorted(labeled), dtype=np.int64)
+    idx, y = labeled
     init_seed, dropout_seed = derive_seeds(seed, words=2)
     rng = np.random.default_rng(dropout_seed)
     params = init_params(model.layer_plan(), init_seed)
@@ -146,7 +147,7 @@ def _whole_graph_fit(model, labeled, seed):
     v = {k: np.zeros_like(p) for k, p in params.items()}
     inputs, mask = _rows(model, idx)
     targets = np.zeros(inputs.shape[0], dtype=np.int64)
-    targets[mask] = [labeled[i] for i in idx]
+    targets[mask] = y
     losses = []
     for epoch in range(1, hyper.epochs + 1):
         logits, caches = _forward(inputs, model.prop, params, n_layers, hyper, rng, True)
@@ -188,8 +189,8 @@ def test_fit_matches_whole_graph_epoch_bitwise(case):
     g = _sparse_words_graph() if graph == "words" else _dense_graph()
     model = build_submodel(SubModelSpec(kind=kind, k=8, hyper=TrainHyper(epochs=12, **hyper)), g)
     assert sp.issparse(model.inputs) == (graph == "words" and kind != "s-mlp")
-    labeled = {i: int(g.labels[i]) for i in range(1, g.n, 4)}
-    trained = train_submodel(model, labeled, seed=3)
+    labeled = truth(g, range(1, g.n, 4))
+    trained = train_submodel(model, *labeled, seed=3)
     params, losses = _whole_graph_fit(model, labeled, seed=3)
     assert trained.params.keys() == params.keys()
     assert all(trained.params[k].tobytes() == params[k].tobytes() for k in params)
@@ -197,14 +198,14 @@ def test_fit_matches_whole_graph_epoch_bitwise(case):
 
 
 def _fit_bytes(model, labeled, seed):
-    trained = train_submodel(model, labeled, seed=seed)
+    trained = train_submodel(model, *labeled, seed=seed)
     parts = [trained.params[k].tobytes() for k in sorted(trained.params)]
     return b"".join(parts) + np.array(trained.loss_history).tobytes()
 
 
 def test_consecutive_fits_leave_no_state_behind():
     g = _sparse_words_graph()
-    labeled = {i: int(g.labels[i]) for i in range(0, g.n, 3)}
+    labeled = truth(g, range(0, g.n, 3))
     knn = build_submodel(SubModelSpec(kind="knn-gcn", k=8, hyper=TrainHyper(epochs=10)), g)
     fmlp = build_submodel(SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=10)), g)
     first = _fit_bytes(knn, labeled, 4)
@@ -212,7 +213,7 @@ def test_consecutive_fits_leave_no_state_behind():
     assert _fit_bytes(knn, labeled, 4) == first
     assert _fit_bytes(fmlp, labeled, 4) == other
     # a fit on other labels in between changes nothing either
-    _fit_bytes(knn, {i: int(g.labels[i]) for i in range(1, g.n, 7)}, 9)
+    _fit_bytes(knn, truth(g, range(1, g.n, 7)), 9)
     assert _fit_bytes(knn, labeled, 4) == first
 
 
@@ -241,10 +242,10 @@ def test_training_keeps_the_model_inputs_untouched():
     g = _sparse_words_graph()
     model = build_submodel(SubModelSpec(kind="knn-gcn", k=8, hyper=TrainHyper(epochs=5)), g)
     before = (model.inputs.data.copy(), model.inputs.indices.copy(), model.inputs.indptr.copy())
-    train_submodel(model, {i: int(g.labels[i]) for i in range(0, g.n, 3)}, seed=0)
+    train_submodel(model, *truth(g, range(0, g.n, 3)), seed=0)
     after = (model.inputs.data, model.inputs.indices, model.inputs.indptr)
     assert all(np.array_equal(b, a) for b, a in zip(before, after))
     dense = replace(model, inputs=model.inputs.toarray())
     copy = dense.inputs.copy()
-    train_submodel(dense, {i: int(g.labels[i]) for i in range(0, g.n, 3)}, seed=0)
+    train_submodel(dense, *truth(g, range(0, g.n, 3)), seed=0)
     assert dense.inputs.tobytes() == copy.tobytes()
