@@ -67,15 +67,6 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--val-frac", type=float, default=_default(ExperimentConfig, "val_frac"))
 
 
-def _spec(kind: str, k: int, hidden, hyper: TrainHyper) -> SubModelSpec:
-    return SubModelSpec(
-        kind=kind,
-        hidden=tuple(hidden) if hidden else None,
-        k=k,
-        hyper=hyper,
-    )
-
-
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -89,7 +80,7 @@ def _load_split(args):
 def _train_one(args):
     """Load, split and train the single sub-model that args describe."""
     g, split = _load_split(args)
-    spec = _spec(args.model, args.k, args.hidden, _hyper_from_args(args))
+    spec = SubModelSpec(args.model, hidden=args.hidden or None, k=args.k, hyper=_hyper_from_args(args))
     model = train_submodel(
         build_submodel(spec, g), split.labeled, g.labels[split.labeled], seed=args.seed
     )
@@ -146,8 +137,8 @@ def cmd_train(args) -> int:
 def cmd_cotrain(args) -> int:
     g, split = _load_split(args)
     hyper = _hyper_from_args(args)
-    spec_struct = _spec(args.struct, args.struct_k, None, hyper)
-    spec_feat = _spec(args.feat, args.feat_k, None, hyper)
+    spec_struct = SubModelSpec(args.struct, k=args.struct_k, hyper=hyper)
+    spec_feat = SubModelSpec(args.feat, k=args.feat_k, hyper=hyper)
     f_struct, f_feat, state = cotrain(
         g,
         split,

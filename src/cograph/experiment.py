@@ -13,8 +13,9 @@ import inspect
 import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -80,13 +81,38 @@ def _checked(raw: dict, target, where: str) -> dict:
     return raw
 
 
-def _spec_from_dict(d: dict, where: str) -> SubModelSpec:
-    d = dict(_checked(d, SubModelSpec, where))
-    hyper = TrainHyper(**_checked(d.pop("hyper", {}), TrainHyper, f"{where}.hyper"))
-    hidden = d.pop("hidden", None)
-    if hidden is not None:
-        hidden = tuple(_listed(hidden, f"{where}.hidden"))
-    return SubModelSpec(hidden=hidden, hyper=hyper, **d)
+def _build(cls, raw, where: str):
+    """cls built from the mapping raw, each value read by its field's type
+    hint: a config dataclass from its mapping, tuple[X, ...] from a list,
+    X | None as X unless null, str only from a string. A fault names the
+    path of the value at fault (struct_model.hyper, attacks[1])."""
+    hints = get_type_hints(cls)
+    values = {
+        name: _read(hints[name], value, f"{where}.{name}" if where else name)
+        for name, value in _checked(raw, cls, where or "config").items()
+    }
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        if not where:
+            raise
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _read(hint, value, where: str):
+    """value read as the type hint says, for _build."""
+    if type(None) in get_args(hint):  # X | None
+        if value is None:
+            return None
+        (hint,) = set(get_args(hint)) - {type(None)}
+    if is_dataclass(hint):
+        return _build(hint, value, where)
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        item = get_args(hint)[0]
+        return tuple(_read(item, v, f"{where}[{i}]") for i, v in enumerate(_listed(value, where)))
+    if hint is str and not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -135,18 +161,8 @@ class ExperimentConfig:
         raw = dict(_mapping(raw, "config"))
         raw.update(overrides or {})
         seed_offset = raw.pop("seed_offset", 0)
-        _checked(raw, cls, "config")
-        attacks = tuple(
-            AttackSetting(**_checked(a, AttackSetting, f"attacks[{i}]"))
-            for i, a in enumerate(_listed(raw.pop("attacks", [{"name": "clean"}]), "attacks"))
-        )
-        config = cls(
-            seeds=tuple(_listed(raw.pop("seeds"), "seeds")),
-            struct_model=_spec_from_dict(raw.pop("struct_model"), "struct_model"),
-            feat_model=_spec_from_dict(raw.pop("feat_model"), "feat_model"),
-            attacks=attacks,
-            **raw,
-        )
+        require_int("seed_offset", seed_offset)
+        config = _build(cls, raw, "")
         # the seeds are checked as written before the offset shifts them
         return replace(config, seeds=tuple(s + seed_offset for s in config.seeds))
 
@@ -156,29 +172,16 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh), overrides)
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(
-            seeds=list(self.seeds),
-            struct_model=_spec_to_dict(self.struct_model),
-            feat_model=_spec_to_dict(self.feat_model),
-            attacks=[asdict(a) for a in self.attacks],
-        )
-        return out
-
-
-def _spec_to_dict(spec: SubModelSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "hidden": list(spec.hidden_dims),
-        "k": spec.k,
-        "hyper": asdict(spec.hyper),
-    }
+        return asdict(self)
 
 
 def load_base_graph(config: ExperimentConfig) -> Graph:
     if config.dataset_dir is not None:
         return load_graph_dir(config.dataset_dir)
-    return generate_synthetic(**config.synthetic)
+    try:
+        return generate_synthetic(**config.synthetic)
+    except ValidationError as exc:
+        raise ValidationError(f"synthetic: {exc}") from None
 
 
 def apply_attack(

@@ -58,8 +58,10 @@ _SPARSE_DENSITY = 0.2
 class SubModelSpec:
     """Architecture choice for one sub-model.
 
-    k is the view parameter: eigenmap dimension for s-mlp, neighbor count
-    for knn-gcn; ignored by the other kinds.
+    hidden holds the hidden-layer widths; None gives the kind's default
+    widths, and hidden is a tuple once the spec is built. k is the view
+    parameter: eigenmap dimension for s-mlp, neighbor count for knn-gcn;
+    ignored by the other kinds.
     """
 
     kind: str
@@ -73,12 +75,10 @@ class SubModelSpec:
         require_int("k", self.k)
         if self.kind in (KIND_SMLP, KIND_KNN_GCN) and self.k < 1:
             raise ValidationError(f"view parameter k must be positive, got {self.k}")
-        for width in self.hidden or ():
+        hidden = _DEFAULT_HIDDEN[self.kind] if self.hidden is None else tuple(self.hidden)
+        for width in hidden:
             require_int("hidden", width, 1)
-
-    @property
-    def hidden_dims(self) -> tuple[int, ...]:
-        return self.hidden if self.hidden is not None else _DEFAULT_HIDDEN[self.kind]
+        object.__setattr__(self, "hidden", hidden)
 
     @property
     def is_structure_view(self) -> bool:
@@ -100,7 +100,7 @@ class SubModel:
         return self.inputs.shape[1]
 
     def layer_plan(self):
-        dims = [self.input_dim, *self.spec.hidden_dims, self.n_classes]
+        dims = [self.input_dim, *self.spec.hidden, self.n_classes]
         has_bias = self.prop is None  # convolution layers carry no bias
         return [(dims[i], dims[i + 1], has_bias) for i in range(len(dims) - 1)]
 
@@ -201,7 +201,7 @@ class _Workspace:
 
     @classmethod
     def of(cls, model: SubModel, rows, training=False) -> "_Workspace":
-        return cls(model.inputs, model.prop, model.spec.hyper, model.spec.hidden_dims, rows, training)
+        return cls(model.inputs, model.prop, model.spec.hyper, model.spec.hidden, rows, training)
 
     @property
     def first_T(self):

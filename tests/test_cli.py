@@ -387,6 +387,9 @@ BAD_INTEGERS = [
     ("synthetic.n", 120.0),
     ("train_frac", "0.1"),
     ("calibration", "no"),
+    ("seed_offset", "a"),
+    ("seed_offset", True),
+    ("seed_offset", 1.5),
 ]
 
 
@@ -419,7 +422,11 @@ def _experiment_with(capsys, tmp_path, field, value):
 def test_bad_integer_in_config_exits_2_naming_the_field(capsys, tmp_path, field, value):
     rc, err = _experiment_with(capsys, tmp_path, field, value)
     assert rc == 2
-    assert f"{field.split('.')[-1]} must be" in err
+    *parents, leaf = field.split(".")
+    assert f"{leaf} must be" in err
+    if parents:  # a nested value also names its level's path
+        level = "".join(f"[{key}]" if key.isdigit() else f".{key}" for key in parents)
+        assert f"{level.lstrip('.')}: {leaf} must be" in err
 
 
 BAD_SHAPES = [
@@ -431,6 +438,13 @@ BAD_SHAPES = [
     ("synthetic", [1, 2], "synthetic must be a mapping"),
     ("feat_model", "knn-gcn", "feat_model must be a mapping"),
     ("struct_model.hyper", [10], "struct_model.hyper must be a mapping"),
+    # a string field takes only a string
+    ("attacks", [{"name": "ext", "method": "external", "path": 7}], "attacks[0].path must be a string, got 7"),
+    ("attacks.0.name", 3, "attacks[0].name must be a string, got 3"),
+    ("attacks.0.method", ["dice"], "attacks[0].method must be a string, got ['dice']"),
+    ("feat_model.kind", 1, "feat_model.kind must be a string, got 1"),
+    ("dataset_dir", 3, "dataset_dir must be a string, got 3"),
+    ("out_dir", 5, "out_dir must be a string, got 5"),
 ]
 
 

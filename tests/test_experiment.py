@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 
@@ -12,6 +13,7 @@ from cograph.experiment import (
     emit_report,
     run_experiment,
 )
+from cograph.io import write_json
 
 SYNTH = dict(n=150, C=3, p_in=0.12, p_out=0.02, m=24, feature_noise=0.1, seed=5)
 FAST_HYPER = {"epochs": 50}
@@ -113,6 +115,43 @@ def test_summary_recomputable_from_results_csv(tmp_path, report):
         assert summary["settings"][setting]["final_acc_ensemble_std"] == pytest.approx(
             expected_std, abs=1e-12
         )
+
+
+# a config that sets every field (synthetic, as dataset_dir excludes it),
+# both specs with non-default widths and hyper, and one attack per method
+EVERY_FIELD = {
+    "synthetic": SYNTH,
+    "seeds": [3, 0, 7],
+    "struct_model": {"kind": "gcn", "hidden": [24, 8], "k": 5,
+                     "hyper": {"learning_rate": 0.02, "dropout": 0.25}},
+    "feat_model": {"kind": "knn-gcn", "hidden": [12], "k": 7,
+                   "hyper": {"weight_decay": 0.001, "epochs": 30}},
+    "train_frac": 0.2,
+    "val_frac": 0.15,
+    "n_add": 30,
+    "max_iters": 3,
+    "attacks": [
+        {"name": "clean"},
+        {"name": "random5", "method": "random", "rate": 0.05},
+        {"name": "mixed", "method": "dice", "rate": 0.2, "feature_ratio": 0.5},
+        {"name": "flips", "method": "grad-feat", "rate": 0.1},
+        {"name": "external", "method": "external", "path": "perturbed-edges.tsv"},
+    ],
+    "out_dir": "sweep-out",
+    "calibration": False,
+    "class_balancing": False,
+    "threads": 2,
+    "reliability_bins": 7,
+}
+
+
+def test_config_bytes_are_pinned(tmp_path):
+    """summary.json's config block, as read and written back, keeps its
+    bytes; nothing is run."""
+    cfg = ExperimentConfig.from_dict(EVERY_FIELD)
+    write_json({"config": cfg.to_json_dict()}, tmp_path / "config.json")
+    digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
+    assert digest == "1276853c2b70e85b2bf310b611e2a59b52d864aa43eb7452a1e2d5d00324fead"
 
 
 def test_summary_config_reloads_to_the_same_config(tmp_path, report):

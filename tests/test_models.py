@@ -25,11 +25,11 @@ FAST = TrainHyper(epochs=60)
 
 
 def test_spec_defaults():
-    assert SubModelSpec(kind="gcn").hidden_dims == (16,)
-    assert SubModelSpec(kind="f-mlp").hidden_dims == (32,)
-    assert SubModelSpec(kind="s-mlp").hidden_dims == (32,)
-    assert SubModelSpec(kind="knn-gcn").hidden_dims == (16,)
-    assert SubModelSpec(kind="gcn", hidden=(64, 32)).hidden_dims == (64, 32)
+    assert SubModelSpec(kind="gcn").hidden == (16,)
+    assert SubModelSpec(kind="f-mlp").hidden == (32,)
+    assert SubModelSpec(kind="s-mlp").hidden == (32,)
+    assert SubModelSpec(kind="knn-gcn").hidden == (16,)
+    assert SubModelSpec(kind="gcn", hidden=(64, 32)).hidden == (64, 32)
 
 
 def test_spec_rejects_unknown_kind():
