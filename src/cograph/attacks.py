@@ -227,7 +227,7 @@ def _block_best(victim, inputs, ones, labels, t: int, done: np.ndarray):
     labels their classes; the loss is divided by t, the count of all the
     target rows."""
     b = inputs.shape[0]
-    part = replace(victim, model=replace(victim.model, n=b, inputs=inputs))
+    part = replace(victim, model=replace(victim.model, inputs=inputs))
     score = input_gradient(part, np.arange(b), labels, mean_over=t)
     flat = score.reshape(-1)
     flat[ones] *= -1.0  # clearing a set bit scores -grad
@@ -278,11 +278,8 @@ def feature_flip_attack(
         raise ValidationError(f"feature attack needs an f-mlp victim, got {kind!r}")
     if g.labels is None:
         raise ValidationError("feature attack needs a labeled graph")
-    if (victim.model.n, victim.model.input_dim) != g.X.shape:
-        raise ValidationError(
-            f"victim inputs are ({victim.model.n}, {victim.model.input_dim}), "
-            f"graph features {g.X.shape}"
-        )
+    if victim.model.inputs.shape != g.X.shape:
+        raise ValidationError(f"victim inputs are {victim.model.inputs.shape}, graph features {g.X.shape}")
     targets = np.asarray(targets if targets is not None else np.arange(g.n))
     if targets.ndim != 1 or targets.size == 0 or targets.dtype.kind not in "iu":
         raise ValidationError("attack targets must be a nonempty 1-D array of node ids")

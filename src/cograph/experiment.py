@@ -29,7 +29,7 @@ from .attacks import (
 from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
 from .cotrain import cotrain
 from .errors import ValidationError, require_int, require_real
-from .graph import Graph, generate_synthetic, split_nodes
+from .graph import Graph, SyntheticSpec, generate_synthetic, split_nodes
 from .io import load_graph_dir, write_csv, write_json
 from .models import (  # noqa: F401 -- predict_logits: the benchmark traces it here
     KIND_FMLP,
@@ -67,11 +67,11 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
-def _checked(raw: dict, target, where: str) -> dict:
-    """raw itself, once it is a mapping, each key names a parameter of
-    target (a dataclass or a function) and no parameter without a default
-    is missing; config typos fail here."""
-    params = inspect.signature(target).parameters
+def _checked(raw: dict, cls, where: str) -> dict:
+    """raw itself, once it is a mapping, each key names a field of the
+    dataclass cls and no field without a default is missing; config typos
+    fail here."""
+    params = inspect.signature(cls).parameters
     for key in _mapping(raw, where):
         if key not in params:
             raise ValidationError(f"{where}: unknown key {key!r}; expected one of {sorted(params)}")
@@ -121,7 +121,7 @@ class ExperimentConfig:
     struct_model: SubModelSpec
     feat_model: SubModelSpec
     dataset_dir: str | None = None
-    synthetic: dict | None = None
+    synthetic: SyntheticSpec | None = None
     train_frac: float = 0.1
     val_frac: float = 0.1
     n_add: int = 250
@@ -150,8 +150,6 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be true or false, got {value!r}")
         if (self.dataset_dir is None) == (self.synthetic is None):
             raise ValidationError("config needs exactly one of dataset_dir or synthetic")
-        if self.synthetic is not None:
-            _checked(self.synthetic, generate_synthetic, "synthetic")
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ValidationError("attack setting names must be unique")
@@ -178,10 +176,7 @@ class ExperimentConfig:
 def load_base_graph(config: ExperimentConfig) -> Graph:
     if config.dataset_dir is not None:
         return load_graph_dir(config.dataset_dir)
-    try:
-        return generate_synthetic(**config.synthetic)
-    except ValidationError as exc:
-        raise ValidationError(f"synthetic: {exc}") from None
+    return generate_synthetic(**asdict(config.synthetic))
 
 
 def apply_attack(

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError, require_int, require_real
+from .views import row_blocks
 
 Edge = tuple[int, int]
 
@@ -177,6 +178,35 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     return normalize_adjacency_matrix(adjacency(g))
 
 
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """The parameters of one generate_synthetic graph, checked when built:
+    integers n >= C >= 1, m >= 1 and seed >= 0, and real probabilities
+    0 <= p_out < p_in <= 1 and feature_noise in [0, 1]."""
+
+    n: int
+    C: int
+    p_in: float
+    p_out: float
+    m: int
+    feature_noise: float
+    seed: int
+
+    def __post_init__(self):
+        require_int("C", self.C, 1)
+        require_int("n", self.n, self.C)
+        require_int("m", self.m, 1)
+        require_int("seed", self.seed, 0)
+        for name in ("p_in", "p_out", "feature_noise"):
+            require_real(name, getattr(self, name))
+        if not (0.0 <= self.p_out < self.p_in <= 1.0):
+            raise ValidationError(
+                f"need 0 <= p_out < p_in <= 1, got p_in={self.p_in} p_out={self.p_out}"
+            )
+        if not (0.0 <= self.feature_noise <= 1.0):
+            raise ValidationError(f"feature_noise must be a probability, got {self.feature_noise}")
+
+
 def generate_synthetic(
     n: int,
     C: int,
@@ -192,26 +222,25 @@ def generate_synthetic(
     probability p_in, inter-class pairs with p_out. Each node's feature
     vector is the indicator of its class's m//C-wide column block, with
     every bit independently flipped with probability feature_noise.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. The arguments are checked as
+    SyntheticSpec checks them. The pairs (i < j) draw their uniforms in
+    row-major order, one block of rows at a time (views.row_blocks), so no
+    array over all n(n-1)/2 pairs is ever made.
     """
-    require_int("C", C, 1)
-    require_int("n", n, C)
-    require_int("m", m, 1)
-    require_int("seed", seed, 0)
-    for name, value in (("p_in", p_in), ("p_out", p_out), ("feature_noise", feature_noise)):
-        require_real(name, value)
-    if not (0.0 <= p_out < p_in <= 1.0):
-        raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
-    if not (0.0 <= feature_noise <= 1.0):
-        raise ValidationError(f"feature_noise must be a probability, got {feature_noise}")
+    SyntheticSpec(n, C, p_in, p_out, m, feature_noise, seed)
 
     rng = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.int64) % C
 
-    iu, ju = np.triu_indices(n, k=1)
-    p = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.shape[0]) < p
-    edges = zip(iu[keep].tolist(), ju[keep].tolist())
+    nodes, heads, tails = np.arange(n), [], []
+    for lo, hi in row_blocks(n, n):
+        iu, ju = np.nonzero(nodes > nodes[lo:hi, None])
+        iu += lo
+        p = np.where(labels[iu] == labels[ju], p_in, p_out)
+        keep = rng.random(iu.shape[0]) < p
+        heads.append(iu[keep])
+        tails.append(ju[keep])
+    edges = zip(np.concatenate(heads).tolist(), np.concatenate(tails).tolist())
 
     width = m // C
     X = np.zeros((n, m), dtype=np.float64)

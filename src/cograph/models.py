@@ -87,13 +87,27 @@ class SubModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class SubModel:
-    """A spec bound to its precomputed view artifacts, ready to train."""
+    """A spec bound to its precomputed view artifacts, ready to train.
+
+    The node count n is the row count of inputs, so swapping inputs in
+    (dataclasses.replace) sets it; a propagated model's prop must stay
+    (n, n).
+    """
 
     spec: SubModelSpec
-    n: int
     n_classes: int
     inputs: object  # dense ndarray or CSR feature/embedding matrix
     prop: sp.csr_matrix | None  # normalized adjacency for convolutional kinds
+
+    def __post_init__(self):
+        if self.prop is not None and self.prop.shape != (self.n, self.n):
+            raise ValidationError(
+                f"propagation matrix is {self.prop.shape}, inputs have {self.n} rows"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.inputs.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -145,7 +159,7 @@ def build_submodel(spec: SubModelSpec, g: Graph) -> SubModel:
     else:  # knn-gcn: the feature graph replaces the original structure
         inputs = _maybe_sparse(g.X)
         prop = normalize_adjacency_matrix(knn_graph(inputs, spec.k))
-    return SubModel(spec=spec, n=g.n, n_classes=g.C, inputs=inputs, prop=prop)
+    return SubModel(spec=spec, n_classes=g.C, inputs=inputs, prop=prop)
 
 
 def _every_row(inputs, rows) -> bool:

@@ -385,6 +385,8 @@ BAD_INTEGERS = [
     ("feat_model.k", 2.5),
     ("attacks.0.rate", "0.1"),
     ("synthetic.n", 120.0),
+    ("synthetic.p_in", "0.06"),
+    ("synthetic.C", True),
     ("train_frac", "0.1"),
     ("calibration", "no"),
     ("seed_offset", "a"),

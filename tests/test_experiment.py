@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cograph.experiment import (
     emit_report,
     run_experiment,
 )
+from cograph.graph import SyntheticSpec
 from cograph.io import write_json
 
 SYNTH = dict(n=150, C=3, p_in=0.12, p_out=0.02, m=24, feature_noise=0.1, seed=5)
@@ -61,6 +63,22 @@ def test_config_rejects_duplicate_setting_names():
 def test_config_seed_offset():
     cfg = tiny_config(seed_offset=100)
     assert cfg.seeds == (100, 101)
+
+
+@pytest.mark.parametrize("field, value", [("n", 120.0), ("p_in", "0.06"), ("C", True)])
+def test_config_checks_synthetic_values(field, value):
+    """The synthetic block is read against SyntheticSpec, so a wrong-typed
+    value fails in from_dict, naming its level and field."""
+    with pytest.raises(ValidationError, match=f"^synthetic: {field} must be"):
+        tiny_config(synthetic={**SYNTH, field: value})
+
+
+def test_config_is_hashable_and_frozen_through_synthetic():
+    cfg = tiny_config()
+    assert hash(cfg) == hash(tiny_config())
+    assert cfg.synthetic == SyntheticSpec(**SYNTH)
+    with pytest.raises(FrozenInstanceError):
+        cfg.synthetic.n = 5
 
 
 def test_attack_setting_validation():

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from cograph import ValidationError, class_quota, generate_synthetic, split_nodes
-from cograph.graph import Graph, adjacency, make_graph, normalized_adjacency, with_edges, with_features
+from cograph.graph import Graph, adjacency, edge_array, make_graph, normalized_adjacency, with_edges, with_features
 from helpers import components_cover, graphs_equal
 
 
@@ -153,6 +155,26 @@ def test_synthetic_validates_probabilities():
         generate_synthetic(10, 2, 0.5, 0.1, 4, -0.2, seed=0)
     with pytest.raises(ValidationError):
         generate_synthetic(2, 5, 0.5, 0.1, 4, 0.0, seed=0)  # n < C
+
+
+# parameter sets and the sha256 of their edge array and X bytes, as the
+# generator gave them when it drew every pair's uniform in one call: the
+# sweep workload's graph, a noiseless one and one over several row blocks
+PINNED_SYNTHETIC = [
+    (dict(n=400, C=4, p_in=0.06, p_out=0.02, m=40, feature_noise=0.2, seed=3),
+     "2a7b7a94e38370496c3e90cfa871c0260e2ec19738132ba4bff8d5a951e6f743"),
+    (dict(n=300, C=3, p_in=0.10, p_out=0.01, m=30, feature_noise=0.0, seed=7),
+     "a843bf267869ef6755ab8e09e3e97c957f72d813faf26bb34d3c68f69d21bd2a"),
+    (dict(n=1000, C=5, p_in=0.02, p_out=0.004, m=17, feature_noise=0.1, seed=11),
+     "a049e02e0f094cf31316bacfefa6607fcb1bfdbb89d8e77dd791b69da846ce7d"),
+]
+
+
+@pytest.mark.parametrize("params, digest", PINNED_SYNTHETIC, ids=["sweep", "noiseless", "blocks"])
+def test_synthetic_graphs_are_pinned(params, digest):
+    g = generate_synthetic(**params)
+    data = edge_array(g).tobytes() + np.ascontiguousarray(g.X).tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_synthetic_giant_component():

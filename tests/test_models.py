@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cograph import SubModelSpec, TrainingError, ValidationError, build_submodel, predict_logits, train_submodel
+from cograph import (
+    SubModelSpec,
+    TrainingError,
+    ValidationError,
+    build_submodel,
+    generate_synthetic,
+    predict_logits,
+    train_submodel,
+)
 from cograph.cotrain import PROV_FEAT, PROVENANCE, CoTrainState
 from cograph.graph import make_graph, with_edges, with_features
 from cograph.models import ALL_KINDS, _Workspace, input_gradient
@@ -421,3 +429,44 @@ def test_input_gradient_refuses_propagated_model(easy_graph, easy_split, kind):
     nodes = np.array([5, 7])
     with pytest.raises(ValidationError, match="row-wise"):
         input_gradient(trained, nodes, easy_graph.labels[nodes])
+
+
+# a 120-node graph whose f-mlp reads dense inputs (m = 24 < 64)
+SWAP_GRAPH = dict(n=120, C=3, p_in=0.15, p_out=0.02, m=24, feature_noise=0.1, seed=5)
+
+
+def _swap_fixture(kind):
+    g = generate_synthetic(**SWAP_GRAPH)
+    spec = SubModelSpec(kind=kind, k=5, hyper=TrainHyper(epochs=20))
+    return train_submodel(build_submodel(spec, g), *truth(g, range(0, g.n, 4)), seed=0)
+
+
+def test_swapped_in_rows_set_the_node_count():
+    """A row-wise model swapped onto its inputs stacked twice scores all
+    240 rows, and each copy predicts what the original 120 rows do."""
+    trained = _swap_fixture("f-mlp")
+    X = trained.model.inputs
+    stacked = with_inputs(trained, np.vstack([X, X]))
+    assert stacked.model.n == 240
+    logits = predict_logits(stacked, np.arange(240))
+    original = predict_logits(trained, np.arange(120))
+    assert np.allclose(logits[:120], original) and np.allclose(logits[120:], original)
+    assert np.array_equal(logits.argmax(axis=1), np.tile(original.argmax(axis=1), 2))
+
+
+def test_swapped_in_fewer_rows_bound_the_node_ids():
+    trained = _swap_fixture("f-mlp")
+    short = with_inputs(trained, trained.model.inputs[:60])
+    with pytest.raises(ValidationError, match="out of range for n=60"):
+        predict_logits(short, [100])
+
+
+@pytest.mark.parametrize("kind", ["gcn", "knn-gcn"])
+def test_propagated_model_keeps_prop_shape(kind):
+    """A propagated model's inputs must keep prop's row count: a swap to
+    another count is refused, one of the same count is taken."""
+    trained = _swap_fixture(kind)
+    X = trained.model.inputs
+    with pytest.raises(ValidationError, match="propagation matrix"):
+        replace(trained.model, inputs=X[:60])
+    assert with_inputs(trained, X * 1.0).model.n == 120

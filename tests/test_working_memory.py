@@ -1,5 +1,5 @@
-"""Working-set bounds and bit-identity guards for the kNN view and the
-feature-flip attack.
+"""Working-set bounds and bit-identity guards for the kNN view, the
+feature-flip attack and the synthetic-graph generator.
 
 The kNN graph is compared byte for byte with two references kept below:
 a stable argsort of dense cosine rows on real-valued features, and an
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cograph import SubModelSpec, build_submodel, split_nodes, train_submodel
+from cograph import SubModelSpec, build_submodel, generate_synthetic, split_nodes, train_submodel
 from cograph import views
 from cograph.attacks import changed_features, feature_flip_attack
 from cograph.graph import make_graph, with_features
@@ -133,6 +133,15 @@ def test_knn_graph_holds_one_similarity_chunk():
     # n x n or n x m. Large k lets the union step set the peak
     block = views._ROW_BLOCK_BUDGET * 8
     assert peak <= 4 * block + 7 * n * k * 8 + 2**20
+
+
+def test_synthetic_generator_holds_one_block_of_pairs():
+    """The pairs draw their uniforms one row block at a time: at n = 4000
+    (8M pairs, about 64 MB for each pair-length float64 array) the peak
+    stays a few row blocks of pair arrays above the small result."""
+    g, peak = _traced_peak(generate_synthetic, 4000, 4, 0.002, 0.0005, 8, 0.1, seed=1)
+    assert g.n == 4000 and g.num_edges > 0
+    assert peak <= 32 * 2**20
 
 
 def _wide_graph(density):
