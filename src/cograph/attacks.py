@@ -13,6 +13,7 @@ the experiment runner and the provenance sidecar.
 from __future__ import annotations
 
 import hashlib
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -20,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError, require_real
+from .errors import ValidationError, require_real, require_type
 from .graph import Graph, with_edges, with_features
 from .io import parse_edge_list, write_json
 from .models import KIND_FMLP, TrainedSubModel, input_gradient
@@ -54,6 +55,8 @@ class AttackSetting:
             raise ValidationError(f"attack method must be one of {ATTACK_METHODS}, got {self.method!r}")
         require_real("rate", self.rate)
         require_real("feature_ratio", self.feature_ratio)
+        require_type("path", self.path, str, os.PathLike, type(None))
+        object.__setattr__(self, "path", self.path and os.fspath(self.path))  # a report writes a str
         if not 0.0 <= self.rate <= 1.0 or not 0.0 <= self.feature_ratio <= 1.0:
             raise ValidationError("attack rate and feature_ratio must lie in [0, 1]")
         if self.method == "external" and not self.path:
@@ -387,8 +390,8 @@ def flip_log_hash(original: Graph, perturbed: Graph) -> str:
     return h.hexdigest()
 
 
-def write_sidecar(path, setting: AttackSetting, seed: int, original: Graph, perturbed: Graph) -> None:
-    """Provenance record emitted next to a perturbed dataset."""
+def write_sidecar(path, setting: AttackSetting, seed: int, original: Graph, perturbed: Graph) -> dict:
+    """Write the provenance record emitted next to a perturbed dataset; return it."""
     record = {
         "method": setting.method,
         "rate": setting.rate,
@@ -400,3 +403,4 @@ def write_sidecar(path, setting: AttackSetting, seed: int, original: Graph, pert
         "feature_bits_changed": len(changed_features(original.X, perturbed.X)),
     }
     write_json(record, path)
+    return record

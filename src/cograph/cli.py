@@ -14,7 +14,7 @@ import traceback
 from dataclasses import fields
 from pathlib import Path
 
-from .attacks import ATTACK_METHODS, AttackSetting, changed_features, write_sidecar
+from .attacks import ATTACK_METHODS, AttackSetting, write_sidecar
 from .calibration import (
     RELIABILITY_COLUMNS,
     calibrate,
@@ -186,7 +186,7 @@ def cmd_attack(args) -> int:
     perturbed = apply_attack(g, setting, args.seed, args.train_frac, args.val_frac)
     out = Path(args.out or "perturbed")
     save_dataset_dir(perturbed, out)
-    write_sidecar(out / "perturbation.json", setting, args.seed, g, perturbed)
+    record = write_sidecar(out / "perturbation.json", setting, args.seed, g, perturbed)
     _emit(
         {
             "method": args.method,
@@ -194,7 +194,7 @@ def cmd_attack(args) -> int:
             "feature_ratio": args.feature_ratio,
             "edges_before": g.num_edges,
             "edges_after": perturbed.num_edges,
-            "feature_bits_changed": len(changed_features(g.X, perturbed.X)),
+            "feature_bits_changed": record["feature_bits_changed"],
             "out": str(out),
         }
     )

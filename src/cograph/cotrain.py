@@ -12,7 +12,7 @@ probability vectors.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -313,7 +313,7 @@ def cotrain(
         trained = train_submodel(model, *labeled, seed=fit_seed)
         logits = predict_logits(trained, all_nodes)
         if calibration and val_nodes.size:
-            trained = trained.with_temperature(fit_temperature(logits[val_nodes], val_labels))
+            trained = replace(trained, temperature=fit_temperature(logits[val_nodes], val_labels))
         return trained, logits, calibrate(logits, trained.temperature)
 
     def test_accuracy(pred: np.ndarray) -> float:

@@ -24,6 +24,12 @@ def require_real(name: str, value) -> None:
         raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
+def require_type(name: str, value, *types) -> None:
+    """ValidationError naming the field unless value is an instance of one of types."""
+    if not isinstance(value, types):
+        raise ValidationError(f"{name} must be of type {' or '.join(t.__name__ for t in types)}, got {value!r}")
+
+
 class GraphParseError(ValidationError):
     """Raised for malformed dataset files; carries file path and line number."""
 

@@ -28,7 +28,7 @@ from .attacks import (
 )
 from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
 from .cotrain import cotrain
-from .errors import ValidationError, require_int, require_real
+from .errors import ValidationError, require_int, require_real, require_type
 from .graph import Graph, SyntheticSpec, generate_synthetic, split_nodes
 from .io import load_graph_dir, write_csv, write_json
 from .models import (  # noqa: F401 -- predict_logits: the benchmark traces it here
@@ -150,6 +150,12 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be true or false, got {value!r}")
         if (self.dataset_dir is None) == (self.synthetic is None):
             raise ValidationError("config needs exactly one of dataset_dir or synthetic")
+        # from_dict builds every level from its mapping; a direct caller may not
+        require_type("struct_model", self.struct_model, SubModelSpec)
+        require_type("feat_model", self.feat_model, SubModelSpec)
+        require_type("synthetic", self.synthetic, SyntheticSpec, type(None))
+        for i, setting in enumerate(self.attacks):
+            require_type(f"attacks[{i}]", setting, AttackSetting)
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ValidationError("attack setting names must be unique")

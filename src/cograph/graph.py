@@ -7,7 +7,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,8 +18,8 @@ from .views import row_blocks
 Edge = tuple[int, int]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(a, dtype=None) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     if a.flags.writeable:
         a = a.copy()  # never flip flags on a caller's array
         a.flags.writeable = False
@@ -50,9 +50,10 @@ class Graph:
     """Undirected graph with node features and optional labels.
 
     edges holds pairs (i, j) with i < j; the implied adjacency is symmetric
-    with zero diagonal. X has one row of finite values per node, as a dense
-    array or, from make_graph, a canonical CSR matrix. labels, when
-    present, are class ids in [0, C).
+    with zero diagonal. X has one row of finite values per node, stored as
+    a read-only float64 array or, if sparse, canonical float64 CSR over
+    read-only arrays. labels, when present, are class ids in [0, C), stored
+    as a read-only int64 array. Either is kept as is when already so stored.
     """
 
     n: int
@@ -60,23 +61,23 @@ class Graph:
     X: np.ndarray | sp.csr_matrix
     labels: np.ndarray | None = None
     C: int | None = None
-    # private to this module: True when X is the X of a graph already built,
-    # whose values were checked then (with_edges, with_features)
-    _X_checked: InitVar[bool] = False
 
-    def __post_init__(self, _X_checked):
+    def __post_init__(self):
+        X = _frozen_csr(self.X) if sp.issparse(self.X) else _freeze(self.X, np.float64)
+        object.__setattr__(self, "X", X)
         if self.n < 1:
             raise ValidationError(f"graph needs at least one node, got n={self.n}")
         if self.X.ndim != 2 or self.X.shape[0] != self.n or self.X.shape[1] < 1:
             raise ValidationError(
                 f"feature matrix must be ({self.n}, m>=1), got {self.X.shape}"
             )
-        if not _X_checked and not np.isfinite(self.X.data if sp.issparse(self.X) else self.X).all():
+        if not np.isfinite(self.X.data if sp.issparse(self.X) else self.X).all():
             raise ValidationError("feature matrix holds NaN or infinite values")
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={self.n}")
         if self.labels is not None:
+            object.__setattr__(self, "labels", _freeze(self.labels, np.int64))
             if self.labels.shape != (self.n,):
                 raise ValidationError(
                     f"labels must have shape ({self.n},), got {self.labels.shape}"
@@ -103,15 +104,13 @@ def make_graph(n, edges, X, labels=None, C=None) -> Graph:
 
     Input pairs are symmetrized by union (both (i,j) and (j,i) collapse to
     one undirected edge), duplicates are dropped, and self-loops are
-    silently discarded. A sparse X is stored as canonical float64 CSR with
-    read-only arrays, any other X as a read-only float64 array.
+    silently discarded. X and labels are stored as Graph stores them. C
+    defaults to one more than the largest label.
     """
-    edges, X = _edge_set(edges), _frozen_features(X)
-    if labels is not None:
-        labels = _freeze(np.asarray(labels, dtype=np.int64))
-        if C is None:
-            C = int(labels.max()) + 1 if labels.size else 0
-    return Graph(n=int(n), edges=edges, X=X, labels=labels, C=C)
+    if labels is not None and C is None:
+        labels = np.asarray(labels, dtype=np.int64)
+        C = int(labels.max()) + 1 if labels.size else 0
+    return Graph(n=int(n), edges=_edge_set(edges), X=X, labels=labels, C=C)
 
 
 def _edge_set(edges) -> frozenset[Edge]:
@@ -124,21 +123,16 @@ def _edge_set(edges) -> frozenset[Edge]:
     return frozenset(norm)
 
 
-def _frozen_features(X):
-    return _frozen_csr(X) if sp.issparse(X) else _freeze(np.asarray(X, dtype=np.float64))
-
-
 def with_edges(g: Graph, edges) -> Graph:
     """Copy of g with a replaced edge set, normalized as make_graph does
-    (features and labels shared; g's X is not checked again)."""
-    return Graph(g.n, _edge_set(edges), g.X, g.labels, g.C, _X_checked=True)
+    (features and labels shared)."""
+    return replace(g, edges=_edge_set(edges))
 
 
 def with_features(g: Graph, X) -> Graph:
-    """Copy of g with a replaced feature matrix, stored as make_graph
-    stores it (edges and labels shared). X is checked unless it is g's."""
-    X = _frozen_features(X)
-    return Graph(g.n, g.edges, X, g.labels, g.C, _X_checked=X is g.X)
+    """Copy of g with a replaced feature matrix, stored as Graph stores it
+    (edges and labels shared)."""
+    return replace(g, X=X)
 
 
 def edge_array(g: Graph) -> np.ndarray:
@@ -258,7 +252,8 @@ class NodeSplit:
     """Disjoint labeled/validation/test index sets over one graph.
 
     class_histogram counts labels over the labeled set; a class absent
-    from it counts 0 there, and its pseudo-label quotas become zero.
+    from it counts 0 there, and its pseudo-label quotas become zero. The
+    four arrays are stored read-only, a caller's writable array as a copy.
     """
 
     labeled: np.ndarray
@@ -267,6 +262,8 @@ class NodeSplit:
     class_histogram: np.ndarray
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
         parts = [set(self.labeled.tolist()), set(self.validation.tolist()), set(self.test.tolist())]
         total = len(self.labeled) + len(self.validation) + len(self.test)
         if len(parts[0] | parts[1] | parts[2]) != total:
@@ -301,9 +298,4 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
     test = np.sort(perm[n_train + n_val :])
 
     hist = np.bincount(g.labels[labeled], minlength=g.C)
-    return NodeSplit(
-        labeled=_freeze(labeled),
-        validation=_freeze(validation),
-        test=_freeze(test),
-        class_histogram=_freeze(hist),
-    )
+    return NodeSplit(labeled=labeled, validation=validation, test=test, class_histogram=hist)

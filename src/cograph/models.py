@@ -13,12 +13,12 @@ its caller reads, and a fit reuses one workspace for all its epochs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import TrainingError, ValidationError, require_int
+from .errors import TrainingError, ValidationError, require_int, require_type
 from .graph import Graph, adjacency, normalize_adjacency_matrix, normalized_adjacency
 from .nn import (
     AdamState,
@@ -73,6 +73,7 @@ class SubModelSpec:
         if self.kind not in ALL_KINDS:
             raise ValidationError(f"unknown sub-model kind {self.kind!r}")
         require_int("k", self.k)
+        require_type("hyper", self.hyper, TrainHyper)
         if self.kind in (KIND_SMLP, KIND_KNN_GCN) and self.k < 1:
             raise ValidationError(f"view parameter k must be positive, got {self.k}")
         hidden = _DEFAULT_HIDDEN[self.kind] if self.hidden is None else tuple(self.hidden)
@@ -131,9 +132,6 @@ class TrainedSubModel:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValidationError(f"temperature must be positive, got {self.temperature}")
-
-    def with_temperature(self, T: float) -> "TrainedSubModel":
-        return replace(self, temperature=float(T))
 
 
 def _maybe_sparse(X):
@@ -294,7 +292,7 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
     hyper.epochs from a fresh Glorot initialization and is bitwise
     reproducible for a fixed (seed, spec, data); seed is the only seed
     source. One _Workspace serves every epoch, and the loss reads only the
-    labeled rows' logits.
+    labeled rows' logits. The returned params are read-only.
     """
     idx = _node_ids(model, nodes)
     targets = np.asarray(targets, dtype=np.int64)
@@ -324,9 +322,11 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
                 "check the learning rate or the input data"
             )
         ws.backward(grad_logits, caches, params, state.grads)
-        adam_step(params, state.grads, state, epoch, hyper)
+        adam_step(state, epoch, hyper)
         losses.append(loss)
 
+    for p in params.values():  # views of state.flat: its flag does not reach them
+        p.flags.writeable = False
     return TrainedSubModel(model=model, params=params, loss_history=tuple(losses))
 
 

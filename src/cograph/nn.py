@@ -187,7 +187,6 @@ class AdamState:
     rows holds the flat gradient, the moments m and v and two scratch
     arrays; grads maps each name to its view of the gradient."""
 
-    params: dict[str, np.ndarray]
     flat: np.ndarray
     n_decay: int
     rows: tuple[np.ndarray, ...]
@@ -203,26 +202,18 @@ class AdamState:
             params[k], grads[k] = flat[lo:hi].reshape(shape), rows[0][lo:hi].reshape(shape)
             lo = hi
         n_decay = sum(params[k].size for k in names if k.startswith("W"))
-        return cls(params, flat, n_decay, rows, grads)
+        return cls(flat, n_decay, rows, grads)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, t: int, hyper: TrainHyper) -> None:
-    """One in-place Adam update of params and state (beta1=0.9, beta2=0.999, eps=1e-8).
+def adam_step(state: AdamState, t: int, hyper: TrainHyper) -> None:
+    """One in-place Adam update of the params state was made for, from
+    state.grads, in one sweep (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    One sweep over state's flat buffers updates all of params, the mapping
-    state was made for. grads is state.grads, or arrays of the same shapes
-    copied into it. Weight decay adds lambda*W to the weights' gradient
-    before the moment updates. t is the 1-based step counter.
+    Weight decay adds lambda*W to the weights' gradient before the moment
+    updates. t is the 1-based step counter.
     """
     if t < 1:
         raise ValidationError(f"step counter must be >= 1, got {t}")
-    if params is not state.params:
-        raise ValidationError("adam_step needs the params its AdamState was made for")
-    if grads is not state.grads:
-        for name, view in state.grads.items():
-            if name not in grads or np.shape(grads[name]) != view.shape:
-                raise ValidationError(f"gradient missing or of the wrong shape for {name}")
-            view[...] = grads[name]
     g, m, v, step, work = state.rows
     if hyper.weight_decay != 0.0:
         # weights only, never biases; g + lambda*W has the bits of

@@ -8,6 +8,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from cograph import SubModelSpec, build_submodel, load_graph_dir, save_dataset_dir, split_nodes, train_submodel
+from cograph import attacks, cli
 from cograph.cli import build_parser, main
 from cograph.graph import make_graph
 from cograph.experiment import ExperimentConfig
@@ -74,6 +75,15 @@ COTRAIN_SHA256 = {
     "metrics.json": "6fc2eb9aca46ac13dba25fa027587051994f7393329ba053000406dd692ec598",
     "struct_checkpoint.csv": "aecd0c823592f63281db6d7a3241a265564276c1b53c2b65c7bfbb3fb40ae4b9",
     "feat_checkpoint.csv": "2d1b78ae089be96bf8424fcd1a13aee45f51bed616c8008f7be429e96ed58e35",
+}
+
+
+# sha256 of perturbation.json and of stdout from `cograph --seed 0 --out perturbed
+# attack --data data --method dice --rate 0.2 --feature-ratio 0.5` on the attack
+# fixture; reading the changed-bit count off the sidecar record must not move them
+ATTACK_SHA256 = {
+    "perturbation.json": "f9f24afb3454de860179c9d972df4b563522c4380fc7385c391682076d1b1840",
+    "stdout": "0635971c9939370136ff6c4e27828e57858743a62090fccc885da009d9658088",
 }
 
 
@@ -159,6 +169,32 @@ def test_attack_subcommand_writes_sidecar(capsys, tmp_path):
     sidecar = json.loads((out_dir / "perturbation.json").read_text())
     assert sidecar["method"] == "dice"
     assert len(sidecar["flip_log_hash"]) == 64
+
+
+def test_attack_output_is_pinned_and_finds_changed_bits_twice(capsys, tmp_path, monkeypatch, attack_graph):
+    """flip_log_hash and the sidecar record each find the changed bits;
+    the printed count is read off that record, not found a third time."""
+    save_dataset_dir(attack_graph, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def counted(A, B, real=attacks.changed_features):
+        calls.append(1)
+        return real(A, B)
+
+    monkeypatch.setattr(attacks, "changed_features", counted)
+    monkeypatch.setattr(cli, "changed_features", counted, raising=False)
+    rc, out = run_cli(
+        capsys, "--seed", "0", "--out", "perturbed", "attack", "--data", "data",
+        "--method", "dice", "--rate", "0.2", "--feature-ratio", "0.5",
+    )
+    assert rc == 0 and json.loads(out)["feature_bits_changed"] > 0
+    assert len(calls) == 2
+    digests = {
+        "perturbation.json": hashlib.sha256((tmp_path / "perturbed" / "perturbation.json").read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+    }
+    assert digests == ATTACK_SHA256
 
 
 def _words_dataset(tmp_path):

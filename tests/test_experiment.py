@@ -1,7 +1,8 @@
 import hashlib
 import importlib
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cograph.experiment import (
     run_experiment,
 )
 from cograph.graph import SyntheticSpec
+from cograph.models import SubModelSpec
 from cograph.io import write_json
 
 SYNTH = dict(n=150, C=3, p_in=0.12, p_out=0.02, m=24, feature_noise=0.1, seed=5)
@@ -86,6 +88,35 @@ def test_attack_setting_validation():
         AttackSetting(name="x", method="warp")
     with pytest.raises(ValidationError):
         AttackSetting(name="x", method="external")  # needs path
+
+
+def test_attack_setting_path_must_be_a_string_or_path():
+    with pytest.raises(ValidationError, match="path must be of type str or PathLike or NoneType, got 7"):
+        AttackSetting("x", "external", path=7)
+    # a path-like is stored as its string, so a report can write it
+    assert AttackSetting("x", "external", path=Path("edges.tsv")).path == "edges.tsv"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("struct_model", {"kind": "gcn"}, "struct_model must be of type SubModelSpec"),
+        ("feat_model", "f-mlp", "feat_model must be of type SubModelSpec"),
+        ("synthetic", dict(SYNTH), "synthetic must be of type SyntheticSpec or NoneType"),
+        ("attacks", ({"name": "clean"},), r"attacks\[0\] must be of type AttackSetting"),
+    ],
+    ids=["struct_model", "feat_model", "synthetic", "attacks"],
+)
+def test_config_built_directly_checks_its_levels(field, value, message):
+    """Each level is checked on direct construction too, not only when
+    from_dict builds it from its mapping."""
+    with pytest.raises(ValidationError, match=message):
+        replace(tiny_config(), **{field: value})
+
+
+def test_spec_hyper_must_be_train_hyper():
+    with pytest.raises(ValidationError, match="hyper must be of type TrainHyper"):
+        SubModelSpec(kind="gcn", hyper={"epochs": 5})
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cograph import ValidationError, class_quota, generate_synthetic, split_nodes
-from cograph.graph import Graph, adjacency, edge_array, make_graph, normalized_adjacency, with_edges, with_features
+from cograph.graph import Graph, NodeSplit, adjacency, edge_array, make_graph, normalized_adjacency, with_edges, with_features
 from helpers import components_cover, graphs_equal
 
 
@@ -271,18 +271,43 @@ def test_with_features_rejects_a_non_finite_caller_matrix(bad, sparse):
         with_features(g, sp.csr_matrix(X) if sparse else X)
 
 
-def test_a_graphs_own_features_are_not_checked_again(monkeypatch):
-    """with_edges, and with_features given g.X, share X checked when g was
-    built, so neither scans it for NaN or inf again."""
+def test_a_graphs_own_features_are_shared_not_copied():
+    """with_edges, and with_features given g.X, keep g's X itself; the
+    new edges are still checked."""
     g = make_graph(3, [(0, 1)], np.ones((3, 2)), [0, 1, 0])
-    scans = []
-    isfinite = np.isfinite
-    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(a) or isfinite(a))
     h = with_edges(g, [(1, 2), (2, 1)])
     k = with_features(h, g.X)
     assert h.edges == frozenset({(1, 2)}) and h.X is g.X and k.X is g.X
-    assert scans == []
+    assert h.labels is g.labels and k.labels is g.labels
     with pytest.raises(ValidationError, match="out of range"):
-        with_edges(g, [(0, 3)])  # the edges are still checked
-    with_features(g, np.zeros((3, 2)))
-    assert len(scans) == 1  # a caller's X is scanned
+        with_edges(g, [(0, 3)])
+
+
+def test_graph_and_split_keep_no_caller_array():
+    """A Graph or NodeSplit built directly stores read-only copies, so
+    writing the caller's arrays afterwards changes neither."""
+    X, labels = np.ones((3, 2)), np.array([0, 1, 0])
+    g = Graph(3, frozenset({(0, 1)}), X, labels, 2)
+    X[0, 0], labels[0] = np.nan, 7
+    assert np.array_equal(g.X, np.ones((3, 2))) and np.array_equal(g.labels, [0, 1, 0])
+    assert not g.X.flags.writeable and not g.labels.flags.writeable
+    arrays = [np.array([0]), np.array([1]), np.array([2]), np.array([0, 1])]
+    split = NodeSplit(*arrays)
+    for a in arrays:
+        a[0] = 9
+    assert [p.tolist() for p in (split.labeled, split.validation, split.test)] == [[0], [1], [2]]
+    assert split.class_histogram.tolist() == [0, 1]
+    assert not any(a.flags.writeable for a in (split.labeled, split.class_histogram))
+
+
+def test_graph_stores_a_list_X_as_read_only_float64():
+    g = Graph(2, frozenset(), [[1, 0], [0, 1]], [0, 1], 2)
+    assert isinstance(g.X, np.ndarray) and g.X.dtype == np.float64
+    assert not g.X.flags.writeable and g.labels.dtype == np.int64
+
+
+def test_graph_takes_no_flag_to_skip_its_checks():
+    X = np.ones((3, 2))
+    X[0, 0] = np.nan
+    with pytest.raises(TypeError, match="_X_checked"):
+        Graph(3, frozenset(), X, _X_checked=True)

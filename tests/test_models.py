@@ -97,6 +97,18 @@ def test_training_bitwise_reproducible(easy_graph, easy_split, kind):
     assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
 
+def test_trained_params_are_read_only(easy_graph, easy_split):
+    trained = train_submodel(
+        build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), easy_graph),
+        *truth(easy_graph, easy_split.labeled),
+        seed=0,
+    )
+    for name, p in trained.params.items():
+        with pytest.raises(ValueError, match="read-only"):
+            p[(0,) * p.ndim] = 1.0
+    assert not trained.params["W0"].flags.writeable
+
+
 def test_predict_deterministic(easy_graph, easy_split):
     model = train_submodel(
         build_submodel(SubModelSpec(kind="gcn", hyper=FAST), easy_graph),

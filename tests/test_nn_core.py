@@ -125,8 +125,7 @@ def test_softmax_rows_sum_to_one(logits):
 def test_adam_zero_grad_is_fixed_point():
     params = {"W0": np.array([[1.0, -2.0]])}
     state = AdamState.for_params(params)
-    hyper = TrainHyper(weight_decay=0.0)
-    adam_step(params, {k: np.zeros_like(v) for k, v in params.items()}, state, 1, hyper)
+    adam_step(state, 1, TrainHyper(weight_decay=0.0))
     assert np.array_equal(params["W0"], np.array([[1.0, -2.0]]))
 
 
@@ -135,7 +134,8 @@ def test_adam_first_step_is_lr_times_sign():
     for g in (3.0, -0.25, 1e-3):
         params = {"W0": np.array([[0.0]])}
         state = AdamState.for_params(params)
-        adam_step(params, {"W0": np.array([[g]])}, state, 1, hyper)
+        state.grads["W0"][...] = g
+        adam_step(state, 1, hyper)
         assert params["W0"].item() == pytest.approx(-0.01 * np.sign(g), rel=1e-4)
 
 
@@ -145,48 +145,17 @@ def test_adam_quadratic_bowl_converges():
     state = AdamState.for_params(params)
     hyper = TrainHyper(learning_rate=0.01, weight_decay=0.0)
     for t in range(1, 201):
-        adam_step(params, {"W0": 2.0 * params["W0"]}, state, t, hyper)
+        np.multiply(params["W0"], 2.0, out=state.grads["W0"])
+        adam_step(state, t, hyper)
     assert abs(params["W0"].item()) < 0.1
 
 
 def test_adam_weight_decay_on_weights_not_biases():
     params = {"W0": np.array([[1.0]]), "b0": np.array([1.0])}
     state = AdamState.for_params(params)
-    hyper = TrainHyper(learning_rate=0.01, weight_decay=0.1)
-    adam_step(params, {k: np.zeros_like(v) for k, v in params.items()}, state, 1, hyper)
+    adam_step(state, 1, TrainHyper(learning_rate=0.01, weight_decay=0.1))
     assert params["W0"].item() < 1.0  # decayed
     assert params["b0"].item() == 1.0  # untouched
-
-
-def test_adam_shape_mismatch_rejected():
-    params = {"W0": np.zeros((2, 2))}
-    state = AdamState.for_params(params)
-    with pytest.raises(ValidationError):
-        adam_step(params, {"W0": np.zeros((3, 3))}, state, 1, TrainHyper())
-
-
-def test_adam_broadcastable_gradient_rejected():
-    # a (1, 1) gradient would broadcast silently into a (2, 2) weight's view
-    params = {"W0": np.ones((2, 2))}
-    state = AdamState.for_params(params)
-    with pytest.raises(ValidationError, match="W0"):
-        adam_step(params, {"W0": np.ones((1, 1))}, state, 1, TrainHyper())
-    assert np.array_equal(params["W0"], np.ones((2, 2)))
-
-
-def test_adam_missing_gradient_rejected():
-    params = {"W0": np.ones((2, 2)), "b0": np.zeros(2)}
-    state = AdamState.for_params(params)
-    with pytest.raises(ValidationError, match="b0"):
-        adam_step(params, {"W0": np.ones((2, 2))}, state, 1, TrainHyper())
-
-
-def test_adam_rejects_params_its_state_was_not_made_for():
-    params = {"W0": np.ones((2, 2))}
-    state = AdamState.for_params(params)
-    other = {"W0": params["W0"].copy()}
-    with pytest.raises(ValidationError, match="params"):
-        adam_step(other, {"W0": np.ones((2, 2))}, state, 1, TrainHyper())
 
 
 def test_adam_state_rehomes_params_weights_first_in_their_order():
