@@ -10,7 +10,6 @@ view alone.
 from .calibration import ReliabilityBins, calibrate, fit_temperature, reliability
 from .cotrain import (
     CoTrainState,
-    Quota,
     class_quota,
     cotrain,
     ensemble_predict,
@@ -45,7 +44,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "NodeSplit",
-    "Quota",
     "ReliabilityBins",
     "SubModelSpec",
     "TrainHyper",

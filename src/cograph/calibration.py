@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .nn import log_softmax, softmax
+from .nn import softmax, softmax_xent
 
 LOG_T_MIN = -3.0
 LOG_T_MAX = 3.0
@@ -38,10 +38,9 @@ class ReliabilityBins:
 
 
 def nll(logits: np.ndarray, labels: np.ndarray, T: float = 1.0) -> float:
-    """Mean negative log-likelihood of labels under softmax(logits / T)."""
-    logp = log_softmax(np.asarray(logits) / T)
-    rows = np.arange(logits.shape[0])
-    return float(-logp[rows, np.asarray(labels)].mean())
+    """Mean negative log-likelihood of labels under softmax(logits / T):
+    the loss the models train on, so a temperature is fit on that loss."""
+    return softmax_xent(logits / T, labels)[0]
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:

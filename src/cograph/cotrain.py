@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .calibration import calibrate, fit_temperature
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .graph import Graph, NodeSplit
 from .models import (
     SubModel,
@@ -41,22 +41,9 @@ PROVENANCE = (PROV_TRUTH, PROV_STRUCT, PROV_FEAT)
 OVERLAP_MIN_NODES = 1000
 
 
-@dataclass(frozen=True)
-class Quota:
-    """Per-class pseudo-label budget for one iteration."""
-
-    per_class: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        if any(q < 0 for q in self.per_class):
-            raise ValidationError("quota counts must be nonnegative")
-        if sum(self.per_class) != self.total:
-            raise ValidationError("quota counts must sum to the total")
-
-
-def class_quota(histogram, n_add: int) -> Quota:
-    """Split n_add across classes proportionally to the labeled histogram.
+def class_quota(histogram, n_add: int) -> tuple[int, ...]:
+    """Per-class pseudo-label counts: n_add split across classes
+    proportionally to the labeled histogram.
 
     Exact proportions (N_c / N) * n_add are rounded by largest remainder so
     the counts sum to n_add exactly; remainder ties go to the smaller
@@ -74,40 +61,42 @@ def class_quota(histogram, n_add: int) -> Quota:
     order = sorted(range(hist.size), key=lambda c: (-(exact[c] - counts[c]), c))
     for c in order[:remainder]:
         counts[c] += 1
-    return Quota(per_class=tuple(int(q) for q in counts), total=n_add)
+    return tuple(int(q) for q in counts)
 
 
 def select_confident(
-    nodes: np.ndarray, probs: np.ndarray, quota: Quota | None, n_add: int | None = None
+    nodes: np.ndarray, probs: np.ndarray, budget: int | tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Pick the most confident predictions, per class under a quota.
+    """Pick the most confident predictions, per class or overall.
 
     Returns the picked nodes, their predicted labels and confidences, and
-    the shortfall. For each class, nodes whose argmax is that class compete
-    by max probability; confidence ties break toward the smaller node index.
-    Classes with fewer candidates than quota yield a recorded shortfall
-    that is never redistributed. With quota=None (class balancing off) the
-    top n_add >= 0 nodes are taken regardless of class; the shortfall
-    tuple is then a single total.
+    the shortfall. A tuple budget holds per-class counts (class_quota): for
+    each class, nodes whose argmax is that class compete by max
+    probability, and a class with fewer candidates than its count yields a
+    recorded shortfall that is never redistributed. An int budget takes
+    the top that many nodes regardless of class; the shortfall tuple is
+    then a single total. Confidence ties break toward the smaller node
+    index. Any other budget, or a negative count, is a ValidationError.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if probs.shape[0] != nodes.size:
         raise ValidationError("probability rows must align with the node list")
-    if quota is None and (n_add is None or n_add < 0):
-        raise ValidationError(f"unbalanced selection needs n_add >= 0, got {n_add}")
+    per_class = isinstance(budget, tuple)
+    for count in budget if per_class else (budget,):
+        require_int("budget", count, 0)
     conf = probs.max(axis=1)
     pred = probs.argmax(axis=1)
-    # one ranking serves both paths: confidence descending, ties to the smaller node
+    # one ranking serves both budgets: confidence descending, ties to the smaller node
     order = np.lexsort((nodes, -conf))
 
-    if quota is None:
-        take = order[:n_add]
-        shortfall = (n_add - take.size,)
-    else:
+    if per_class:
         ranked_pred = pred[order]
-        takes = [order[ranked_pred == c][:budget] for c, budget in enumerate(quota.per_class)]
-        shortfall = tuple(budget - t.size for budget, t in zip(quota.per_class, takes))
+        takes = [order[ranked_pred == c][:count] for c, count in enumerate(budget)]
+        shortfall = tuple(count - t.size for count, t in zip(budget, takes))
         take = np.concatenate(takes)
+    else:
+        take = order[:budget]
+        shortfall = (budget - take.size,)
     return nodes[take], pred[take], conf[take], shortfall
 
 
@@ -304,7 +293,7 @@ def cotrain(
     label[split.labeled] = g.labels[split.labeled]
     # provenance code 0 is PROV_TRUTH
     state = CoTrainState(label, np.zeros(g.n, np.int8), np.zeros(g.n, np.int64))
-    quota = class_quota(split.class_histogram, n_add) if class_balancing else None
+    budget = class_quota(split.class_histogram, n_add) if class_balancing else n_add
 
     def fit(model: SubModel, labeled: tuple[np.ndarray, np.ndarray], iteration: int, role: int):
         """The trained model, its raw logits for every node (row = node id)
@@ -360,8 +349,8 @@ def cotrain(
             state.final_logits = (logits_s, logits_f)
             return f_struct, f_feat, state
 
-        sel_s = select_confident(pool, probs_s[pool], quota, n_add)
-        sel_f = select_confident(pool, probs_f[pool], quota, n_add)
+        sel_s = select_confident(pool, probs_s[pool], budget)
+        sel_f = select_confident(pool, probs_f[pool], budget)
         label, provenance, conflicts = resolve_conflicts(sel_s, sel_f, g.n)
 
         state.iteration = it + 1

@@ -87,17 +87,21 @@ def init_params(layer_plan: list[tuple[int, int, bool]], seed: int) -> dict[str,
     return params
 
 
+def _normalized(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row-max-shifted logits, their exp and its row sums (n x 1): the
+    one normalization behind softmax and softmax_xent. The row max is taken
+    column by column, which is exact; the row sum stays row-wise, because a
+    column-wise sum adds in another order and changes bits."""
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=1, keepdims=True)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, max-shifted for stability. Rows sum to 1."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax along the last axis, max-shifted for stability."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    _, e, total = _normalized(logits)
+    e /= total
+    return e
 
 
 def check_targets(targets: np.ndarray, n_classes: int) -> None:
@@ -117,17 +121,12 @@ def softmax_xent(
     row losses is divided by, defaults to the row count; a caller taking a
     larger loss one block of rows at a time passes that loss's row count.
     """
-    # one shift, exp and row sum serve both the loss (log_softmax's
-    # expression) and the gradient (softmax's expression). The row max is
-    # taken column by column, which is exact; the row sum stays row-wise,
-    # because a column-wise sum adds in another order and changes bits.
-    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
+    shifted, e, total = _normalized(logits)
     rows = np.arange(logits.shape[0])
     count = mean_over or logits.shape[0]
     loss = float(-(shifted[rows, targets] - np.log(total[:, 0])).sum() / count)
-    grad = e / total
+    grad = e
+    grad /= total
     grad[rows, targets] -= 1.0
     grad /= count
     return loss, grad

@@ -326,7 +326,7 @@ def test_acceptance_6_class_balancing():
     for rec in on.history[1:]:
         for added in (rec.added_per_class_struct, rec.added_per_class_feat):
             worst_dev = max(
-                worst_dev, max(abs(a - q) for a, q in zip(added, quota.per_class))
+                worst_dev, max(abs(a - q) for a, q in zip(added, quota))
             )
 
     ok = drift >= 0.05 and worst_dev <= 1
@@ -334,7 +334,7 @@ def test_acceptance_6_class_balancing():
         6,
         ok,
         f"balancing OFF: dominant-class prediction share rose {100 * drift:.1f} pts over 10 iterations (>= 5); "
-        f"balancing ON: added labels within {worst_dev} of quota {quota.per_class} every iteration (<= 1)",
+        f"balancing ON: added labels within {worst_dev} of quota {quota} every iteration (<= 1)",
     )
 
 
@@ -433,7 +433,7 @@ def test_acceptance_8_numerical_oracles(fixture_graph):
 
     # quota sums exact
     quota_exact = all(
-        sum(class_quota(rng.integers(1, 40, size=5), n).per_class) == n
+        sum(class_quota(rng.integers(1, 40, size=5), n)) == n
         for n in (0, 1, 7, 33, 250)
     )
 

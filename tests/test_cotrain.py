@@ -40,24 +40,20 @@ cotrain_module = importlib.import_module("cograph.cotrain")
 
 
 def test_quota_exact_proportions():
-    q = class_quota([50, 30, 20], 10)
-    assert q.per_class == (5, 3, 2)
-    assert q.total == 10
+    assert class_quota([50, 30, 20], 10) == (5, 3, 2)
 
 
 def test_quota_largest_remainder():
     # exact shares 2.8 and 1.2 -> (3, 1)
-    q = class_quota([7, 3], 4)
-    assert q.per_class == (3, 1)
+    assert class_quota([7, 3], 4) == (3, 1)
 
 
 def test_quota_zero_add():
-    assert class_quota([5, 5], 0).per_class == (0, 0)
+    assert class_quota([5, 5], 0) == (0, 0)
 
 
 def test_quota_absent_class_gets_zero():
-    q = class_quota([10, 0, 10], 8)
-    assert q.per_class == (4, 0, 4)
+    assert class_quota([10, 0, 10], 8) == (4, 0, 4)
 
 
 def test_quota_rejects_empty_histogram():
@@ -72,10 +68,10 @@ def test_quota_rejects_empty_histogram():
 )
 def test_quota_sums_exact_and_near_proportional(hist, n_add):
     q = class_quota(hist, n_add)
-    assert sum(q.per_class) == n_add
-    assert all(c >= 0 for c in q.per_class)
+    assert sum(q) == n_add
+    assert all(c >= 0 for c in q)
     total = sum(hist)
-    for got, h in zip(q.per_class, hist):
+    for got, h in zip(q, hist):
         assert abs(got - h / total * n_add) < 1.0  # largest-remainder property
 
 
@@ -114,26 +110,39 @@ def test_select_confident_shortfall_not_redistributed():
 def test_select_unbalanced_top_n():
     nodes = np.array([1, 2, 3])
     probs = np.array([[0.6, 0.4], [0.95, 0.05], [0.1, 0.9]])
-    picked, _, _, shortfall = select_confident(nodes, probs, None, n_add=2)
+    picked, _, _, shortfall = select_confident(nodes, probs, 2)
     assert picked.tolist() == [2, 3]
     assert shortfall == (0,)
-    with pytest.raises(ValidationError, match="needs n_add >= 0"):
-        select_confident(nodes, probs, None, n_add=-1)
 
 
 def test_select_empty_pool():
     """An empty pool falls short of every class's whole quota, as a pool in
-    which no node predicts the class does; unbalanced selection still needs
-    n_add."""
+    which no node predicts the class does, and of a whole int budget."""
     empty, probs = np.array([], dtype=int), np.zeros((0, 2))
     picked, _, _, shortfall = select_confident(empty, probs, class_quota([1, 1], 2))
     assert picked.size == 0 and shortfall == (1, 1)
-    assert select_confident(empty, probs, None, n_add=3)[3] == (3,)
-    with pytest.raises(ValidationError, match="needs n_add >= 0"):
-        select_confident(empty, probs, None)
+    assert select_confident(empty, probs, 3)[3] == (3,)
 
 
-def _select_reference(nodes, probs, quota, n_add):
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (None, "budget must be an integer, got None"),
+        (True, "budget must be an integer, got True"),
+        (2.0, "budget must be an integer, got 2.0"),
+        (-1, "budget must be >= 0, got -1"),
+        ((1, -1), "budget must be >= 0, got -1"),
+    ],
+    ids=["none", "bool", "float", "negative", "negative-class-count"],
+)
+def test_select_confident_rejects_a_bad_budget(budget, message):
+    nodes = np.array([1, 2])
+    probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(ValidationError, match=message):
+        select_confident(nodes, probs, budget)
+
+
+def _select_reference(nodes, probs, budget):
     """Selection by a Python sort per class, the ranking select_confident
     replaced with one lexsort."""
     conf, pred = probs.max(axis=1), probs.argmax(axis=1)
@@ -141,12 +150,12 @@ def _select_reference(nodes, probs, quota, n_add):
     def rank(rows):
         return sorted(rows, key=lambda r: (-conf[r], nodes[r]))
 
-    if quota is None:
-        chosen = rank(range(nodes.size))[:n_add]
+    if isinstance(budget, int):
+        chosen = rank(range(nodes.size))[:budget]
         return [(int(nodes[r]), int(pred[r]), float(conf[r])) for r in chosen]
     picks = []
-    for c, budget in enumerate(quota.per_class):
-        take = rank(np.flatnonzero(pred == c).tolist())[:budget]
+    for c, count in enumerate(budget):
+        take = rank(np.flatnonzero(pred == c).tolist())[:count]
         picks += [(int(nodes[r]), c, float(conf[r])) for r in take]
     return picks
 
@@ -158,10 +167,8 @@ def test_select_confident_matches_sorted_reference(seed, n, balanced):
     nodes = rng.permutation(1000)[:n]  # unsorted, so the node tie-break matters
     probs = rng.dirichlet(np.ones(3), size=n).round(1)  # coarse values tie often
     n_add = int(rng.integers(0, n + 5))
-    quota = class_quota(rng.integers(1, 5, size=3), n_add) if balanced else None
-    assert _picks(select_confident(nodes, probs, quota, n_add)) == _select_reference(
-        nodes, probs, quota, n_add
-    )
+    budget = class_quota(rng.integers(1, 5, size=3), n_add) if balanced else n_add
+    assert _picks(select_confident(nodes, probs, budget)) == _select_reference(nodes, probs, budget)
 
 
 # --- conflict resolution -----------------------------------------------------
@@ -306,9 +313,9 @@ def test_cotrain_additions_match_quota_minus_shortfall(small_run, easy_split):
 
     quota = class_quota(easy_split.class_histogram, 15)
     for rec in state.history[1:]:
-        for added, short, q in zip(rec.added_per_class_struct, rec.shortfall_struct, quota.per_class):
+        for added, short, q in zip(rec.added_per_class_struct, rec.shortfall_struct, quota):
             assert added == q - short
-        for added, short, q in zip(rec.added_per_class_feat, rec.shortfall_feat, quota.per_class):
+        for added, short, q in zip(rec.added_per_class_feat, rec.shortfall_feat, quota):
             assert added == q - short
 
 

@@ -289,7 +289,7 @@ def test_class_balancing_toggle_changes_selection():
     split = split_nodes(g, 0.1, 0.1, 0)
     quota = class_quota(split.class_histogram, 8)
     assert tuple(added_on) == tuple(
-        q - s for q, s in zip(quota.per_class, r_on.cells[0].history[1]["shortfall_struct"])
+        q - s for q, s in zip(quota, r_on.cells[0].history[1]["shortfall_struct"])
     )
 
 

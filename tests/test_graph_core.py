@@ -228,8 +228,8 @@ def test_split_warns_on_absent_class():
         missing = np.flatnonzero(split.class_histogram == 0)
         if missing.size:
             quota = class_quota(split.class_histogram, 10)
-            assert all(quota.per_class[c] == 0 for c in missing)
-            assert quota.total == 10
+            assert all(quota[c] == 0 for c in missing)
+            assert sum(quota) == 10
             return
     pytest.fail("no seed produced an absent class; fixture too generous")
 

@@ -23,8 +23,6 @@ from cograph.nn import (
     TrainHyper,
     derive_seeds,
     init_params,
-    log_softmax,
-    softmax,
     softmax_xent,
 )
 from helpers import accuracy, finite_diff_check, truth, with_inputs
@@ -290,10 +288,23 @@ def test_input_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
+def _log_softmax(z):
+    """Row-wise log-softmax, written here so the reference uses no nn code."""
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _softmax(z):
+    """Row-wise softmax, written here so the reference uses no nn code."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _reference_params(model, labeled, seed):
     """train_submodel's parameters from the first-written epoch formulas:
-    np.where dropout masks, separate log_softmax and softmax, and Adam on
-    fresh arrays. The optimized epoch must reproduce them bit for bit."""
+    np.where dropout masks, separate row-wise log-softmax and softmax, and
+    Adam on fresh arrays. The optimized epoch must reproduce them bit for
+    bit."""
     hyper = model.spec.hyper
     init_seed, dropout_seed = derive_seeds(seed, words=2)
     rng = np.random.default_rng(dropout_seed)
@@ -326,8 +337,8 @@ def _reference_params(model, labeled, seed):
                 z = model.prop @ z
             caches.append((a, z, mask))
             h = np.maximum(z, 0.0) if l < n_layers - 1 else z
-        assert np.isfinite(-log_softmax(h[rows])[np.arange(idx.size), y].mean())
-        grad_rows = softmax(h[rows])
+        assert np.isfinite(-_log_softmax(h[rows])[np.arange(idx.size), y].mean())
+        grad_rows = _softmax(h[rows])
         grad_rows[np.arange(idx.size), y] -= 1.0
         g = np.zeros_like(h)
         g[rows] = grad_rows / idx.size
