@@ -13,6 +13,7 @@ the experiment runner and the provenance sidecar.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError, require_real, require_type
+from .errors import ValidationError, require_int, require_real, require_type
 from .graph import Graph, with_edges, with_features
 from .io import parse_edge_list, write_json
 from .models import KIND_FMLP, TrainedSubModel, input_gradient
@@ -94,10 +95,17 @@ def _sample_pairs(rng: np.random.Generator, n: int, budget: int) -> list[tuple[i
     return out
 
 
+def _check_rate_and_seed(rate: float, seed: int) -> None:
+    """ValidationError unless rate is a finite real >= 0 and seed an integer >= 0."""
+    require_real("rate", rate)
+    if not (rate >= 0 and math.isfinite(rate)):
+        raise ValidationError(f"rate must be nonnegative and finite, got {rate}")
+    require_int("seed", seed, 0)
+
+
 def random_structure_perturb(g: Graph, rate: float, seed: int) -> Graph:
     """Toggle round(rate * |E|) uniformly chosen node pairs (edge <-> non-edge)."""
-    if rate < 0:
-        raise ValidationError(f"rate must be nonnegative, got {rate}")
+    _check_rate_and_seed(rate, seed)
     budget = int(round(rate * g.num_edges))
     if budget == 0:
         return g
@@ -123,8 +131,7 @@ def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) ->
     memory, at (cross-class pairs) / (cross-class non-edges) draws on
     average, which is many where nearly every cross-class pair is an edge.
     """
-    if rate < 0:
-        raise ValidationError(f"rate must be nonnegative, got {rate}")
+    _check_rate_and_seed(rate, seed)
     labels = np.asarray(labels if labels is not None else g.labels)
     if labels.shape != (g.n,):
         raise ValidationError("dice_perturb needs one label per node")
@@ -274,8 +281,7 @@ def feature_flip_attack(
     indices, never X as a whole CSR beside the result; for a dense victim,
     its dense t-row input, freed before the dense copy of X is made.
     """
-    if budget < 0:
-        raise ValidationError(f"budget must be nonnegative, got {budget}")
+    require_int("budget", budget, 0)
     kind = victim.model.spec.kind
     if kind != KIND_FMLP:
         raise ValidationError(f"feature attack needs an f-mlp victim, got {kind!r}")
@@ -380,27 +386,32 @@ def changed_features(A, B) -> np.ndarray:
     return np.column_stack([rows[order], cols[order]]).astype(np.int64)
 
 
-def flip_log_hash(original: Graph, perturbed: Graph) -> str:
-    """SHA-256 over the symmetric edge difference and changed feature bits."""
+def flip_log_hash(original: Graph, perturbed: Graph, changed=None) -> str:
+    """SHA-256 over the symmetric edge difference and changed feature bits;
+    a caller holding changed_features(original.X, perturbed.X) passes it
+    as changed."""
+    if changed is None:
+        changed = changed_features(original.X, perturbed.X)
     h = hashlib.sha256()
     for i, j in sorted(original.edges ^ perturbed.edges):
         h.update(f"e{i},{j};".encode())
-    for i, j in changed_features(original.X, perturbed.X):
+    for i, j in changed:
         h.update(f"x{i},{j};".encode())
     return h.hexdigest()
 
 
 def write_sidecar(path, setting: AttackSetting, seed: int, original: Graph, perturbed: Graph) -> dict:
     """Write the provenance record emitted next to a perturbed dataset; return it."""
+    changed = changed_features(original.X, perturbed.X)
     record = {
         "method": setting.method,
         "rate": setting.rate,
         "ratio": setting.effective_feature_ratio,
         "seed": seed,
-        "flip_log_hash": flip_log_hash(original, perturbed),
+        "flip_log_hash": flip_log_hash(original, perturbed, changed),
         "edges_before": original.num_edges,
         "edges_after": perturbed.num_edges,
-        "feature_bits_changed": len(changed_features(original.X, perturbed.X)),
+        "feature_bits_changed": len(changed),
     }
     write_json(record, path)
     return record

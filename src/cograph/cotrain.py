@@ -278,8 +278,9 @@ def cotrain(
         raise ValidationError(f"{spec_struct.kind!r} is not a structure-view kind")
     if spec_feat.is_structure_view:
         raise ValidationError(f"{spec_feat.kind!r} is not a feature-view kind")
-    if n_add < 0 or max_iters < 0:
-        raise ValidationError("n_add and max_iters must be nonnegative")
+    require_int("n_add", n_add, 0)
+    require_int("max_iters", max_iters, 0)
+    require_int("seed", seed, 0)
 
     model_s = build_submodel(spec_struct, g)
     model_f = build_submodel(spec_feat, g)

@@ -65,6 +65,7 @@ class Graph:
     def __post_init__(self):
         X = _frozen_csr(self.X) if sp.issparse(self.X) else _freeze(self.X, np.float64)
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "edges", frozenset(self.edges))  # a frozenset is kept as is
         if self.n < 1:
             raise ValidationError(f"graph needs at least one node, got n={self.n}")
         if self.X.ndim != 2 or self.X.shape[0] != self.n or self.X.shape[1] < 1:
@@ -279,6 +280,8 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
     which must not be empty. The split is uniform random, not
     class-stratified.
     """
+    require_real("train_frac", train_frac)
+    require_real("val_frac", val_frac)
     if not (train_frac > 0 and val_frac > 0 and train_frac + val_frac <= 1):  # NaN fails
         raise ValidationError(
             f"fractions must be positive with sum <= 1, got {train_frac}, {val_frac}"

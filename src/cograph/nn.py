@@ -125,8 +125,7 @@ def softmax_xent(
     rows = np.arange(logits.shape[0])
     count = mean_over or logits.shape[0]
     loss = float(-(shifted[rows, targets] - np.log(total[:, 0])).sum() / count)
-    grad = e
-    grad /= total
+    grad = np.divide(e, total, out=e)
     grad[rows, targets] -= 1.0
     grad /= count
     return loss, grad

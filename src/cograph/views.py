@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigenSolverError, ValidationError
+from .errors import EigenSolverError, ValidationError, require_int
 
 # above this size the shift-invert Lanczos path replaces the dense solver
 DENSE_EIG_LIMIT = 1500
@@ -69,6 +69,7 @@ def knn_graph(X: np.ndarray | sp.spmatrix, k: int) -> sp.csr_matrix:
     transpose as CSR, one row block of about _ROW_BLOCK_BUDGET dense scores
     with its partition and candidate arrays, and the n x k picks.
     """
+    require_int("k", k, 1)
     if sp.issparse(X):
         P = sp.csr_matrix(X, dtype=np.float64, copy=True)
         P.sum_duplicates()
@@ -82,8 +83,6 @@ def knn_graph(X: np.ndarray | sp.spmatrix, k: int) -> sp.csr_matrix:
         raise ValidationError(f"features must be (n, m>=1), got {P.shape}")
     if not np.isfinite(P.data).all():
         raise ValidationError("features hold NaN or infinite values")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ValidationError(f"k must be < n, got k={k} n={n}")
 

@@ -37,6 +37,30 @@ FAST = TrainHyper(epochs=60)
 # --- random flips -----------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "attack",
+    [
+        lambda g, rate, seed: random_structure_perturb(g, rate, seed),
+        lambda g, rate, seed: dice_perturb(g, None, rate, seed),
+    ],
+    ids=["random", "dice"],
+)
+@pytest.mark.parametrize(
+    "rate, seed, message",
+    [
+        (float("nan"), 0, "rate must be nonnegative and finite, got nan"),
+        (float("inf"), 0, "rate must be nonnegative and finite, got inf"),
+        ("0.2", 0, "rate must be a real number, got '0.2'"),
+        (0.2, 1.5, "seed must be an integer, got 1.5"),
+        (0.2, -1, "seed must be >= 0, got -1"),
+    ],
+    ids=["nan-rate", "inf-rate", "str-rate", "float-seed", "negative-seed"],
+)
+def test_structure_attacks_check_rate_and_seed(attack_graph, attack, rate, seed, message):
+    with pytest.raises(ValidationError, match=message):
+        attack(attack_graph, rate, seed)
+
+
 def test_random_perturb_rate_zero_is_identity(easy_graph):
     assert graphs_equal(random_structure_perturb(easy_graph, 0.0, seed=1), easy_graph)
 
@@ -457,6 +481,20 @@ def _wider(g):
 def test_feature_flip_rejects_bad_inputs(attack_graph, fmlp_victim, make, targets):
     with pytest.raises(ValidationError):
         feature_flip_attack(make(attack_graph), fmlp_victim, 10, targets=targets)
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (True, "budget must be an integer, got True"),
+        (2.5, "budget must be an integer, got 2.5"),
+        (-1, "budget must be >= 0, got -1"),
+    ],
+    ids=["bool", "float", "negative"],
+)
+def test_feature_flip_rejects_a_bad_budget(attack_graph, fmlp_victim, budget, message):
+    with pytest.raises(ValidationError, match=message):
+        feature_flip_attack(attack_graph, fmlp_victim, budget)
 
 
 def test_mixed_budget_even_split(attack_graph):

@@ -260,6 +260,24 @@ def test_cotrain_rejects_wrong_view_pairing(easy_graph, easy_split):
         cotrain(easy_graph, easy_split, SubModelSpec(kind="f-mlp"), SubModelSpec(kind="gcn"), 5, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (dict(n_add=2.5), "n_add must be an integer, got 2.5"),
+        (dict(n_add=-1), "n_add must be >= 0, got -1"),
+        (dict(max_iters=1.5), "max_iters must be an integer, got 1.5"),
+        (dict(max_iters=-1), "max_iters must be >= 0, got -1"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=True), "seed must be an integer, got True"),
+    ],
+    ids=["float-n_add", "negative-n_add", "float-max_iters", "negative-max_iters", "float-seed", "bool-seed"],
+)
+def test_cotrain_checks_its_counts_and_seed(easy_graph, easy_split, args, message):
+    specs = SubModelSpec(kind="gcn", hyper=FAST), SubModelSpec(kind="f-mlp", hyper=FAST)
+    with pytest.raises(ValidationError, match=message):
+        cotrain(easy_graph, easy_split, *specs, **{"n_add": 5, "max_iters": 1, "seed": 0, **args})
+
+
 def test_cotrain_bookkeeping(easy_graph, easy_split, small_run):
     _, _, state = small_run
     audit_state(state, easy_graph, easy_split)

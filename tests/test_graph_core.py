@@ -77,6 +77,15 @@ def test_graph_is_immutable():
         g.X[0, 0] = 5.0
 
 
+def test_graph_freezes_a_callers_edge_set():
+    edges = {(0, 1)}
+    g = Graph(3, edges, np.eye(3))
+    edges.add((2, 5))
+    assert g.edges == frozenset({(0, 1)}) and g.num_edges == 1
+    frozen = frozenset({(0, 1)})
+    assert Graph(3, frozen, np.eye(3)).edges is frozen  # kept as is, not copied
+
+
 def test_normalized_adjacency_two_nodes():
     g = make_graph(2, [(0, 1)], np.eye(2))
     A_hat = normalized_adjacency(g).toarray()
@@ -244,6 +253,21 @@ def test_split_rejects_bad_fractions():
         with pytest.raises(ValidationError, match="no test node"):
             split_nodes(g, train_frac, val_frac, seed=0)
     assert split_nodes(g, 0.5, 0.45, seed=0).test.size == 1
+
+
+@pytest.mark.parametrize(
+    "train_frac, val_frac, message",
+    [
+        ("0.1", 0.1, "train_frac must be a real number, got '0.1'"),
+        (0.1, None, "val_frac must be a real number, got None"),
+        (True, 0.1, "train_frac must be a real number, got True"),
+    ],
+    ids=["str-train", "none-val", "bool-train"],
+)
+def test_split_rejects_fractions_that_are_not_numbers(train_frac, val_frac, message):
+    g = generate_synthetic(20, 2, 0.5, 0.1, 4, 0.0, seed=0)
+    with pytest.raises(ValidationError, match=message):
+        split_nodes(g, train_frac, val_frac, seed=0)
 
 
 def test_with_edges_preserves_everything_else(easy_graph):

@@ -57,6 +57,12 @@ def test_knn_graph_rejects_large_k():
         knn_graph(np.eye(3), 0)
 
 
+@pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_knn_graph_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValidationError, match="k must be an integer"):
+        knn_graph(np.eye(4), k)
+
+
 def test_knn_scaling_invariance(rng):
     X = rng.random((30, 8)) + 0.1
     scale = rng.uniform(0.5, 10.0, size=30)
