@@ -53,8 +53,7 @@ def class_quota(histogram, n_add: int) -> tuple[int, ...]:
     total = hist.sum()
     if total <= 0:
         raise ValidationError("class histogram must have positive total")
-    if n_add < 0:
-        raise ValidationError(f"n_add must be nonnegative, got {n_add}")
+    require_int("n_add", n_add, 0)
     exact = hist / total * n_add
     counts = np.floor(exact).astype(np.int64)
     remainder = n_add - int(counts.sum())

@@ -185,10 +185,9 @@ def laplacian_eigenmaps(A: sp.spmatrix, k: int) -> Embedding:
     Eigenvector signs are canonicalized (first nonzero coordinate positive)
     and eigenvalues are returned sorted nondecreasing.
     """
+    require_int("k", k, 1)
     A = _check_adjacency(A)
     n = A.shape[0]
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ValidationError(f"k must be < n, got k={k} n={n}")
     w, Y = _smallest_eigenpairs(A, k + 1)

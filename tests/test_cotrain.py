@@ -61,6 +61,12 @@ def test_quota_rejects_empty_histogram():
         class_quota([0, 0], 4)
 
 
+@pytest.mark.parametrize("n_add", [2.5, True, -1], ids=["float", "bool", "negative"])
+def test_quota_rejects_a_bad_count(n_add):
+    with pytest.raises(ValidationError, match="n_add must be"):
+        class_quota([3, 4], n_add)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(0, 50), min_size=1, max_size=8).filter(lambda h: sum(h) > 0),

@@ -58,9 +58,14 @@ def test_knn_graph_rejects_large_k():
 
 
 @pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
-def test_knn_graph_rejects_a_k_that_is_not_an_integer(k):
+@pytest.mark.parametrize(
+    "view",
+    [lambda k: knn_graph(np.eye(4), k), lambda k: laplacian_eigenmaps(adjacency(graph_of(4, [(0, 1)])), k)],
+    ids=["knn", "eigenmaps"],
+)
+def test_views_reject_a_k_that_is_not_an_integer(view, k):
     with pytest.raises(ValidationError, match="k must be an integer"):
-        knn_graph(np.eye(4), k)
+        view(k)
 
 
 def test_knn_scaling_invariance(rng):
