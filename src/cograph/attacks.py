@@ -276,10 +276,9 @@ def feature_flip_attack(
 
     The attacked X is CSR when the victim reads CSR (g.X with the flipped
     bits toggled) and a dense copy of g.X otherwise. Working memory beyond
-    g: one block's gradient with the victim's input_gradient temporaries;
-    for a CSR victim, the set bits of X and of the target rows as flat
-    indices, never X as a whole CSR beside the result; for a dense victim,
-    its dense t-row input, freed before the dense copy of X is made.
+    g: the target rows' set bits as flat indices, freed before the attacked
+    X is made, and one block's input and gradient with the victim's
+    input_gradient temporaries.
     """
     require_int("budget", budget, 0)
     kind = victim.model.spec.kind
@@ -305,23 +304,8 @@ def feature_flip_attack(
         return g
     layout = list(row_blocks(t, m))
     starts = np.array([lo for lo, _ in layout])
-    # the victim's input: for a CSR victim, each block's set bits as sorted
-    # flat indices over its rows; for a dense one, the dense target rows.
-    # The flips update either in place
-    if csr:
-        x_bits = _set_bits(g.X)  # X's set bits as flat indices over X
-        rows, cols = np.divmod(x_bits, m)
-        is_target = np.zeros(g.n, dtype=bool)
-        is_target[targets] = True
-        keep = is_target[rows]
-        ones = np.searchsorted(targets, rows[keep]) * m + cols[keep]
-        del rows, cols, keep
-        ones = np.split(ones, np.searchsorted(ones, starts[1:] * m))
-        ones = [keys - lo * m for keys, (lo, _) in zip(ones, layout)]
-        dense = None
-    else:
-        dense = g.X[targets].toarray() if sp.issparse(g.X) else g.X[targets]
-        ones = None
+    # each block's set bits as sorted flat indices over its rows; the flips toggle them
+    ones = [_set_bits(g.X[targets[lo:hi]]) for lo, hi in layout]
     labels = g.labels[targets]
     best = [None] * len(layout)  # per block: its best scores and their flat indices
     dirty = range(len(layout))
@@ -331,15 +315,12 @@ def feature_flip_attack(
         for k in dirty:
             lo, hi = layout[k]
             a, b = np.searchsorted(flipped, (lo * m, hi * m))
-            bits = ones[k] if csr else _set_bits(dense[lo:hi])
-            scores, top = _block_best(
-                victim,
-                _csr_rows(bits, hi - lo, m) if csr else dense[lo:hi],
-                bits,
-                labels[lo:hi],
-                t,
-                flipped[a:b] - lo * m,
-            )
+            if csr:
+                rows = _csr_rows(ones[k], hi - lo, m)
+            else:
+                rows = np.zeros((hi - lo, m))
+                rows.flat[ones[k]] = 1.0
+            scores, top = _block_best(victim, rows, ones[k], labels[lo:hi], t, flipped[a:b] - lo * m)
             best[k] = (scores, top + lo * m)
         scores = np.concatenate([s for s, _ in best])
         index = np.concatenate([i for _, i in best])
@@ -348,18 +329,15 @@ def feature_flip_attack(
             break
         owner = np.searchsorted(starts, top // m, side="right") - 1
         dirty = np.unique(owner)
-        if csr:
-            for k in dirty:
-                ones[k] = np.setxor1d(ones[k], top[owner == k] - starts[k] * m, assume_unique=True)
-        else:
-            dense.flat[top] = 1.0 - dense.flat[top]
+        for k in dirty:
+            ones[k] = np.setxor1d(ones[k], top[owner == k] - starts[k] * m, assume_unique=True)
         flipped = np.union1d(flipped, top)
         remaining -= top.size
-    del ones, dense, best  # freed before the attacked X is made
+    del ones, best  # freed before the attacked X is made
     picks, cols = np.divmod(flipped, m)
     keys = targets[picks] * m + cols  # the flipped bits as flat indices over X
     if csr:
-        X = _csr_rows(np.setxor1d(x_bits, keys, assume_unique=True), g.n, m)
+        X = _csr_rows(np.setxor1d(_set_bits(g.X), keys, assume_unique=True), g.n, m)
         arrays = (X.data, X.indices, X.indptr)
     else:
         X = g.X.toarray() if sp.issparse(g.X) else np.array(g.X)
