@@ -8,12 +8,13 @@ changes any model's predicted labels.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .nn import softmax, softmax_xent
 
 LOG_T_MIN = -3.0
@@ -83,15 +84,14 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def calibrate(logits: np.ndarray, T: float) -> np.ndarray:
     """softmax(logits / T): rows sum to 1, argmax identical to the raw logits."""
-    if T <= 0:
-        raise ValidationError(f"temperature must be positive, got {T}")
+    if not (T > 0 and math.isfinite(T)):
+        raise ValidationError(f"temperature must be positive and finite, got {T}")
     return softmax(np.asarray(logits, dtype=np.float64) / T)
 
 
 def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> ReliabilityBins:
     """Bin predictions by confidence (max probability) and summarize each bin."""
-    if bins < 2:
-        raise ValidationError(f"need at least 2 bins, got {bins}")
+    require_int("bins", bins, 2)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     confidence = probs.max(axis=1)

@@ -193,7 +193,7 @@ class CoTrainState:
 
         A read-only view kept for the benchmark's co-training probe in
         bench/spans.py; the library never reads it. It goes when ROADMAP
-        item 4 moves that probe into the library.
+        item 5 moves that probe into the library.
         """
         return {
             int(i): LabelEntry(

@@ -13,6 +13,7 @@ its caller reads, and a fit reuses one workspace for all its epochs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,8 @@ class TrainedSubModel:
     loss_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be positive, got {self.temperature}")
+        if not (self.temperature > 0 and math.isfinite(self.temperature)):
+            raise ValidationError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 def _maybe_sparse(X):

@@ -62,10 +62,10 @@ def derive_seeds(*keys: int, words: int = 1) -> tuple[int, ...]:
     """words independent 32-bit seeds derived from the key tuple.
 
     One SeedSequence per key tuple, so runs that differ in any key (seed,
-    iteration, role) draw unrelated streams. Keys must be non-negative.
+    iteration, role) draw unrelated streams. Keys must be integers >= 0.
     """
-    if any(k < 0 for k in keys):
-        raise ValidationError(f"seeds must be >= 0, got {keys}")
+    for k in keys:
+        require_int("seed", k, 0)
     return tuple(int(w) for w in np.random.SeedSequence(keys).generate_state(words))
 
 

@@ -354,11 +354,16 @@ def _duplicated_rows_graph():
         ("attack", 239, False),
         ("attack", 10**6, False),  # more than the target rows' bits: stops early
         ("ties", 97, False),
+        ("words-csr", 239, True),  # the graph stores X as CSR
+        ("attack-csr", 239, False),
     ],
-    ids=["fmlp-csr", "fmlp-dense", "early-stop", "ties-fmlp"],
+    ids=["fmlp-csr", "fmlp-dense", "early-stop", "ties-fmlp", "csr-x-fmlp-csr", "csr-x-fmlp-dense"],
 )
 def test_feature_flip_matches_exact_selection_oracle(attack_graph, fixture, budget, sparse):
-    g = {"attack": attack_graph, "words": _sparse_words_graph(), "ties": _duplicated_rows_graph()}[fixture]
+    name, _, stored = fixture.partition("-")
+    g = {"attack": attack_graph, "words": _sparse_words_graph(), "ties": _duplicated_rows_graph()}[name]
+    if stored == "csr":
+        g = with_features(g, sp.csr_matrix(g.X))
     split = split_nodes(g, 0.2, 0.1, seed=0)
     spec = SubModelSpec(kind="f-mlp", hyper=FAST)
     victim = train_submodel(build_submodel(spec, g), *truth(g, split.labeled), seed=0)

@@ -79,6 +79,13 @@ def test_calibrate_rejects_nonpositive_temperature():
         calibrate(np.zeros((1, 2)), 0.0)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf], ids=["nan", "inf"])
+def test_calibrate_refuses_a_temperature_that_is_not_finite(T):
+    # NaN fails every comparison, and an infinite T gives uniform rows
+    with pytest.raises(ValidationError, match="positive and finite"):
+        calibrate(np.zeros((1, 2)), T)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     arrays(
@@ -142,6 +149,11 @@ def test_reliability_counts_sum_and_csv_rows(rng):
 def test_reliability_needs_two_bins():
     with pytest.raises(ValidationError):
         reliability(np.full((2, 2), 0.5), np.zeros(2, dtype=int), bins=1)
+
+
+def test_reliability_refuses_a_fractional_bin_count():
+    with pytest.raises(ValidationError, match="bins must be an integer"):
+        reliability(np.full((2, 2), 0.5), np.zeros(2, dtype=int), bins=2.5)
 
 
 def test_calibration_never_changes_accuracy(rng):

@@ -1,6 +1,9 @@
+import functools
 import hashlib
 import importlib
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -293,7 +296,12 @@ def test_class_balancing_toggle_changes_selection():
     )
 
 
-def test_threads_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_threads_parallel_matches_serial(monkeypatch, tmp_path, method):
+    """The pool's workers give the serial bytes under every start method,
+    so nothing a cell reads relies on fork inheriting the parent's state."""
+    pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+    monkeypatch.setattr(importlib.import_module("cograph.experiment"), "ProcessPoolExecutor", pool)
     cfg1 = tiny_config(seeds=[0, 1], attacks=[{"name": "clean"}])
     cfg2 = tiny_config(seeds=[0, 1], attacks=[{"name": "clean"}], threads=2)
     emit_report(run_experiment(cfg1), tmp_path / "serial")
@@ -326,6 +334,14 @@ def test_apply_attack_none_returns_same_graph():
 
     g = generate_synthetic(**SYNTH)
     assert apply_attack(g, AttackSetting(name="clean"), seed=0) is g
+
+
+def test_apply_attack_refuses_a_float_seed():
+    from cograph.graph import generate_synthetic
+
+    g = generate_synthetic(**SYNTH)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        apply_attack(g, AttackSetting(name="dice", method="dice", rate=0.1), 1.5)
 
 
 def test_apply_attack_mixed_budget_split():

@@ -15,7 +15,7 @@ from cograph import (
 )
 from cograph.cotrain import PROV_FEAT, PROVENANCE, CoTrainState
 from cograph.graph import make_graph, with_edges, with_features
-from cograph.models import ALL_KINDS, _Workspace, input_gradient
+from cograph.models import ALL_KINDS, TrainedSubModel, _Workspace, input_gradient
 from cograph.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -216,6 +216,29 @@ def test_train_rejects_a_bad_labeled_set(easy_graph, nodes, targets):
     model = build_submodel(SubModelSpec(kind="gcn"), easy_graph)
     with pytest.raises(ValidationError):
         train_submodel(model, nodes, targets, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True], ids=["float", "numpy-float", "bool"])
+def test_train_refuses_a_seed_that_is_not_an_integer(easy_graph, easy_split, seed):
+    # a bool would otherwise train as seed 1, and a float fail inside SeedSequence
+    model = build_submodel(SubModelSpec(kind="f-mlp", hyper=FAST), easy_graph)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        train_submodel(model, *truth(easy_graph, easy_split.labeled), seed=seed)
+
+
+def test_train_takes_a_numpy_integer_seed(easy_graph, easy_split):
+    model = build_submodel(SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5)), easy_graph)
+    labeled = truth(easy_graph, easy_split.labeled)
+    a = train_submodel(model, *labeled, seed=np.int64(3))
+    b = train_submodel(model, *labeled, seed=3)
+    assert all(np.array_equal(a.params[k], b.params[k]) for k in b.params)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf], ids=["nan", "inf"])
+def test_trained_submodel_refuses_a_temperature_that_is_not_finite(easy_graph, T):
+    model = build_submodel(SubModelSpec(kind="f-mlp"), easy_graph)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        TrainedSubModel(model, {}, temperature=T)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -167,11 +167,11 @@ def test_feature_flip_holds_one_gradient(density, monkeypatch):
     monkeypatch.setattr(views, "_ROW_BLOCK_BUDGET", 20 * m)  # 60 blocks of 20 rows
     attacked, peak = _traced_peak(feature_flip_attack, g, victim, 200)
     assert len(changed_features(attacked.X, g.X)) == 200
-    # a few copies of one block's gradient beside, for a CSR victim, X as
-    # CSR, the target rows' set bits and the attacked CSR, a few words per
-    # stored entry; a dense victim's dense t-row input is freed before the
-    # dense copy of X is made. No t x m gradient: for the CSR victim the
-    # bound is under a third of one
+    # a few copies of one block's gradient beside the target rows' set bits
+    # (freed before the attacked X is made) and, for a CSR victim, X's set
+    # bits and the attacked CSR, a few words per stored entry; for a dense
+    # victim, the dense copy of X it returns. No t x m gradient: for the
+    # CSR victim the bound is under a third of one
     block = views._ROW_BLOCK_BUDGET * 8
     held = 48 * np.count_nonzero(g.X) if csr else t * m * 8
     assert peak <= 4 * block + held + 2**20
