@@ -7,7 +7,7 @@ ensemble resists structural and feature perturbations that fool either
 view alone.
 """
 
-from .calibration import ReliabilityBins, calibrate, fit_temperature, reliability
+from .calibration import calibrate, fit_temperature, reliability
 from .cotrain import (
     CoTrainState,
     class_quota,
@@ -44,7 +44,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "NodeSplit",
-    "ReliabilityBins",
     "SubModelSpec",
     "TrainHyper",
     "TrainedSubModel",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +20,6 @@ LOG_T_MIN = -3.0
 LOG_T_MAX = 3.0
 LOG_T_TOL = 1e-3
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class ReliabilityBins:
-    """Equal-width confidence bins with their empirical accuracies.
-
-    ece is the count-weighted mean absolute gap between per-bin confidence
-    and accuracy over nonempty bins.
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-    mean_confidence: np.ndarray
-    accuracy: np.ndarray
-    ece: float
 
 
 def nll(logits: np.ndarray, labels: np.ndarray, T: float = 1.0) -> float:
@@ -89,8 +73,18 @@ def calibrate(logits: np.ndarray, T: float) -> np.ndarray:
     return softmax(np.asarray(logits, dtype=np.float64) / T)
 
 
-def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> ReliabilityBins:
-    """Bin predictions by confidence (max probability) and summarize each bin."""
+# the keys of each reliability row, in CSV order
+RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "confidence", "accuracy")
+
+
+def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> tuple[list[dict], float]:
+    """Bin predictions by confidence (max probability) into equal-width bins.
+
+    Returns one row per bin, a mapping of RELIABILITY_COLUMNS: the bin's
+    edges, its count, and its mean confidence and accuracy (0 when empty).
+    Also returns the ECE, the count-weighted mean absolute gap between
+    confidence and accuracy over nonempty bins.
+    """
     require_int("bins", bins, 2)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -108,31 +102,17 @@ def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> Reliab
     acc = np.where(nonempty, acc_sum / np.maximum(counts, 1), 0.0)
     total = counts.sum()
     ece = float((counts[nonempty] / total * np.abs(acc[nonempty] - mean_conf[nonempty])).sum())
-    return ReliabilityBins(
-        edges=edges, counts=counts, mean_confidence=mean_conf, accuracy=acc, ece=ece
-    )
-
-
-# the columns of each reliability row, in CSV order
-RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "confidence", "accuracy")
+    columns = (edges[:-1], edges[1:], counts, mean_conf, acc)
+    rows = [dict(zip(RELIABILITY_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
+    return rows, ece
 
 
 def reliability_by_phase(logits: np.ndarray, labels: np.ndarray, T: float, bins: int) -> list[dict]:
     """Reliability rows before and after temperature T, one per bin and
     phase, each a mapping of "phase" ("uncalibrated" or "calibrated") and
     RELIABILITY_COLUMNS."""
-    rows = []
-    for phase, temp in (("uncalibrated", 1.0), ("calibrated", T)):
-        b = reliability(calibrate(logits, temp), labels, bins)
-        rows.extend(
-            {
-                "phase": phase,
-                "bin_low": float(b.edges[i]),
-                "bin_high": float(b.edges[i + 1]),
-                "count": int(b.counts[i]),
-                "confidence": float(b.mean_confidence[i]),
-                "accuracy": float(b.accuracy[i]),
-            }
-            for i in range(b.counts.size)
-        )
-    return rows
+    return [
+        {"phase": phase, **row}
+        for phase, temp in (("uncalibrated", 1.0), ("calibrated", T))
+        for row in reliability(calibrate(logits, temp), labels, bins)[0]
+    ]

@@ -209,15 +209,15 @@ def cmd_calibrate(args) -> int:
     T = fit_temperature(val_logits, val_labels)
     test_logits = logits[split.test]
     test_labels = g.labels[split.test]
-    before = reliability(calibrate(val_logits, 1.0), val_labels, args.bins)
-    after = reliability(calibrate(val_logits, T), val_labels, args.bins)
+    _, ece_before = reliability(calibrate(val_logits, 1.0), val_labels, args.bins)
+    _, ece_after = reliability(calibrate(val_logits, T), val_labels, args.bins)
     metrics = {
         "model": args.model,
         "temperature": T,
         "val_nll_before": nll(val_logits, val_labels, 1.0),
         "val_nll_after": nll(val_logits, val_labels, T),
-        "val_ece_before": before.ece,
-        "val_ece_after": after.ece,
+        "val_ece_before": ece_before,
+        "val_ece_after": ece_after,
         "test_accuracy": float(
             (test_logits.argmax(axis=1) == test_labels).mean()
         ),

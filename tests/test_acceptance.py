@@ -273,8 +273,8 @@ def test_acceptance_5_calibration(fixture_graph, cora_graph):
         y = graph.labels[split.validation]
         T = fit_temperature(logits, y)
         assert nll(logits, y, T) <= nll(logits, y, 1.0) + 1e-12
-        before = reliability(calibrate(logits, 1.0), y).ece
-        after = reliability(calibrate(logits, T), y).ece
+        _, before = reliability(calibrate(logits, 1.0), y)
+        _, after = reliability(calibrate(logits, T), y)
         raw_acc = float((logits.argmax(axis=1) == y).mean())
         cal_acc = float((calibrate(logits, T).argmax(axis=1) == y).mean())
         assert raw_acc == cal_acc  # argmax invariance, exact
