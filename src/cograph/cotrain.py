@@ -20,7 +20,6 @@ from .calibration import calibrate, fit_temperature
 from .errors import ValidationError, require_int
 from .graph import Graph, NodeSplit
 from .models import (
-    SubModel,
     SubModelSpec,
     TrainedSubModel,
     build_submodel,
@@ -281,8 +280,7 @@ def cotrain(
     require_int("max_iters", max_iters, 0)
     require_int("seed", seed, 0)
 
-    model_s = build_submodel(spec_struct, g)
-    model_f = build_submodel(spec_feat, g)
+    models = (build_submodel(spec_struct, g), build_submodel(spec_feat, g))
     all_nodes = np.arange(g.n)
     val_nodes = split.validation
     val_labels = g.labels[val_nodes] if val_nodes.size else None
@@ -295,11 +293,11 @@ def cotrain(
     state = CoTrainState(label, np.zeros(g.n, np.int8), np.zeros(g.n, np.int64))
     budget = class_quota(split.class_histogram, n_add) if class_balancing else n_add
 
-    def fit(model: SubModel, labeled: tuple[np.ndarray, np.ndarray], iteration: int, role: int):
-        """The trained model, its raw logits for every node (row = node id)
-        and their calibrated probabilities: its only forward pass."""
+    def fit(role: int, labeled: tuple[np.ndarray, np.ndarray], iteration: int):
+        """models[role] trained, its raw logits for every node (row = node
+        id) and their calibrated probabilities: its only forward pass."""
         (fit_seed,) = derive_seeds(seed, iteration, role)
-        trained = train_submodel(model, *labeled, seed=fit_seed)
+        trained = train_submodel(models[role], *labeled, seed=fit_seed)
         logits = predict_logits(trained, all_nodes)
         if calibration and val_nodes.size:
             trained = replace(trained, temperature=fit_temperature(logits[val_nodes], val_labels))
@@ -308,10 +306,8 @@ def cotrain(
     def test_accuracy(pred: np.ndarray) -> float:
         return float((pred == test_labels).mean())
 
-    added_s: tuple[int, ...] = (0,) * g.C
-    added_f: tuple[int, ...] = (0,) * g.C
-    short_s: tuple[int, ...] = (0,) * g.C
-    short_f: tuple[int, ...] = (0,) * g.C
+    # (structure, feature) pairs
+    added = shortfall = ((0,) * g.C,) * 2
     conflicts = 0
 
     while True:
@@ -320,24 +316,23 @@ def cotrain(
         labeled = (nodes, state.label[nodes])
         if g.n >= OVERLAP_MIN_NODES:
             with ThreadPoolExecutor(max_workers=1) as helper:
-                feat_fit = helper.submit(fit, model_f, labeled, it, 1)
-                f_struct, logits_s, probs_s = fit(model_s, labeled, it, 0)
-                f_feat, logits_f, probs_f = feat_fit.result()
+                feat_fit = helper.submit(fit, 1, labeled, it)
+                fits = (fit(0, labeled, it), feat_fit.result())
         else:
-            f_struct, logits_s, probs_s = fit(model_s, labeled, it, 0)
-            f_feat, logits_f, probs_f = fit(model_f, labeled, it, 1)
+            fits = (fit(0, labeled, it), fit(1, labeled, it))
+        trained, logits, probs = zip(*fits)
 
-        pred, _ = _average(probs_s[test_nodes], probs_f[test_nodes])
+        pred, _ = _average(*(p[test_nodes] for p in probs))
         record = IterationRecord(
             iteration=it,
             s_size=state.s_size,
-            added_per_class_struct=added_s,
-            added_per_class_feat=added_f,
-            shortfall_struct=short_s,
-            shortfall_feat=short_f,
+            added_per_class_struct=added[0],
+            added_per_class_feat=added[1],
+            shortfall_struct=shortfall[0],
+            shortfall_feat=shortfall[1],
             conflicts=conflicts,
-            acc_struct=test_accuracy(logits_s[test_nodes].argmax(axis=1)),
-            acc_feat=test_accuracy(logits_f[test_nodes].argmax(axis=1)),
+            acc_struct=test_accuracy(logits[0][test_nodes].argmax(axis=1)),
+            acc_feat=test_accuracy(logits[1][test_nodes].argmax(axis=1)),
             acc_ensemble=test_accuracy(pred),
             confusion=_confusion(test_labels, pred, g.C),
         )
@@ -346,17 +341,15 @@ def cotrain(
 
         pool = test_nodes[state.label[test_nodes] < 0]
         if it >= max_iters or not pool.size:
-            state.final_logits = (logits_s, logits_f)
-            return f_struct, f_feat, state
+            state.final_logits = logits
+            return (*trained, state)
 
-        sel_s = select_confident(pool, probs_s[pool], budget)
-        sel_f = select_confident(pool, probs_f[pool], budget)
-        label, provenance, conflicts = resolve_conflicts(sel_s, sel_f, g.n)
+        picks = [select_confident(pool, p[pool], budget) for p in probs]
+        label, provenance, conflicts = resolve_conflicts(*picks, g.n)
 
         state.iteration = it + 1
         new = label >= 0  # all in the pool, so no label is overwritten
         state.label[new], state.provenance[new] = label[new], provenance[new]
         state.added_in[new] = state.iteration
-        added_s = tuple(np.bincount(sel_s[1], minlength=g.C).tolist())
-        added_f = tuple(np.bincount(sel_f[1], minlength=g.C).tolist())
-        short_s, short_f = sel_s[3], sel_f[3]
+        added = tuple(tuple(np.bincount(p[1], minlength=g.C).tolist()) for p in picks)
+        shortfall = tuple(p[3] for p in picks)
