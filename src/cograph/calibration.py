@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .nn import softmax, softmax_xent
+from .nn import check_targets, softmax, softmax_xent
 
 LOG_T_MIN = -3.0
 LOG_T_MAX = 3.0
@@ -24,7 +24,10 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def nll(logits: np.ndarray, labels: np.ndarray, T: float = 1.0) -> float:
     """Mean negative log-likelihood of labels under softmax(logits / T):
-    the loss the models train on, so a temperature is fit on that loss."""
+    the loss the models train on, so a temperature is fit on that loss.
+    labels must hold one class id in [0, C) per row of logits."""
+    labels = np.asarray(labels)
+    check_targets(labels, *logits.shape)
     return softmax_xent(logits / T, labels)[0]
 
 
@@ -80,14 +83,16 @@ RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "confidence", "accuracy")
 def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> tuple[list[dict], float]:
     """Bin predictions by confidence (max probability) into equal-width bins.
 
-    Returns one row per bin, a mapping of RELIABILITY_COLUMNS: the bin's
-    edges, its count, and its mean confidence and accuracy (0 when empty).
-    Also returns the ECE, the count-weighted mean absolute gap between
+    labels must hold one class id in [0, C) per row of probs. Returns one
+    row per bin, a mapping of RELIABILITY_COLUMNS: the bin's edges, its
+    count, and its mean confidence and accuracy (0 when empty). Also
+    returns the ECE, the count-weighted mean absolute gap between
     confidence and accuracy over nonempty bins.
     """
     require_int("bins", bins, 2)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
+    check_targets(labels, *probs.shape)
     confidence = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
 

@@ -46,9 +46,11 @@ def class_quota(histogram, n_add: int) -> tuple[int, ...]:
 
     Exact proportions (N_c / N) * n_add are rounded by largest remainder so
     the counts sum to n_add exactly; remainder ties go to the smaller
-    class id.
+    class id. Every histogram entry must be finite and nonnegative.
     """
     hist = np.asarray(histogram, dtype=np.float64)
+    if not np.isfinite(hist).all() or (hist < 0).any():
+        raise ValidationError(f"class histogram entries must be finite and nonnegative, got {hist}")
     total = hist.sum()
     if total <= 0:
         raise ValidationError("class histogram must have positive total")
@@ -74,12 +76,15 @@ def select_confident(
     recorded shortfall that is never redistributed. An int budget takes
     the top that many nodes regardless of class; the shortfall tuple is
     then a single total. Confidence ties break toward the smaller node
-    index. Any other budget, or a negative count, is a ValidationError.
+    index. Any other budget, a tuple without one count per class, or a
+    negative count is a ValidationError.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if probs.shape[0] != nodes.size:
         raise ValidationError("probability rows must align with the node list")
     per_class = isinstance(budget, tuple)
+    if per_class and len(budget) != probs.shape[1]:
+        raise ValidationError(f"{len(budget)} class counts for {probs.shape[1]} classes")
     for count in budget if per_class else (budget,):
         require_int("budget", count, 0)
     conf = probs.max(axis=1)

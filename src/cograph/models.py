@@ -299,11 +299,9 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
     targets = np.asarray(targets, dtype=np.int64)
     if idx.ndim != 1 or not idx.size:
         raise ValidationError("train_submodel needs at least one labeled node")
-    if targets.shape != idx.shape:
-        raise ValidationError(f"{targets.size} targets for {idx.size} labeled nodes")
     if (np.diff(idx) <= 0).any():
         raise ValidationError("labeled node ids must be strictly increasing")
-    check_targets(targets, model.n_classes)
+    check_targets(targets, idx.size, model.n_classes)
     hyper = model.spec.hyper
     init_seed, dropout_seed = derive_seeds(seed, words=2)
     rng = np.random.default_rng(dropout_seed)
@@ -363,11 +361,11 @@ def input_gradient(
         raise ValidationError(f"input_gradient needs a row-wise model, got {model.spec.kind!r}")
     nodes = _node_ids(model, nodes)
     labels = np.asarray(labels, dtype=np.int64)
-    if nodes.ndim != 1 or nodes.size == 0 or labels.shape != nodes.shape:
-        raise ValidationError("input_gradient needs a nonempty 1-D node array and one label per node")
+    if nodes.ndim != 1 or nodes.size == 0:
+        raise ValidationError("input_gradient needs a nonempty 1-D node array")
     if np.unique(nodes).size != nodes.size:
         raise ValidationError("input_gradient node ids must be distinct")
-    check_targets(labels, model.n_classes)
+    check_targets(labels, nodes.size, model.n_classes)
     ws = _Workspace.of(model, nodes)
     logits, caches = ws.forward(trained.params)
     _, grad_rows = softmax_xent(logits, labels, mean_over)

@@ -104,9 +104,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def check_targets(targets: np.ndarray, n_classes: int) -> None:
-    """ValidationError unless every target is a class id in [0, n_classes)."""
-    if targets.min() < 0 or targets.max() >= n_classes:
+def check_targets(targets: np.ndarray, rows: int, n_classes: int) -> None:
+    """ValidationError unless targets is a 1-D integer array of rows class
+    ids, each in [0, n_classes)."""
+    if targets.shape != (rows,) or targets.dtype.kind not in "iu":
+        raise ValidationError(
+            f"targets must be a 1-D integer array of {rows} class ids, "
+            f"got {targets.dtype} of shape {targets.shape}"
+        )
+    if rows and (targets.min() < 0 or targets.max() >= n_classes):
         raise ValidationError("target class out of range")
 
 
@@ -117,7 +123,7 @@ def softmax_xent(
 
     Every row is a loss row and targets holds each row's class id; a
     caller with other rows gathers the loss rows first. The caller checks
-    the class range (check_targets). mean_over, the count the sum of the
+    the targets (check_targets). mean_over, the count the sum of the
     row losses is divided by, defaults to the row count; a caller taking a
     larger loss one block of rows at a time passes that loss's row count.
     """

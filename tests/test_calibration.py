@@ -156,6 +156,26 @@ def test_reliability_refuses_a_fractional_bin_count():
         reliability(np.full((2, 2), 0.5), np.zeros(2, dtype=int), bins=2.5)
 
 
+BAD_LABELS = {
+    "negative": [-1, 1, 2, 0, 1, 2],  # numpy indexing would read -1 as class C - 1
+    "too-large": [5, 1, 2, 0, 1, 2],
+    "too-few": [0, 1],
+    "float": [0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+}
+
+
+@pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+@pytest.mark.parametrize(
+    "entry",
+    [nll, fit_temperature, lambda z, y: reliability(softmax(z), y)],
+    ids=["nll", "fit_temperature", "reliability"],
+)
+def test_calibration_refuses_labels_that_are_not_class_ids(entry, labels):
+    logits = np.random.default_rng(0).normal(size=(6, 3))
+    with pytest.raises(ValidationError, match="target"):
+        entry(logits, np.array(labels))
+
+
 def test_calibration_never_changes_accuracy(rng):
     z = rng.normal(size=(50, 4))
     labels = rng.integers(0, 4, size=50)

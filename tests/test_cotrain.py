@@ -61,6 +61,13 @@ def test_quota_rejects_empty_histogram():
         class_quota([0, 0], 4)
 
 
+@pytest.mark.parametrize("histogram", [[3, -1], [np.nan, 1], [np.inf, 1]], ids=["negative", "nan", "inf"])
+def test_quota_refuses_an_entry_that_is_negative_or_not_finite(histogram):
+    # a negative entry would hand out negative counts: [3, -1] split 4 as (6, -2)
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        class_quota(histogram, 4)
+
+
 @pytest.mark.parametrize("n_add", [2.5, True, -1], ids=["float", "bool", "negative"])
 def test_quota_rejects_a_bad_count(n_add):
     with pytest.raises(ValidationError, match="n_add must be"):
@@ -102,7 +109,7 @@ def test_select_confident_enumerated_example():
 def test_select_confident_tie_breaks_to_lower_node_index():
     nodes = np.array([7, 3])
     probs = np.array([[0.8, 0.2], [0.8, 0.2]])
-    assert _picks(select_confident(nodes, probs, class_quota([1], 1))) == [(3, 0, 0.8)]
+    assert _picks(select_confident(nodes, probs, class_quota([1, 0], 1))) == [(3, 0, 0.8)]
 
 
 def test_select_confident_shortfall_not_redistributed():
@@ -138,8 +145,11 @@ def test_select_empty_pool():
         (2.0, "budget must be an integer, got 2.0"),
         (-1, "budget must be >= 0, got -1"),
         ((1, -1), "budget must be >= 0, got -1"),
+        # a class without a count would never be considered
+        ((1,), "1 class counts for 2 classes"),
+        ((1, 1, 1), "3 class counts for 2 classes"),
     ],
-    ids=["none", "bool", "float", "negative", "negative-class-count"],
+    ids=["none", "bool", "float", "negative", "negative-class-count", "too-few-classes", "too-many-classes"],
 )
 def test_select_confident_rejects_a_bad_budget(budget, message):
     nodes = np.array([1, 2])
