@@ -1,0 +1,51 @@
+"""Every library module reads each name it imports.
+
+A name left behind when the code that read it went is dead weight that no
+test would notice. The package's __init__.py imports to re-export and is
+not checked. As with flake8, an import whose statement line, or whose own
+line, carries "# noqa: F401" is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cograph"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an unexempted import of source that no Name node reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if any("# noqa: F401" in lines[i - 1] for i in (node.lineno, alias.lineno)):
+                continue
+            imported.append(alias.asname or alias.name.split(".")[0])
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unread_import_is_caught_and_a_marked_one_is_not():
+    source = (
+        "from dataclasses import dataclass\n"
+        "from math import (  # noqa: F401\n"
+        "    pi,\n"
+        ")\n"
+        "import numpy as np\n"
+        "from os import sep  # noqa: F401\n"
+        "x = np.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["dataclass"]
