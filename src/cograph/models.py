@@ -296,7 +296,7 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
     labeled rows' logits. The returned params are read-only.
     """
     idx = _node_ids(model, nodes)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
     if idx.ndim != 1 or not idx.size:
         raise ValidationError("train_submodel needs at least one labeled node")
     if (np.diff(idx) <= 0).any():
@@ -360,7 +360,7 @@ def input_gradient(
     if model.prop is not None:
         raise ValidationError(f"input_gradient needs a row-wise model, got {model.spec.kind!r}")
     nodes = _node_ids(model, nodes)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValidationError("input_gradient needs a nonempty 1-D node array")
     if np.unique(nodes).size != nodes.size:

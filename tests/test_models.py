@@ -208,8 +208,12 @@ def test_pseudo_labels_use_same_code_path(easy_graph, easy_split):
         ([-1, 3], [0, 1]),
         ([1, 300], [0, 1]),
         ([1, 3], [0, 3]),
+        ([1, 3], [0.0, 1.9]),  # once cast to int64, so it trained as [0, 1]
     ],
-    ids=["empty", "unsorted", "repeated", "short-targets", "negative-id", "id-past-n", "class-past-C"],
+    ids=[
+        "empty", "unsorted", "repeated", "short-targets", "negative-id", "id-past-n", "class-past-C",
+        "float-targets",
+    ],
 )
 def test_train_rejects_a_bad_labeled_set(easy_graph, nodes, targets):
     assert easy_graph.n == 300 and easy_graph.C == 3
@@ -441,6 +445,16 @@ def test_input_gradient_rejects_repeated_nodes(easy_graph, easy_split, kind):
         input_gradient(trained, nodes, easy_graph.labels[nodes])
     grad = input_gradient(trained, nodes[1:], easy_graph.labels[nodes[1:]])
     assert grad.shape == (2, trained.model.input_dim)
+
+
+def test_input_gradient_refuses_labels_that_are_not_integers(easy_graph, easy_split):
+    # once cast to int64, so 1.9 was read as class 1
+    spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5))
+    trained = train_submodel(
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
+    )
+    with pytest.raises(ValidationError, match="integer array"):
+        input_gradient(trained, np.array([5, 7]), np.array([0.0, 1.9]))
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
