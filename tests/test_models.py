@@ -208,7 +208,7 @@ def test_pseudo_labels_use_same_code_path(easy_graph, easy_split):
         ([-1, 3], [0, 1]),
         ([1, 300], [0, 1]),
         ([1, 3], [0, 3]),
-        ([1, 3], [0.0, 1.9]),  # once cast to int64, so it trained as [0, 1]
+        ([1, 3], [0.0, 1.9]),  # a cast to int64 would train on [0, 1]
     ],
     ids=[
         "empty", "unsorted", "repeated", "short-targets", "negative-id", "id-past-n", "class-past-C",
@@ -448,7 +448,7 @@ def test_input_gradient_rejects_repeated_nodes(easy_graph, easy_split, kind):
 
 
 def test_input_gradient_refuses_labels_that_are_not_integers(easy_graph, easy_split):
-    # once cast to int64, so 1.9 was read as class 1
+    # a cast to int64 would read 1.9 as class 1
     spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5))
     trained = train_submodel(
         build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
