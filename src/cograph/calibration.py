@@ -25,9 +25,12 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def nll(logits: np.ndarray, labels: np.ndarray, T: float = 1.0) -> float:
     """Mean negative log-likelihood of labels under softmax(logits / T):
     the loss the models train on, so a temperature is fit on that loss.
-    labels must hold one class id in [0, C) per row of logits."""
+    labels must hold one class id in [0, C) per row of logits, and there
+    must be a row: the mean over none is undefined."""
     labels = np.asarray(labels)
     check_targets(labels, *logits.shape)
+    if not labels.size:
+        raise ValidationError("nll needs at least one row")
     return softmax_xent(logits / T, labels)[0]
 
 

@@ -28,6 +28,7 @@ from .nn import (
     check_targets,
     derive_seeds,
     dropout_input,
+    dropout_output,
     init_params,
     keep_mask,
     masked_scale,
@@ -175,9 +176,9 @@ def _every_row(inputs, rows) -> bool:
 class _Workspace:
     """Forward and backward passes of one model over fixed output rows.
 
-    A fit builds one and reuses it for every epoch (predict_logits and
-    input_gradient build one per call). rows are the nodes whose logits a
-    forward returns, in that order.
+    A fit builds one with training=True and reuses it for every epoch;
+    predict_logits and input_gradient build an evaluation one per call.
+    rows are the nodes whose logits a forward returns, in that order.
 
     A row-wise model takes only those input rows forward; when they are
     every row in order, it takes the input itself rather than a copy. A
@@ -189,48 +190,33 @@ class _Workspace:
     and scipy's running sums start at +0.0, so adding a zero never changes
     them.
 
-    In training, the input dropout writes into one reused output: an
-    array, or for CSR inputs one CSR on the input's indices and indptr,
-    whose transposed CSC view serves the first layer's weight gradient.
-    Each hidden layer draws its mask into a reused buffer and scales its
-    activation in place. The draws follow the dropout RNG contract of nn.
+    A training workspace builds, here and once, all that a fit's forward
+    writes and its weight-gradient backward reads: first, the first
+    layer's input (under dropout, the dropout_output that each forward's
+    dropout_input overwrites; else the input), its transpose first_T (a
+    view, CSC for CSR inputs, so it follows each overwrite), back_prop =
+    prop[:, rows], and under dropout one mask buffer per hidden layer. An
+    evaluation workspace builds none of them: first is the input, first_T
+    and back_prop are None and no layer has a mask, so it serves forward
+    and the input-gradient backward only. The mask draws follow the
+    dropout RNG contract of nn.
     """
 
-    def __init__(self, inputs, prop, hyper: TrainHyper, widths, rows, training=False):
+    def __init__(self, model: SubModel, rows, training=False):
+        inputs, prop, widths = model.inputs, model.prop, model.spec.hidden
         if sp.issparse(inputs):
             inputs = inputs.tocsr()
         if prop is None and not _every_row(inputs, rows):
             inputs = inputs[rows]
-        self.inputs, self.prop, self.hyper, self.training = inputs, prop, hyper, training
-        self.n_layers = len(widths) + 1
+        self.inputs, self.prop, self.hyper = inputs, prop, model.spec.hyper
+        self.training, self.n_layers = training, len(widths) + 1
         self.out_prop = None if prop is None else prop[rows]
-        self._rows, self._back_prop, self._first_T = rows, None, None
-        dropout = training and hyper.dropout > 0.0
-        # the first layer's input: under dropout, the output the first
-        # forward's dropout_input allocates and later ones overwrite
-        self.first = None if dropout else inputs
+        dropout = training and self.hyper.dropout > 0.0
+        self.first = dropout_output(inputs) if dropout else inputs
+        self.first_T = self.first.T if training else None
+        self.back_prop = prop[:, rows] if training and prop is not None else None
         # under dropout, hidden layer l draws a mask of widths[l - 1] columns
         self.masks = [None] + [np.empty((inputs.shape[0], w)) if dropout else None for w in widths]
-
-    @classmethod
-    def of(cls, model: SubModel, rows, training=False) -> "_Workspace":
-        return cls(model.inputs, model.prop, model.spec.hyper, model.spec.hidden, rows, training)
-
-    @property
-    def first_T(self):
-        """The first layer's input transposed, for its weight gradient;
-        built on the first backward pass that takes one, so an evaluation
-        workspace never makes the CSC view of CSR inputs."""
-        if self._first_T is None:
-            self._first_T = self.first.T
-        return self._first_T
-
-    @property
-    def back_prop(self):
-        """prop[:, rows], built on the first backward pass."""
-        if self._back_prop is None:
-            self._back_prop = self.prop[:, self._rows]
-        return self._back_prop
 
     def forward(self, params: dict, rng=None):
         """The rows' logits and per-layer caches (input, pre-activation,
@@ -239,7 +225,7 @@ class _Workspace:
         keep = 1.0 - self.hyper.dropout
         a = self.inputs
         if self.training:
-            a = self.first = dropout_input(a, self.hyper.dropout, rng, out=self.first)
+            a = dropout_input(a, self.hyper.dropout, rng, out=self.first)
         caches = []
         for l in range(self.n_layers):
             mask = self.masks[l]
@@ -308,7 +294,7 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
 
     params = init_params(model.layer_plan(), init_seed)
     state = AdamState.for_params(params)
-    ws = _Workspace.of(model, idx, training=True)
+    ws = _Workspace(model, idx, training=True)
 
     losses = []
     for epoch in range(1, hyper.epochs + 1):
@@ -339,7 +325,7 @@ def _node_ids(model: SubModel, nodes) -> np.ndarray:
 def predict_logits(trained: TrainedSubModel, nodes) -> np.ndarray:
     """Deterministic (dropout-off) logits, one row per requested node."""
     nodes = _node_ids(trained.model, nodes)
-    logits, _ = _Workspace.of(trained.model, nodes).forward(trained.params)
+    logits, _ = _Workspace(trained.model, nodes).forward(trained.params)
     return logits
 
 
@@ -366,7 +352,7 @@ def input_gradient(
     if np.unique(nodes).size != nodes.size:
         raise ValidationError("input_gradient node ids must be distinct")
     check_targets(labels, nodes.size, model.n_classes)
-    ws = _Workspace.of(model, nodes)
+    ws = _Workspace(model, nodes)
     logits, caches = ws.forward(trained.params)
     _, grad_rows = softmax_xent(logits, labels, mean_over)
     return ws.backward(grad_rows, caches, trained.params)

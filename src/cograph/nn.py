@@ -12,9 +12,8 @@ one uniform per stored value of a CSR input (in CSR order) or per element
 of a dense one, and a value is kept when its uniform is below 1 - rate.
 Within an epoch the input layer draws first, then the hidden layer. The
 uniforms may land in a reused buffer (``rng.random(out=...)``), which
-draws the same stream; a training loop passes dropout_input the output
-of its previous call, so one array, or one CSR wrapper on the input's
-indices and indptr, serves every epoch.
+draws the same stream; a training loop makes one dropout_output before
+its first epoch and passes it to dropout_input in every epoch.
 """
 
 from __future__ import annotations
@@ -159,28 +158,34 @@ def keep_mask(rng: np.random.Generator, keep: float, out: np.ndarray) -> np.ndar
     return np.less(out, keep, out=out)
 
 
+def dropout_output(x):
+    """An unfilled output for dropout_input on x: an array of x's shape,
+    or for sparse x a CSR with fresh values on the indices and indptr of
+    x's CSR form."""
+    if sp.issparse(x):
+        x = x.tocsr()
+        return type(x)((np.empty(x.data.shape), x.indices, x.indptr), shape=x.shape)
+    return np.empty(x.shape)
+
+
 def dropout_input(x, rate: float, rng: np.random.Generator, out=None):
     """Inverted dropout on a layer input; x itself at rate 0.
 
     Sparse inputs get the stored values of their CSR form masked (other
     formats are converted once; structural zeros stay zero either way, so
     the semantics match the dense path). The CSR output shares indices and
-    indptr with the input, which is left untouched. out, when given, is
-    the output of an earlier call on the same x and is overwritten: a
-    training loop reuses one array, or one CSR wrapper, for every epoch.
+    indptr with the input, which is left untouched. The output is out,
+    overwritten, when given: a dropout_output(x) made once, which a
+    training loop passes to every epoch. Without it, each call makes one.
     """
     if rate == 0.0:
         return x
     keep = 1.0 - rate
-    if sp.issparse(x):
-        x = x.tocsr()
-        if out is None:
-            out = type(x)((np.empty(x.data.shape), x.indices, x.indptr), shape=x.shape)
-        masked_scale(x.data, keep_mask(rng, keep, out.data), keep, out=out.data)
-        return out
-    if out is None:
-        out = np.empty(x.shape)
-    return masked_scale(x, keep_mask(rng, keep, out), keep, out=out)
+    x = x.tocsr() if sp.issparse(x) else x
+    out = dropout_output(x) if out is None else out
+    values, buf = (x.data, out.data) if sp.issparse(x) else (x, out)
+    masked_scale(values, keep_mask(rng, keep, buf), keep, out=buf)
+    return out
 
 
 @dataclass

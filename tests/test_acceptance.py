@@ -390,7 +390,9 @@ def test_acceptance_8_numerical_oracles(fixture_graph):
     )
     hyper = TrainHyper(dropout=0.0, weight_decay=0.0)
     sm = build_submodel(SubModelSpec(kind="gcn", hyper=hyper), g)
-    ws = _Workspace.of(sm, np.arange(g.n))  # every node's logits, dropout off
+    # every node's logits; training=True because only a training workspace builds
+    # what the weight-gradient backward reads; dropout 0 keeps the forward deterministic
+    ws = _Workspace(sm, np.arange(g.n), training=True)
     eps = 1e-5
     params = None
     for seed in range(30):

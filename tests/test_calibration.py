@@ -63,6 +63,12 @@ def test_fit_empty_validation_warns_and_returns_one():
     assert T == 1.0
 
 
+def test_nll_refuses_zero_rows():
+    # the mean over no rows is 0 / 0; it must not come back as a NaN
+    with pytest.raises(ValidationError, match="at least one row"):
+        nll(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
 def test_calibrate_unit_temperature_is_softmax(rng):
     z = rng.normal(size=(7, 3))
     assert calibrate(z, 1.0) == pytest.approx(softmax(z))

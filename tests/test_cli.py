@@ -541,6 +541,29 @@ def test_nan_split_fraction_exits_2(capsys, tmp_path):
     assert "fractions must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_empty_validation_split_exits_2(capsys, tmp_path, command):
+    # int(0.001 * 150) is 0: no validation node to report on
+    data = gen_dataset(capsys, tmp_path)
+    rc = main([command, "--data", str(data), "--model", "gcn", "--epochs", "5", "--val-frac", "0.001"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "--val-frac 0.001 leaves no validation node" in err
+    assert "NaN" not in out
+
+
+def test_cotrain_accepts_an_empty_validation_split(capsys, tmp_path):
+    # co-training reports no validation figure: it keeps T = 1 for both views
+    data = gen_dataset(capsys, tmp_path)
+    rc, out = run_cli(
+        capsys, "cotrain", "--data", str(data), "--epochs", "5", "--max-iters", "1",
+        "--val-frac", "0.001",
+    )
+    assert rc == 0
+    metrics = json.loads(out)
+    assert metrics["temperature_struct"] == metrics["temperature_feat"] == 1.0
+
+
 def test_config_split_without_test_nodes_exits_2_before_any_cell(capsys, tmp_path):
     cfg_path = _tiny_config(tmp_path, train_frac=0.5, val_frac=0.5)
     rc = main(["experiment", "--config", str(cfg_path)])

@@ -263,7 +263,9 @@ def test_relu_gradient_check_away_from_kinks():
     g = make_graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)], X, np.array([0, 1, 0, 1, 0, 1]), 2)
     hyper = TrainHyper(dropout=0.0, weight_decay=0.0)
     sm = build_submodel(SubModelSpec(kind="gcn", hyper=hyper), g)
-    ws = _Workspace.of(sm, np.arange(g.n))  # every node's logits, dropout off
+    # every node's logits; training=True because only a training workspace builds
+    # what the weight-gradient backward reads; dropout 0 keeps the forward deterministic
+    ws = _Workspace(sm, np.arange(g.n), training=True)
     eps = 1e-5
     for seed in range(20):
         params = init_params(sm.layer_plan(), seed=seed)

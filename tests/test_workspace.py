@@ -17,18 +17,28 @@ import scipy.sparse as sp
 
 from cograph.cotrain import cotrain
 from cograph.graph import generate_synthetic, make_graph, split_nodes
-from cograph.models import SubModelSpec, build_submodel, train_submodel
+from cograph.models import (
+    SubModelSpec,
+    _Workspace,
+    build_submodel,
+    input_gradient,
+    predict_logits,
+    train_submodel,
+)
 from cograph.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    AdamState,
     TrainHyper,
     derive_seeds,
     init_params,
+    softmax_xent,
 )
 from helpers import truth
 
 cotrain_mod = importlib.import_module("cograph.cotrain")
+models_mod = importlib.import_module("cograph.models")
 
 
 def _masked_scale(x, mask, keep):
@@ -249,3 +259,56 @@ def test_training_keeps_the_model_inputs_untouched():
     copy = dense.inputs.copy()
     train_submodel(dense, *truth(g, range(0, g.n, 3)), seed=0)
     assert dense.inputs.tobytes() == copy.tobytes()
+
+
+def test_evaluation_workspaces_build_no_backward_operands(monkeypatch):
+    """predict_logits and input_gradient build no CSC transpose of the
+    inputs and no prop[:, rows]: only a fit's weight-gradient backward
+    reads them."""
+    built = []
+
+    class Recording(_Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(models_mod, "_Workspace", Recording)
+    g = _sparse_words_graph()
+    labeled = truth(g, range(0, g.n, 3))
+    hyper = TrainHyper(epochs=3)
+    gcn, fmlp = (
+        train_submodel(build_submodel(SubModelSpec(kind=kind, hyper=hyper), g), *labeled, seed=0)
+        for kind in ("gcn", "f-mlp")
+    )
+    built.clear()
+    predict_logits(gcn, np.arange(g.n))
+    predict_logits(fmlp, [5, 1, 7])
+    input_gradient(fmlp, [5, 1, 7], [0, 1, 2])
+    assert len(built) == 3
+    for ws in built:
+        assert not any(sp.issparse(v) and v.format == "csc" for v in vars(ws).values())
+        assert ws.first_T is None and ws.back_prop is None
+
+
+def _values(m):
+    return m.data if sp.issparse(m) else m
+
+
+@pytest.mark.parametrize("kind, graph", [("gcn", "words"), ("knn-gcn", "words"), ("f-mlp", "dense")])
+def test_training_backward_reads_what_construction_built(kind, graph):
+    g = _sparse_words_graph() if graph == "words" else _dense_graph()
+    model = build_submodel(SubModelSpec(kind=kind, k=8, hyper=TrainHyper(epochs=2)), g)
+    idx, y = truth(g, range(1, g.n, 4))
+    ws = _Workspace(model, idx, training=True)
+    built = (ws.first, ws.first_T, ws.back_prop, *ws.masks)
+    # the transpose is a view: it follows each forward's dropout overwrite
+    assert np.shares_memory(_values(ws.first_T), _values(ws.first))
+    assert (ws.back_prop is None) == (model.prop is None)
+    params = init_params(model.layer_plan(), 0)
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        logits, caches = ws.forward(params, rng)
+        assert caches[0][0] is ws.first
+        ws.backward(softmax_xent(logits, y)[1], caches, params, state.grads)
+        assert all(a is b for a, b in zip((ws.first, ws.first_T, ws.back_prop, *ws.masks), built))
