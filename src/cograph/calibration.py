@@ -9,7 +9,6 @@ changes any model's predicted labels.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -41,13 +40,10 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
     1e-3. NLL is convex in 1/T, so it has a single minimum over log T;
     ties keep the smaller T, so a flat NLL (all rows right, NLL 0) lands
     at the lower clamp. T = 1 is always a candidate, so the fitted value
-    never has worse NLL than the uncalibrated model. An empty validation
-    set yields T = 1 with a warning.
+    never has worse NLL than the uncalibrated model. With no rows, nll
+    raises ValidationError.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0 or logits.shape[0] == 0:
-        warnings.warn("empty validation set; temperature left at 1.0", stacklevel=2)
-        return 1.0
     labels = np.asarray(labels)
 
     def objective(log_t: float) -> float:

@@ -78,11 +78,8 @@ def _load_split(args):
 
 
 def _train_one(args):
-    """Load, split and train the single sub-model that args describe;
-    train and calibrate report on the validation nodes, so there must be one."""
+    """Load, split and train the single sub-model that args describe."""
     g, split = _load_split(args)
-    if not split.validation.size:
-        raise ValidationError(f"--val-frac {args.val_frac} leaves no validation node of {g.n}")
     spec = SubModelSpec(args.model, hidden=args.hidden or None, k=args.k, hyper=_hyper_from_args(args))
     model = train_submodel(
         build_submodel(spec, g), split.labeled, g.labels[split.labeled], seed=args.seed

@@ -261,7 +261,8 @@ def cotrain(
     """Run the two-view co-training loop.
 
     Pseudo-label candidates are drawn from the test pool; validation nodes
-    are reserved for temperature fitting. Quotas derive from the initial
+    are reserved for temperature fitting, which calibration=False skips,
+    keeping T = 1 for both views. Quotas derive from the initial
     labeled histogram and each model selects n_add nodes per iteration from
     the same unlabeled snapshot. Stops after max_iters iterations or when
     the pool empties; max_iters=0 degrades to the plain calibrated
@@ -288,7 +289,7 @@ def cotrain(
     models = (build_submodel(spec_struct, g), build_submodel(spec_feat, g))
     all_nodes = np.arange(g.n)
     val_nodes = split.validation
-    val_labels = g.labels[val_nodes] if val_nodes.size else None
+    val_labels = g.labels[val_nodes]
     test_nodes = split.test
     test_labels = g.labels[test_nodes]
 
@@ -304,7 +305,7 @@ def cotrain(
         (fit_seed,) = derive_seeds(seed, iteration, role)
         trained = train_submodel(models[role], *labeled, seed=fit_seed)
         logits = predict_logits(trained, all_nodes)
-        if calibration and val_nodes.size:
+        if calibration:
             trained = replace(trained, temperature=fit_temperature(logits[val_nodes], val_labels))
         return trained, logits, calibrate(logits, trained.temperature)
 

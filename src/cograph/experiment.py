@@ -313,7 +313,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     """
     g = load_base_graph(config)
     # attacks keep n, so every cell's split has these sizes: fractions that
-    # leave no test node fail here, before any cell runs
+    # leave a set empty fail here, before any cell runs
     split_nodes(g, config.train_frac, config.val_frac, config.seeds[0])
     tasks = [
         (g, setting, seed, config)

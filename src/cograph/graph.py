@@ -250,11 +250,13 @@ def generate_synthetic(
 
 @dataclass(frozen=True, eq=False)
 class NodeSplit:
-    """Disjoint labeled/validation/test index sets over one graph.
+    """Disjoint, nonempty labeled/validation/test index sets over one graph.
 
-    class_histogram counts labels over the labeled set; a class absent
-    from it counts 0 there, and its pseudo-label quotas become zero. The
-    four arrays are stored read-only, a caller's writable array as a copy.
+    Every set must hold a node: training needs a labeled one, temperature
+    fitting a validation one and evaluation a test one. class_histogram
+    counts labels over the labeled set; a class absent from it counts 0
+    there, and its pseudo-label quotas become zero. The four arrays are
+    stored read-only, a caller's writable array as a copy.
     """
 
     labeled: np.ndarray
@@ -265,9 +267,13 @@ class NodeSplit:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
-        parts = [set(self.labeled.tolist()), set(self.validation.tolist()), set(self.test.tolist())]
-        total = len(self.labeled) + len(self.validation) + len(self.test)
-        if len(parts[0] | parts[1] | parts[2]) != total:
+        sets = (self.labeled, self.validation, self.test)
+        sizes = dict(zip(("labeled", "validation", "test"), map(len, sets)))
+        for name, size in sizes.items():
+            if not size:
+                shown = ", ".join(f"{k} {v}" for k, v in sizes.items())
+                raise ValidationError(f"split has no {name} node ({shown})")
+        if len(set().union(*(s.tolist() for s in sets))) != sum(sizes.values()):
             raise ValidationError("split sets must be pairwise disjoint")
         if int(self.class_histogram.sum()) != len(self.labeled):
             raise ValidationError("class_histogram must sum to the labeled-set size")
@@ -276,9 +282,9 @@ class NodeSplit:
 def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> NodeSplit:
     """Seeded uniform split into labeled/validation/test index sets.
 
-    Sizes are floor(frac * n); all remaining nodes go to the test set,
-    which must not be empty. The split is uniform random, not
-    class-stratified.
+    Sizes are floor(frac * n); all remaining nodes go to the test set.
+    NodeSplit refuses the split if any of the three sets is empty. The
+    split is uniform random, not class-stratified.
     """
     require_real("train_frac", train_frac)
     require_real("val_frac", val_frac)
@@ -291,8 +297,6 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
     require_int("seed", seed, 0)
     n_train = int(train_frac * g.n)
     n_val = int(val_frac * g.n)
-    if n_train + n_val >= g.n:
-        raise ValidationError(f"fractions {train_frac}, {val_frac} leave no test node of {g.n}")
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n)

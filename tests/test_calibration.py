@@ -57,10 +57,10 @@ def test_fitted_nll_never_worse_than_unit(rng):
         assert nll(z, labels, T) <= nll(z, labels, 1.0) + 1e-12
 
 
-def test_fit_empty_validation_warns_and_returns_one():
-    with pytest.warns(UserWarning):
-        T = fit_temperature(np.zeros((0, 3)), np.zeros(0, dtype=int))
-    assert T == 1.0
+def test_fit_refuses_an_empty_validation_set():
+    # no split has an empty validation set (NodeSplit), so there is no T to fall back on
+    with pytest.raises(ValidationError, match="at least one row"):
+        fit_temperature(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 def test_nll_refuses_zero_rows():

@@ -541,23 +541,41 @@ def test_nan_split_fraction_exits_2(capsys, tmp_path):
     assert "fractions must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "calibrate"])
+# the fewest flags that run each command that splits and trains
+SPLIT_COMMANDS = {
+    "train": ["train", "--model", "gcn", "--epochs", "5"],
+    "calibrate": ["calibrate", "--epochs", "5"],
+    "cotrain": ["cotrain", "--epochs", "5", "--max-iters", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(SPLIT_COMMANDS))
 def test_empty_validation_split_exits_2(capsys, tmp_path, command):
-    # int(0.001 * 150) is 0: no validation node to report on
+    # int(0.001 * 150) is 0: no validation node to fit a temperature or report on
     data = gen_dataset(capsys, tmp_path)
-    rc = main([command, "--data", str(data), "--model", "gcn", "--epochs", "5", "--val-frac", "0.001"])
+    rc = main([*SPLIT_COMMANDS[command], "--data", str(data), "--val-frac", "0.001"])
     out, err = capsys.readouterr()
     assert rc == 2
-    assert "--val-frac 0.001 leaves no validation node" in err
+    assert "split has no validation node (labeled 15, validation 0, test 135)" in err
     assert "NaN" not in out
 
 
-def test_cotrain_accepts_an_empty_validation_split(capsys, tmp_path):
-    # co-training reports no validation figure: it keeps T = 1 for both views
+@pytest.mark.parametrize("command", list(SPLIT_COMMANDS))
+def test_empty_labeled_split_exits_2(capsys, tmp_path, command):
+    # fails at the split, not later at the class quota or the loss
+    data = gen_dataset(capsys, tmp_path)
+    rc = main([*SPLIT_COMMANDS[command], "--data", str(data), "--train-frac", "0.001"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "split has no labeled node (labeled 0, validation 15, test 135)" in err
+    assert "NaN" not in out
+
+
+def test_cotrain_without_calibration_keeps_unit_temperatures(capsys, tmp_path):
     data = gen_dataset(capsys, tmp_path)
     rc, out = run_cli(
         capsys, "cotrain", "--data", str(data), "--epochs", "5", "--max-iters", "1",
-        "--val-frac", "0.001",
+        "--no-calibration",
     )
     assert rc == 0
     metrics = json.loads(out)

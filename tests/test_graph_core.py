@@ -255,6 +255,22 @@ def test_split_rejects_bad_fractions():
     assert split_nodes(g, 0.5, 0.45, seed=0).test.size == 1
 
 
+def test_split_refuses_fractions_that_leave_no_labeled_node():
+    # int(0.04 * 20) is 0: nothing to train on, caught before any model is built
+    g = generate_synthetic(20, 2, 0.5, 0.1, 4, 0.0, seed=0)
+    with pytest.raises(ValidationError, match=r"no labeled node \(labeled 0, validation 2, test 18\)"):
+        split_nodes(g, 0.04, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("empty", ["labeled", "validation", "test"])
+def test_node_split_refuses_an_empty_set(empty):
+    arrays = {"labeled": np.array([0]), "validation": np.array([1]), "test": np.array([2])}
+    arrays[empty] = np.array([], dtype=np.int64)
+    hist = np.array([len(arrays["labeled"])])
+    with pytest.raises(ValidationError, match=f"split has no {empty} node"):
+        NodeSplit(**arrays, class_histogram=hist)
+
+
 @pytest.mark.parametrize(
     "train_frac, val_frac, message",
     [
