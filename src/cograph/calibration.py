@@ -82,16 +82,20 @@ RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "confidence", "accuracy")
 def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> tuple[list[dict], float]:
     """Bin predictions by confidence (max probability) into equal-width bins.
 
-    labels must hold one class id in [0, C) per row of probs. Returns one
-    row per bin, a mapping of RELIABILITY_COLUMNS: the bin's edges, its
-    count, and its mean confidence and accuracy (0 when empty). Also
-    returns the ECE, the count-weighted mean absolute gap between
-    confidence and accuracy over nonempty bins.
+    labels must hold one class id in [0, C) per row of probs, and there
+    must be a row, as for nll: over none, every bin is empty and the ECE
+    would read 0, perfect calibration. Returns one row per bin, a mapping
+    of RELIABILITY_COLUMNS: the bin's edges, its count, and its mean
+    confidence and accuracy (0 when empty). Also returns the ECE, the
+    count-weighted mean absolute gap between confidence and accuracy over
+    nonempty bins.
     """
     require_int("bins", bins, 2)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     check_targets(labels, *probs.shape)
+    if not labels.size:
+        raise ValidationError("reliability needs at least one row")
     confidence = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
 

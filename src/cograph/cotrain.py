@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibration import calibrate, fit_temperature
 from .errors import ValidationError, require_int
-from .graph import Graph, NodeSplit
+from .graph import Graph, NodeSplit, node_ids
 from .models import (
     SubModelSpec,
     TrainedSubModel,
@@ -76,10 +76,10 @@ def select_confident(
     recorded shortfall that is never redistributed. An int budget takes
     the top that many nodes regardless of class; the shortfall tuple is
     then a single total. Confidence ties break toward the smaller node
-    index. Any other budget, a tuple without one count per class, or a
-    negative count is a ValidationError.
+    index. Node ids that are not integers, any other budget, a tuple
+    without one count per class, or a negative count is a ValidationError.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = node_ids(nodes)
     if probs.shape[0] != nodes.size:
         raise ValidationError("probability rows must align with the node list")
     per_class = isinstance(budget, tuple)
@@ -197,7 +197,7 @@ class CoTrainState:
 
         A read-only view kept for the benchmark's co-training probe in
         bench/spans.py; the library never reads it. It goes when ROADMAP
-        item 5 moves that probe into the library.
+        item 4 moves that probe into the library.
         """
         return {
             int(i): LabelEntry(

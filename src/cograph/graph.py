@@ -279,6 +279,15 @@ class NodeSplit:
             raise ValidationError("class_histogram must sum to the labeled-set size")
 
 
+def node_ids(nodes) -> np.ndarray:
+    """nodes as an int64 array. ValidationError unless a nonempty nodes
+    holds integers: a float or bool id would be cast to a node silently."""
+    nodes = np.asarray(nodes)
+    if nodes.size and nodes.dtype.kind not in "iu":
+        raise ValidationError(f"node ids must be integers, got {nodes.dtype}")
+    return nodes.astype(np.int64, copy=False)
+
+
 def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> NodeSplit:
     """Seeded uniform split into labeled/validation/test index sets.
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TrainingError, ValidationError, require_int, require_type
-from .graph import Graph, adjacency, normalize_adjacency_matrix, normalized_adjacency
+from .graph import Graph, adjacency, node_ids, normalize_adjacency_matrix, normalized_adjacency
 from .nn import (
     AdamState,
     TrainHyper,
@@ -316,7 +316,8 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
 
 
 def _node_ids(model: SubModel, nodes) -> np.ndarray:
-    nodes = np.asarray(nodes, dtype=np.int64)
+    """nodes as int64 ids (graph.node_ids), each a row of model."""
+    nodes = node_ids(nodes)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= model.n):
         raise ValidationError(f"node index out of range for n={model.n}")
     return nodes

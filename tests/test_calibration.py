@@ -69,6 +69,12 @@ def test_nll_refuses_zero_rows():
         nll(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
+def test_reliability_refuses_zero_rows():
+    # over no rows every bin is empty and the ECE would read 0, perfect calibration
+    with pytest.raises(ValidationError, match="at least one row"):
+        reliability(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
 def test_calibrate_unit_temperature_is_softmax(rng):
     z = rng.normal(size=(7, 3))
     assert calibrate(z, 1.0) == pytest.approx(softmax(z))

@@ -137,6 +137,14 @@ def test_select_empty_pool():
     assert select_confident(empty, probs, 3)[3] == (3,)
 
 
+@pytest.mark.parametrize("nodes", [[0.5, 1.5], [True, False]], ids=["float", "bool"])
+def test_select_confident_refuses_node_ids_that_are_not_integers(nodes):
+    # a cast to int64 would pick nodes 0 and 1, or 1 and 0
+    probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(ValidationError, match="node ids must be integers"):
+        select_confident(nodes, probs, 2)
+
+
 @pytest.mark.parametrize(
     "budget, message",
     [
@@ -235,6 +243,16 @@ def test_ensemble_identical_models_equal_either(easy_graph, easy_split):
     solo = calibrate(predict_logits(model, nodes), model.temperature)
     assert probs == pytest.approx(solo)
     assert np.array_equal(labels, solo.argmax(axis=1))
+
+
+@pytest.mark.parametrize("nodes", [[1.7, 2.2], [True, False]], ids=["float", "bool"])
+def test_ensemble_refuses_node_ids_that_are_not_integers(easy_graph, easy_split, nodes):
+    spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5))
+    model = train_submodel(
+        build_submodel(spec, easy_graph), *truth(easy_graph, easy_split.labeled), seed=0
+    )
+    with pytest.raises(ValidationError, match="node ids must be integers"):
+        ensemble_predict(model, model, nodes)
 
 
 def test_ensemble_averaging_arithmetic():

@@ -1,4 +1,5 @@
-"""Every library module reads each name it imports.
+"""Every library module reads each name it imports, and the package reads
+each private name a module defines.
 
 A name left behind when the code that read it went is dead weight that no
 test would notice. The package's __init__.py imports to re-export and is
@@ -49,3 +50,48 @@ def test_an_unread_import_is_caught_and_a_marked_one_is_not():
         "x = np.zeros(1)\n"
     )
     assert unused_imports(source) == ["dataclass"]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level _private names bound in sources (one per module) that
+    no other top-level statement of any of them reads, by name or as an
+    attribute. A def or class that reads only itself counts as unread."""
+    defined, reads = [], []
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                bound = []
+            private = [b for b in bound if b.startswith("_") and not b.startswith("__")]
+            defined.extend((name, len(reads)) for name in private)
+            reads.append(
+                {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            )
+    return [
+        name for name, at in defined
+        if not any(name in r for i, r in enumerate(reads) if i != at)
+    ]
+
+
+def test_package_reads_every_private_module_name():
+    # a helper whose last caller went with a simplification is dead weight
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_caught():
+    first = (
+        "_read = 1\n"
+        "_unread = 2\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "def public():\n"
+        "    return _read + _imported()\n"
+    )
+    second = "def _imported():\n    return 0\n"
+    assert unread_private_names([first, second]) == ["_unread", "_recursive"]

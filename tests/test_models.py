@@ -459,6 +459,37 @@ def test_input_gradient_refuses_labels_that_are_not_integers(easy_graph, easy_sp
         input_gradient(trained, np.array([5, 7]), np.array([0.0, 1.9]))
 
 
+# a cast to int64 would read these as nodes 1 and 2, or 1 and 0
+NOT_INTEGER_NODES = [np.array([1.7, 2.2]), np.array([True, False])]
+
+
+def _fmlp(g, split):
+    spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5))
+    return train_submodel(build_submodel(spec, g), *truth(g, split.labeled), seed=0)
+
+
+def test_train_refuses_node_ids_that_are_not_integers(easy_graph, easy_split):
+    model = build_submodel(SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5)), easy_graph)
+    nodes, targets = truth(easy_graph, easy_split.labeled)
+    with pytest.raises(ValidationError, match="node ids must be integers, got float64"):
+        train_submodel(model, nodes + 0.5, targets, seed=0)
+
+
+@pytest.mark.parametrize("nodes", NOT_INTEGER_NODES, ids=["float", "bool"])
+def test_predict_refuses_node_ids_that_are_not_integers(easy_graph, easy_split, nodes):
+    trained = _fmlp(easy_graph, easy_split)
+    with pytest.raises(ValidationError, match="node ids must be integers"):
+        predict_logits(trained, nodes)
+    assert predict_logits(trained, []).shape == (0, easy_graph.C)  # no node is still a node list
+
+
+@pytest.mark.parametrize("nodes", NOT_INTEGER_NODES, ids=["float", "bool"])
+def test_input_gradient_refuses_node_ids_that_are_not_integers(easy_graph, easy_split, nodes):
+    trained = _fmlp(easy_graph, easy_split)
+    with pytest.raises(ValidationError, match="node ids must be integers"):
+        input_gradient(trained, nodes, np.array([0, 1]))
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 def test_input_gradient_of_a_row_block_matches_the_whole_loss(easy_graph, easy_split, sparse):
     """With mean_over set to the whole node count, a block of the nodes
