@@ -209,10 +209,11 @@ def test_pseudo_labels_use_same_code_path(easy_graph, easy_split):
         ([1, 300], [0, 1]),
         ([1, 3], [0, 3]),
         ([1, 3], [0.0, 1.9]),  # a cast to int64 would train on [0, 1]
+        ([1.5, 3.5], [0, 1]),  # a cast to int64 would train nodes 1 and 3
     ],
     ids=[
         "empty", "unsorted", "repeated", "short-targets", "negative-id", "id-past-n", "class-past-C",
-        "float-targets",
+        "float-targets", "float-ids",
     ],
 )
 def test_train_rejects_a_bad_labeled_set(easy_graph, nodes, targets):
@@ -466,13 +467,6 @@ NOT_INTEGER_NODES = [np.array([1.7, 2.2]), np.array([True, False])]
 def _fmlp(g, split):
     spec = SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5))
     return train_submodel(build_submodel(spec, g), *truth(g, split.labeled), seed=0)
-
-
-def test_train_refuses_node_ids_that_are_not_integers(easy_graph, easy_split):
-    model = build_submodel(SubModelSpec(kind="f-mlp", hyper=TrainHyper(epochs=5)), easy_graph)
-    nodes, targets = truth(easy_graph, easy_split.labeled)
-    with pytest.raises(ValidationError, match="node ids must be integers, got float64"):
-        train_submodel(model, nodes + 0.5, targets, seed=0)
 
 
 @pytest.mark.parametrize("nodes", NOT_INTEGER_NODES, ids=["float", "bool"])
