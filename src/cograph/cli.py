@@ -175,7 +175,7 @@ def cmd_cotrain(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    g = load_graph_dir(args.data)
+    g, split = _load_split(args)
     setting = AttackSetting(
         name="cli",
         method=args.method,
@@ -183,7 +183,7 @@ def cmd_attack(args) -> int:
         feature_ratio=args.feature_ratio,
         path=args.external_path,
     )
-    perturbed = apply_attack(g, setting, args.seed, args.train_frac, args.val_frac)
+    perturbed = apply_attack(g, setting, args.seed, split)
     out = Path(args.out or "perturbed")
     save_dataset_dir(perturbed, out)
     record = write_sidecar(out / "perturbation.json", setting, args.seed, g, perturbed)

@@ -29,7 +29,7 @@ from .attacks import (
 from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
 from .cotrain import cotrain
 from .errors import ValidationError, require_int, require_real, require_type
-from .graph import Graph, SyntheticSpec, generate_synthetic, split_nodes
+from .graph import Graph, NodeSplit, SyntheticSpec, generate_synthetic, split_nodes
 from .io import load_graph_dir, write_csv, write_json
 from .models import (  # noqa: F401 -- predict_logits: the benchmark traces it here
     KIND_FMLP,
@@ -189,16 +189,17 @@ def apply_attack(
     g: Graph,
     setting: AttackSetting,
     seed: int,
-    train_frac: float = 0.1,
-    val_frac: float = 0.1,
+    split: NodeSplit | None = None,
     victim_hyper: TrainHyper | None = None,
 ) -> Graph:
     """Produce the poisoned graph for one cell.
 
     Budgets are computed against the clean edge count. The feature portion
-    trains a fresh raw-feature victim on this cell's labeled split and
-    flips bits that most increase its loss on the test nodes.
+    trains a fresh raw-feature victim on split.labeled and flips bits that
+    most increase its loss on split.test; split defaults to
+    split_nodes(g, 0.1, 0.1, seed).
     """
+    require_type("split", split, NodeSplit, type(None))
     if setting.method == "none":
         return g
     if setting.method == "external":
@@ -216,15 +217,13 @@ def apply_attack(
         else:
             perturbed = random_structure_perturb(perturbed, structure_rate, attack_seed)
     if feature_bits > 0:
-        split = split_nodes(g, train_frac, val_frac, seed)
+        split = split or split_nodes(g, 0.1, 0.1, seed)
         victim_spec = SubModelSpec(kind=KIND_FMLP, hyper=victim_hyper or TrainHyper())
         (victim_seed,) = derive_seeds(seed, _SEED_ROLE_VICTIM)
         victim = train_submodel(
             build_submodel(victim_spec, g), split.labeled, g.labels[split.labeled], seed=victim_seed
         )
-        perturbed = feature_flip_attack(
-            perturbed, victim, feature_bits, targets=split.test
-        )
+        perturbed = feature_flip_attack(perturbed, victim, feature_bits, targets=split.test)
     return perturbed
 
 
@@ -242,10 +241,8 @@ def _run_cell(args) -> CellResult:
     g, setting, seed, config = args
     cell = CellResult(setting=setting.name, seed=seed)
     try:
-        perturbed = apply_attack(
-            g, setting, seed, config.train_frac, config.val_frac, config.struct_model.hyper
-        )
-        split = split_nodes(perturbed, config.train_frac, config.val_frac, seed)
+        split = split_nodes(g, config.train_frac, config.val_frac, seed)
+        perturbed = apply_attack(g, setting, seed, split, config.struct_model.hyper)
         f_struct, f_feat, state = cotrain(
             perturbed,
             split,
@@ -312,8 +309,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
     completed ones, flagged by the completeness markers.
     """
     g = load_base_graph(config)
-    # attacks keep n, so every cell's split has these sizes: fractions that
-    # leave a set empty fail here, before any cell runs
+    # each cell splits g, and attacks keep n and labels, so every split has these
+    # sizes: fractions that leave a set empty fail here, before any cell runs
     split_nodes(g, config.train_frac, config.val_frac, config.seeds[0])
     tasks = [
         (g, setting, seed, config)

@@ -250,7 +250,7 @@ def generate_synthetic(
 
 @dataclass(frozen=True, eq=False)
 class NodeSplit:
-    """Disjoint, nonempty labeled/validation/test index sets over one graph.
+    """Disjoint, nonempty labeled/validation/test sets of node_ids over one graph.
 
     Every set must hold a node: training needs a labeled one, temperature
     fitting a validation one and evaluation a test one. class_histogram
@@ -266,7 +266,9 @@ class NodeSplit:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            value = value if f.name == "class_histogram" else node_ids(value)
+            object.__setattr__(self, f.name, _freeze(value))
         sets = (self.labeled, self.validation, self.test)
         sizes = dict(zip(("labeled", "validation", "test"), map(len, sets)))
         for name, size in sizes.items():

@@ -571,6 +571,20 @@ def test_empty_labeled_split_exits_2(capsys, tmp_path, command):
     assert "NaN" not in out
 
 
+@pytest.mark.parametrize("method", ["dice", "random", "external"])
+def test_attack_checks_split_fractions(capsys, tmp_path, method):
+    # checked for every method, not only for those whose victim reads the split
+    data = gen_dataset(capsys, tmp_path)
+    rc = main([
+        "--out", str(tmp_path / "out"), "attack", "--data", str(data), "--method", method,
+        "--rate", "0.2", "--external-path", str(data / "edges.tsv"),
+        "--train-frac", "5", "--val-frac", "-1",
+    ])
+    assert rc == 2
+    assert "fractions must be positive with sum <= 1, got 5.0, -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cotrain_without_calibration_keeps_unit_temperatures(capsys, tmp_path):
     data = gen_dataset(capsys, tmp_path)
     rc, out = run_cli(

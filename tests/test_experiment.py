@@ -344,6 +344,57 @@ def test_apply_attack_refuses_a_float_seed():
         apply_attack(g, AttackSetting(name="dice", method="dice", rate=0.1), 1.5)
 
 
+def test_apply_attack_refuses_a_split_that_is_not_a_node_split():
+    # a fraction passed where the split goes, as in the old (train_frac, val_frac) call
+    from cograph.graph import generate_synthetic
+
+    g = generate_synthetic(**SYNTH)
+    with pytest.raises(ValidationError, match="split must be of type NodeSplit or NoneType, got 0.1"):
+        apply_attack(g, AttackSetting(name="dice", method="dice", rate=0.1), 0, 0.1)
+
+
+def test_apply_attack_reads_the_split_it_is_given():
+    """The victim trains on the given split's labeled nodes and the flips
+    land on its test nodes; no split means split_nodes(g, 0.1, 0.1, seed)."""
+    from cograph.graph import generate_synthetic, split_nodes
+
+    g = generate_synthetic(**SYNTH)
+    setting = AttackSetting(name="flips", method="grad-feat", rate=0.1)
+    default = apply_attack(g, setting, 0)
+    assert np.array_equal(apply_attack(g, setting, 0, split_nodes(g, 0.1, 0.1, 0)).X, default.X)
+    split = split_nodes(g, 0.3, 0.2, 0)
+    flipped = np.flatnonzero((apply_attack(g, setting, 0, split).X != g.X).any(axis=1))
+    assert flipped.size and np.isin(flipped, split.test).all()
+    assert not np.array_equal(apply_attack(g, setting, 0, split).X, default.X)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        AttackSetting(name="dice", method="dice", rate=0.2),
+        AttackSetting(name="random", method="random", rate=0.2),
+        AttackSetting(name="mixed", method="dice", rate=0.2, feature_ratio=0.5),
+        AttackSetting(name="flips", method="grad-feat", rate=0.1),
+        AttackSetting(name="external", method="external", path="edges.tsv"),
+    ],
+    ids=lambda s: s.name,
+)
+def test_attacks_keep_the_node_split(tmp_path, monkeypatch, setting):
+    """Every attack keeps n and the labels, so the attacked graph splits
+    as the clean one does: one split serves the attack and co-training."""
+    from cograph.graph import generate_synthetic, split_nodes
+
+    monkeypatch.chdir(tmp_path)
+    Path("edges.tsv").write_text("0\t1\n1\t2\n3\t140\n")
+    g = generate_synthetic(**SYNTH)
+    for seed in (0, 3):
+        attacked = apply_attack(g, setting, seed)
+        for frac in (0.1, 0.25):
+            clean, after = (split_nodes(h, frac, frac, seed) for h in (g, attacked))
+            for name in ("labeled", "validation", "test", "class_histogram"):
+                assert np.array_equal(getattr(after, name), getattr(clean, name))
+
+
 def test_apply_attack_mixed_budget_split():
     from cograph.graph import generate_synthetic
 
@@ -387,3 +438,20 @@ def test_run_cell_scores_each_fit_once(monkeypatch):
     cell = experiment._run_cell((g, config.attacks[1], 0, config))
     assert cell.error is None and cell.reliability
     assert len(calls) == 2 * len(cell.history)
+
+
+def test_cell_splits_once(monkeypatch):
+    """A cell splits its clean graph once and hands that split to both the
+    feature attack's victim and co-training."""
+    experiment = importlib.import_module("cograph.experiment")
+    calls = []
+
+    def counted(*args, _original=experiment.split_nodes, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "split_nodes", counted)
+    config = tiny_config(seeds=[0], attacks=[{"name": "mixed", "method": "dice", "rate": 0.2, "feature_ratio": 0.5}])
+    cell = experiment._run_cell((experiment.load_base_graph(config), config.attacks[0], 0, config))
+    assert cell.error is None and cell.history
+    assert len(calls) == 1

@@ -271,6 +271,13 @@ def test_node_split_refuses_an_empty_set(empty):
         NodeSplit(**arrays, class_histogram=hist)
 
 
+@pytest.mark.parametrize("ids", [np.array([0.0]), np.array([True])], ids=["float", "bool"])
+def test_node_split_refuses_non_integer_ids(ids):
+    # a float or bool id would otherwise meet numpy's IndexError at g.labels[split.labeled]
+    with pytest.raises(ValidationError, match=f"node ids must be integers, got {ids.dtype}"):
+        NodeSplit(ids, np.array([1]), np.array([2]), np.array([1]))
+
+
 @pytest.mark.parametrize(
     "train_frac, val_frac, message",
     [
