@@ -363,9 +363,10 @@ def test_apply_attack_reads_the_split_it_is_given():
     default = apply_attack(g, setting, 0)
     assert np.array_equal(apply_attack(g, setting, 0, split_nodes(g, 0.1, 0.1, 0)).X, default.X)
     split = split_nodes(g, 0.3, 0.2, 0)
-    flipped = np.flatnonzero((apply_attack(g, setting, 0, split).X != g.X).any(axis=1))
+    attacked = apply_attack(g, setting, 0, split)
+    flipped = np.flatnonzero((attacked.X != g.X).any(axis=1))
     assert flipped.size and np.isin(flipped, split.test).all()
-    assert not np.array_equal(apply_attack(g, setting, 0, split).X, default.X)
+    assert not np.array_equal(attacked.X, default.X)
 
 
 @pytest.mark.parametrize(
