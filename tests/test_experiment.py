@@ -452,7 +452,8 @@ def test_cell_splits_once(monkeypatch):
         return _original(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "split_nodes", counted)
-    config = tiny_config(seeds=[0], attacks=[{"name": "mixed", "method": "dice", "rate": 0.2, "feature_ratio": 0.5}])
+    mixed = {"name": "mixed", "method": "dice", "rate": 0.2, "feature_ratio": 0.5}
+    config = tiny_config(seeds=[0], attacks=[mixed])
     cell = experiment._run_cell((experiment.load_base_graph(config), config.attacks[0], 0, config))
     assert cell.error is None and cell.history
     assert len(calls) == 1
