@@ -247,6 +247,25 @@ def _confusion(true_labels: np.ndarray, pred: np.ndarray, C: int):
     return tuple(tuple(int(v) for v in row) for row in mat)
 
 
+def _check_split(g: Graph, split: NodeSplit) -> None:
+    """ValidationError unless split's nodes are nodes of the labeled graph g
+    and its class_histogram counts g's labels over split.labeled: a split
+    is not tied to the graph it was drawn from."""
+    if g.labels is None:
+        raise ValidationError("cotrain requires a labeled graph")
+    ids = np.concatenate([split.labeled, split.validation, split.test])
+    if ids.min() < 0 or ids.max() >= g.n:
+        raise ValidationError(
+            f"split node ids must lie in [0, {g.n}), got [{ids.min()}, {ids.max()}]"
+        )
+    counts = np.bincount(g.labels[split.labeled], minlength=g.C)
+    if not np.array_equal(split.class_histogram, counts):
+        raise ValidationError(
+            f"split class_histogram {split.class_histogram.tolist()} is not the "
+            f"labeled nodes' label counts {counts.tolist()}"
+        )
+
+
 def cotrain(
     g: Graph,
     split: NodeSplit,
@@ -266,7 +285,9 @@ def cotrain(
     labeled histogram and each model selects n_add nodes per iteration from
     the same unlabeled snapshot. Stops after max_iters iterations or when
     the pool empties; max_iters=0 degrades to the plain calibrated
-    two-model ensemble. Reported accuracies always cover the original test
+    two-model ensemble. g must be labeled, and split must be a split of g:
+    its ids below g.n and its class_histogram the labeled nodes' label
+    counts (ValidationError otherwise). Reported accuracies always cover the original test
     set, using true labels for evaluation only.
 
     Within a round the two fits are independent: each trains its own
@@ -285,6 +306,7 @@ def cotrain(
     require_int("n_add", n_add, 0)
     require_int("max_iters", max_iters, 0)
     require_int("seed", seed, 0)
+    _check_split(g, split)
 
     models = (build_submodel(spec_struct, g), build_submodel(spec_feat, g))
     all_nodes = np.arange(g.n)

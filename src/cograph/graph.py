@@ -7,6 +7,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -74,7 +75,8 @@ class Graph:
             )
         if not np.isfinite(self.X.data if sp.issparse(self.X) else self.X).all():
             raise ValidationError("feature matrix holds NaN or infinite values")
-        for i, j in self.edges:
+        for pair in self.edges:
+            i, j = _endpoints(pair)
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={self.n}")
         if self.labels is not None:
@@ -114,10 +116,22 @@ def make_graph(n, edges, X, labels=None, C=None) -> Graph:
     return Graph(n=int(n), edges=_edge_set(edges), X=X, labels=labels, C=C)
 
 
+def _endpoints(pair) -> Edge:
+    """pair as two int node ids. ValidationError names a pair that is not
+    two integers: a float or bool endpoint would be cast to a node silently."""
+    try:
+        i, j = pair
+        if type(i) is not bool and type(j) is not bool:
+            return operator.index(i), operator.index(j)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"edge {pair!r} is not a pair of integer node ids")
+
+
 def _edge_set(edges) -> frozenset[Edge]:
     norm: set[Edge] = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
+    for pair in edges:
+        i, j = _endpoints(pair)
         if i == j:
             continue
         norm.add((i, j) if i < j else (j, i))
@@ -254,9 +268,10 @@ class NodeSplit:
 
     Every set must hold a node: training needs a labeled one, temperature
     fitting a validation one and evaluation a test one. class_histogram
-    counts labels over the labeled set; a class absent from it counts 0
-    there, and its pseudo-label quotas become zero. The four arrays are
-    stored read-only, a caller's writable array as a copy.
+    counts labels over the labeled set, as nonnegative integers; a class
+    absent from it counts 0 there, and its pseudo-label quotas become zero.
+    The four arrays are 1-D and stored read-only, a caller's writable array
+    as a copy.
     """
 
     labeled: np.ndarray
@@ -267,7 +282,16 @@ class NodeSplit:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            value = value if f.name == "class_histogram" else node_ids(value)
+            if f.name == "class_histogram":
+                value = np.asarray(value)
+                if value.dtype.kind not in "iu" or (value < 0).any():
+                    raise ValidationError(
+                        f"class_histogram must hold nonnegative integers, got {value.tolist()!r}"
+                    )
+            else:
+                value = node_ids(value)
+            if value.ndim != 1:
+                raise ValidationError(f"split {f.name} must be 1-D, got shape {value.shape}")
             object.__setattr__(self, f.name, _freeze(value))
         sets = (self.labeled, self.validation, self.test)
         sizes = dict(zip(("labeled", "validation", "test"), map(len, sets)))

@@ -2,8 +2,10 @@
 
 Edge lists are UTF-8 text with one "src<TAB>dst" pair per line ('#' starts
 a comment). Features are a dense CSV (row i = node i) or Matrix Market
-coordinate format for sparse binary features, which loads as CSR. Labels
-are a "node_id,label" CSV with an optional header line.
+coordinate format for sparse binary features, which loads as CSR; scipy's
+Matrix Market reader is imported the first time such a file is read, so a
+process that reads none never maps it. Labels are a "node_id,label" CSV
+with an optional header line.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import GraphParseError, ValidationError
@@ -45,6 +46,8 @@ def load_features(path) -> np.ndarray | sp.csr_matrix:
     format as a dense array), a CSV as a dense array."""
     path = Path(path)
     if path.suffix == ".mtx":
+        import scipy.io  # on first use, as the module docstring says
+
         X = scipy.io.mmread(path)
         return sp.csr_matrix(X, dtype=np.float64) if sp.issparse(X) else np.asarray(X, dtype=np.float64)
     try:

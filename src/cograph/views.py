@@ -3,7 +3,9 @@
 Feature view: a cosine-similarity kNN graph built from the node features.
 Structure view: random-walk Laplacian eigenmaps of the adjacency matrix
 (and of its squared, binarized form), concatenated into spectral node
-coordinates. All functions are pure over immutable inputs.
+coordinates. All functions are pure over immutable inputs. scipy's eigen
+solvers are imported on first use, by the structure view's eigen solve,
+so a process that builds no spectral view never maps them.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, ValidationError, require_int
 
@@ -140,8 +140,12 @@ def _smallest_eigenpairs(A: sp.csr_matrix, num: int):
 
     Solved through the equivalent symmetric problem
     D^{-1/2} L D^{-1/2} z = lam z with y = D^{-1/2} z, which makes the
-    returned vectors D-orthonormal by construction.
+    returned vectors D-orthonormal by construction. The solvers are
+    imported here, the one place that solves an eigenproblem.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+
     n = A.shape[0]
     deg = np.asarray(A.sum(axis=1)).ravel()
     mass = np.where(deg > 0, deg, 1.0)

@@ -27,6 +27,7 @@ from cograph.cotrain import (
     resolve_conflicts,
     select_confident,
 )
+from cograph.graph import NodeSplit
 from cograph.models import build_submodel, predict_logits, train_submodel
 from cograph.nn import TrainHyper
 from helpers import truth
@@ -310,6 +311,27 @@ def test_cotrain_checks_its_counts_and_seed(easy_graph, easy_split, args, messag
     specs = SubModelSpec(kind="gcn", hyper=FAST), SubModelSpec(kind="f-mlp", hyper=FAST)
     with pytest.raises(ValidationError, match=message):
         cotrain(easy_graph, easy_split, *specs, **{"n_add": 5, "max_iters": 1, "seed": 0, **args})
+
+
+def test_cotrain_refuses_a_split_with_a_node_outside_the_graph():
+    # a test id of 100 on 60 nodes used to meet numpy's IndexError
+    g = generate_synthetic(60, 2, 0.3, 0.05, 8, 0.1, seed=0)
+    split = split_nodes(g, 0.2, 0.2, seed=0)
+    split = NodeSplit(split.labeled, split.validation, np.append(split.test, 100), split.class_histogram)
+    specs = SubModelSpec(kind="gcn", hyper=FAST), SubModelSpec(kind="f-mlp", hyper=FAST)
+    with pytest.raises(ValidationError, match=r"split node ids must lie in \[0, 60\), got \[\d+, 100\]"):
+        cotrain(g, split, *specs, n_add=4, max_iters=1, seed=0)
+
+
+def test_cotrain_refuses_a_histogram_that_does_not_count_the_labeled_nodes():
+    # a histogram of [12, 0] against labels [9, 3] used to co-train silently by quotas (4, 0)
+    g = generate_synthetic(60, 2, 0.3, 0.05, 8, 0.1, seed=0)
+    split = split_nodes(g, 0.2, 0.2, seed=0)
+    assert split.class_histogram.tolist() == [9, 3]
+    split = replace(split, class_histogram=np.array([12, 0]))
+    specs = SubModelSpec(kind="gcn", hyper=FAST), SubModelSpec(kind="f-mlp", hyper=FAST)
+    with pytest.raises(ValidationError, match=r"class_histogram \[12, 0\] is not .* label counts \[9, 3\]"):
+        cotrain(g, split, *specs, n_add=4, max_iters=1, seed=0)
 
 
 def test_cotrain_bookkeeping(easy_graph, easy_split, small_run):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,34 @@ def test_make_graph_symmetrizes_and_drops_self_loops():
 def test_graph_rejects_out_of_range_edges():
     with pytest.raises(ValidationError):
         make_graph(2, [(0, 5)], np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [np.array([[0.6, 1.9]]), [(True, 2)], [(0, 1, 2)], [(np.float64(0.5), 1)]],
+    ids=["float-row", "bool", "triple", "float-scalar"],
+)
+def test_make_graph_refuses_edge_endpoints_that_are_not_integers(edges):
+    # a float or bool endpoint used to be cast to a node, and a triple met a bare ValueError
+    pair = list(edges)[0]
+    with pytest.raises(ValidationError, match=re.escape(f"edge {pair!r} is not a pair of integer node ids")):
+        make_graph(3, edges, np.eye(3))
+    g = make_graph(3, [], np.eye(3))
+    with pytest.raises(ValidationError, match="not a pair of integer node ids"):
+        with_edges(g, edges)
+
+
+@pytest.mark.parametrize("pair", [(0.5, 1.5), (0.0, 1), (False, 2)], ids=["float", "float-whole", "bool"])
+def test_graph_refuses_edge_endpoints_that_are_not_integers(pair):
+    # edge_array would truncate a stored float edge
+    with pytest.raises(ValidationError, match=re.escape(f"edge {pair!r} is not a pair of integer node ids")):
+        Graph(3, frozenset({pair}), np.eye(3))
+
+
+def test_make_graph_takes_numpy_integer_endpoints_as_ints():
+    g = make_graph(3, np.array([[1, 0], [2, 1]], dtype=np.int32), np.eye(3))
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert all(type(v) is int for e in g.edges for v in e)
 
 
 def test_graph_rejects_bad_labels():
@@ -276,6 +305,25 @@ def test_node_split_refuses_non_integer_ids(ids):
     # a float or bool id would otherwise meet numpy's IndexError at g.labels[split.labeled]
     with pytest.raises(ValidationError, match=f"node ids must be integers, got {ids.dtype}"):
         NodeSplit(ids, np.array([1]), np.array([2]), np.array([1]))
+
+
+@pytest.mark.parametrize("bad", ["labeled", "validation", "test"])
+def test_node_split_refuses_a_set_that_is_not_1d(bad):
+    # a 2-D set used to fail the disjointness check with TypeError: unhashable type: 'list'
+    arrays = {"labeled": np.array([0]), "validation": np.array([1]), "test": np.array([2])}
+    arrays[bad] = arrays[bad][None, :]
+    with pytest.raises(ValidationError, match=rf"split {bad} must be 1-D, got shape \(1, 1\)"):
+        NodeSplit(**arrays, class_histogram=np.array([1]))
+
+
+@pytest.mark.parametrize(
+    "hist",
+    [np.array([0.5, 0.5]), np.array([True]), np.array([2, -1]), np.array([[1]])],
+    ids=["float", "bool", "negative", "2-d"],
+)
+def test_node_split_refuses_a_histogram_that_is_not_1d_counts(hist):
+    with pytest.raises(ValidationError, match="class_histogram must"):
+        NodeSplit(np.array([0]), np.array([1]), np.array([2]), hist)
 
 
 @pytest.mark.parametrize(

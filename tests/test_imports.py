@@ -1,5 +1,6 @@
-"""Every library module reads each name it imports, and the package reads
-each private name a module defines.
+"""Every library module reads each name it imports, the package reads
+each private name a module defines, and importing the package maps only
+the scipy it needs.
 
 A name left behind when the code that read it went is dead weight that no
 test would notice. The package's __init__.py imports to re-export and is
@@ -8,9 +9,16 @@ line, carries "# noqa: F401" is exempt.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cograph"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -95,3 +103,40 @@ def test_an_unread_private_name_is_caught():
     )
     second = "def _imported():\n    return 0\n"
     assert unread_private_names([first, second]) == ["_unread", "_recursive"]
+
+
+# scipy stacks that only the s-mlp eigen solve and Matrix Market loading use
+ON_FIRST_USE = ("scipy.io", "scipy.linalg", "scipy.sparse.linalg")
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+stacks = {stacks!r}
+loaded = lambda: [m for m in stacks if m in sys.modules]
+import cograph, cograph.experiment, cograph.cli
+seen = {{"import": loaded()}}
+from cograph import SubModelSpec, build_submodel, generate_synthetic
+build_submodel(SubModelSpec(kind="s-mlp", k=4), generate_synthetic(30, 2, 0.3, 0.05, 6, 0.0, seed=0))
+seen["s-mlp"] = loaded()
+seen["mtx_shape"] = list(cograph.io.load_features(sys.argv[1]).shape)
+seen["mtx"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_import_maps_no_scipy_stack_until_first_use(tmp_path):
+    """A fresh interpreter that imports the package, its experiment runner
+    and its CLI maps none of ON_FIRST_USE; building s-mlp loads the eigen
+    solvers and reading a .mtx file loads the Matrix Market reader."""
+    path = tmp_path / "features.mtx"
+    scipy.io.mmwrite(path, sp.csr_matrix(np.eye(3)))
+    paths = [str(SRC.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT.format(stacks=ON_FIRST_USE), str(path)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    seen = json.loads(out)
+    assert seen["import"] == []
+    assert seen["s-mlp"] == ["scipy.linalg", "scipy.sparse.linalg"]
+    assert seen["mtx_shape"] == [3, 3]
+    assert seen["mtx"] == list(ON_FIRST_USE)
