@@ -46,7 +46,7 @@ def load_features(path) -> np.ndarray | sp.csr_matrix:
     format as a dense array), a CSV as a dense array."""
     path = Path(path)
     if path.suffix == ".mtx":
-        import scipy.io  # on first use, as the module docstring says
+        import scipy.io  # on first use: only Matrix Market files need the reader
 
         X = scipy.io.mmread(path)
         return sp.csr_matrix(X, dtype=np.float64) if sp.issparse(X) else np.asarray(X, dtype=np.float64)

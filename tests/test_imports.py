@@ -133,7 +133,7 @@ def test_import_maps_no_scipy_stack_until_first_use(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     out = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT.format(stacks=ON_FIRST_USE), str(path)],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     seen = json.loads(out)
     assert seen["import"] == []
