@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError, require_int, require_real, require_type
-from .graph import Graph, with_edges, with_features
+from .graph import Graph, node_ids, with_edges, with_features
 from .io import parse_edge_list, write_json
 from .models import KIND_FMLP, TrainedSubModel, input_gradient
 from .views import row_blocks
@@ -288,11 +288,9 @@ def feature_flip_attack(
         raise ValidationError("feature attack needs a labeled graph")
     if victim.model.inputs.shape != g.X.shape:
         raise ValidationError(f"victim inputs are {victim.model.inputs.shape}, graph features {g.X.shape}")
-    targets = np.asarray(targets if targets is not None else np.arange(g.n))
-    if targets.ndim != 1 or targets.size == 0 or targets.dtype.kind not in "iu":
+    targets = node_ids(targets if targets is not None else np.arange(g.n), g.n)
+    if targets.ndim != 1 or targets.size == 0:
         raise ValidationError("attack targets must be a nonempty 1-D array of node ids")
-    if targets.min() < 0 or targets.max() >= g.n:
-        raise ValidationError(f"attack target out of range for n={g.n}")
     if np.unique(targets).size != targets.size:
         raise ValidationError("attack targets must not repeat a node id")
     targets = np.sort(targets)  # ascending, so row-major order over the t rows is X's

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .nn import check_targets, softmax, softmax_xent
+from .nn import check_targets, score_shape, softmax, softmax_xent
 
 LOG_T_MIN = -3.0
 LOG_T_MAX = 3.0
@@ -27,7 +27,7 @@ def nll(logits: np.ndarray, labels: np.ndarray, T: float = 1.0) -> float:
     labels must hold one class id in [0, C) per row of logits, and there
     must be a row: the mean over none is undefined."""
     labels = np.asarray(labels)
-    check_targets(labels, *logits.shape)
+    check_targets(labels, *score_shape(logits))
     if not labels.size:
         raise ValidationError("nll needs at least one row")
     return softmax_xent(logits / T, labels)[0]
@@ -72,7 +72,9 @@ def calibrate(logits: np.ndarray, T: float) -> np.ndarray:
     """softmax(logits / T): rows sum to 1, argmax identical to the raw logits."""
     if not (T > 0 and math.isfinite(T)):
         raise ValidationError(f"temperature must be positive and finite, got {T}")
-    return softmax(np.asarray(logits, dtype=np.float64) / T)
+    logits = np.asarray(logits, dtype=np.float64)
+    score_shape(logits)
+    return softmax(logits / T)
 
 
 # the keys of each reliability row, in CSV order
@@ -93,7 +95,7 @@ def reliability(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> tuple[
     require_int("bins", bins, 2)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    check_targets(labels, *probs.shape)
+    check_targets(labels, *score_shape(probs))
     if not labels.size:
         raise ValidationError("reliability needs at least one row")
     confidence = probs.max(axis=1)

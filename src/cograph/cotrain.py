@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibration import calibrate, fit_temperature
 from .errors import ValidationError, require_int
-from .graph import Graph, NodeSplit, node_ids
+from .graph import Graph, NodeSplit, check_split, node_ids
 from .models import (
     SubModelSpec,
     TrainedSubModel,
@@ -26,7 +26,7 @@ from .models import (
     predict_logits,
     train_submodel,
 )
-from .nn import derive_seeds
+from .nn import derive_seeds, score_shape
 
 PROV_TRUTH = "ground-truth"
 PROV_STRUCT = "pseudo:struct"
@@ -76,15 +76,17 @@ def select_confident(
     recorded shortfall that is never redistributed. An int budget takes
     the top that many nodes regardless of class; the shortfall tuple is
     then a single total. Confidence ties break toward the smaller node
-    index. Node ids that are not integers, any other budget, a tuple
-    without one count per class, or a negative count is a ValidationError.
+    index. Node ids that are not integers, probs that are not one 2-D row
+    per node, any other budget, a tuple without one count per class, or a
+    negative count is a ValidationError.
     """
     nodes = node_ids(nodes)
-    if probs.shape[0] != nodes.size:
+    rows, classes = score_shape(probs)
+    if rows != nodes.size:
         raise ValidationError("probability rows must align with the node list")
     per_class = isinstance(budget, tuple)
-    if per_class and len(budget) != probs.shape[1]:
-        raise ValidationError(f"{len(budget)} class counts for {probs.shape[1]} classes")
+    if per_class and len(budget) != classes:
+        raise ValidationError(f"{len(budget)} class counts for {classes} classes")
     for count in budget if per_class else (budget,):
         require_int("budget", count, 0)
     conf = probs.max(axis=1)
@@ -247,25 +249,6 @@ def _confusion(true_labels: np.ndarray, pred: np.ndarray, C: int):
     return tuple(tuple(int(v) for v in row) for row in mat)
 
 
-def _check_split(g: Graph, split: NodeSplit) -> None:
-    """ValidationError unless split's nodes are nodes of the labeled graph g
-    and its class_histogram counts g's labels over split.labeled: a split
-    is not tied to the graph it was drawn from."""
-    if g.labels is None:
-        raise ValidationError("cotrain requires a labeled graph")
-    ids = np.concatenate([split.labeled, split.validation, split.test])
-    if ids.min() < 0 or ids.max() >= g.n:
-        raise ValidationError(
-            f"split node ids must lie in [0, {g.n}), got [{ids.min()}, {ids.max()}]"
-        )
-    counts = np.bincount(g.labels[split.labeled], minlength=g.C)
-    if not np.array_equal(split.class_histogram, counts):
-        raise ValidationError(
-            f"split class_histogram {split.class_histogram.tolist()} is not the "
-            f"labeled nodes' label counts {counts.tolist()}"
-        )
-
-
 def cotrain(
     g: Graph,
     split: NodeSplit,
@@ -285,9 +268,8 @@ def cotrain(
     labeled histogram and each model selects n_add nodes per iteration from
     the same unlabeled snapshot. Stops after max_iters iterations or when
     the pool empties; max_iters=0 degrades to the plain calibrated
-    two-model ensemble. g must be labeled, and split must be a split of g:
-    its ids below g.n and its class_histogram the labeled nodes' label
-    counts (ValidationError otherwise). Reported accuracies always cover the original test
+    two-model ensemble. g must be labeled and split a split of g
+    (check_split). Reported accuracies always cover the original test
     set, using true labels for evaluation only.
 
     Within a round the two fits are independent: each trains its own
@@ -306,7 +288,7 @@ def cotrain(
     require_int("n_add", n_add, 0)
     require_int("max_iters", max_iters, 0)
     require_int("seed", seed, 0)
-    _check_split(g, split)
+    check_split(g, split)
 
     models = (build_submodel(spec_struct, g), build_submodel(spec_feat, g))
     all_nodes = np.arange(g.n)
@@ -319,7 +301,8 @@ def cotrain(
     label[split.labeled] = g.labels[split.labeled]
     # provenance code 0 is PROV_TRUTH
     state = CoTrainState(label, np.zeros(g.n, np.int8), np.zeros(g.n, np.int64))
-    budget = class_quota(split.class_histogram, n_add) if class_balancing else n_add
+    histogram = np.bincount(g.labels[split.labeled], minlength=g.C)
+    budget = class_quota(histogram, n_add) if class_balancing else n_add
 
     def fit(role: int, labeled: tuple[np.ndarray, np.ndarray], iteration: int):
         """models[role] trained, its raw logits for every node (row = node

@@ -29,7 +29,7 @@ from .attacks import (
 from .calibration import RELIABILITY_COLUMNS, reliability_by_phase
 from .cotrain import cotrain
 from .errors import ValidationError, require_int, require_real, require_type
-from .graph import Graph, NodeSplit, SyntheticSpec, generate_synthetic, split_nodes
+from .graph import Graph, NodeSplit, SyntheticSpec, check_split, generate_synthetic, split_nodes
 from .io import load_graph_dir, write_csv, write_json
 from .models import (  # noqa: F401 -- predict_logits: the benchmark traces it here
     KIND_FMLP,
@@ -197,9 +197,12 @@ def apply_attack(
     Budgets are computed against the clean edge count. The feature portion
     trains a fresh raw-feature victim on split.labeled and flips bits that
     most increase its loss on split.test; split defaults to
-    split_nodes(g, 0.1, 0.1, seed).
+    split_nodes(g, 0.1, 0.1, seed). A given split must be a split of g
+    (check_split).
     """
     require_type("split", split, NodeSplit, type(None))
+    if split is not None:
+        check_split(g, split)
     if setting.method == "none":
         return g
     if setting.method == "external":

@@ -64,11 +64,11 @@ class Graph:
     C: int | None = None
 
     def __post_init__(self):
+        require_int("n", self.n, 1)
+        object.__setattr__(self, "n", int(self.n))
         X = _frozen_csr(self.X) if sp.issparse(self.X) else _freeze(self.X, np.float64)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "edges", frozenset(self.edges))  # a frozenset is kept as is
-        if self.n < 1:
-            raise ValidationError(f"graph needs at least one node, got n={self.n}")
         if self.X.ndim != 2 or self.X.shape[0] != self.n or self.X.shape[1] < 1:
             raise ValidationError(
                 f"feature matrix must be ({self.n}, m>=1), got {self.X.shape}"
@@ -113,7 +113,7 @@ def make_graph(n, edges, X, labels=None, C=None) -> Graph:
     if labels is not None and C is None:
         labels = np.asarray(labels, dtype=np.int64)
         C = int(labels.max()) + 1 if labels.size else 0
-    return Graph(n=int(n), edges=_edge_set(edges), X=X, labels=labels, C=C)
+    return Graph(n=n, edges=_edge_set(edges), X=X, labels=labels, C=C)
 
 
 def _endpoints(pair) -> Edge:
@@ -267,29 +267,18 @@ class NodeSplit:
     """Disjoint, nonempty labeled/validation/test sets of node_ids over one graph.
 
     Every set must hold a node: training needs a labeled one, temperature
-    fitting a validation one and evaluation a test one. class_histogram
-    counts labels over the labeled set, as nonnegative integers; a class
-    absent from it counts 0 there, and its pseudo-label quotas become zero.
-    The four arrays are 1-D and stored read-only, a caller's writable array
-    as a copy.
+    fitting a validation one and evaluation a test one. The three sets are
+    1-D and stored read-only, a caller's writable array as a copy. A split
+    is not tied to the graph it came from; check_split ties it to one.
     """
 
     labeled: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    class_histogram: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "class_histogram":
-                value = np.asarray(value)
-                if value.dtype.kind not in "iu" or (value < 0).any():
-                    raise ValidationError(
-                        f"class_histogram must hold nonnegative integers, got {value.tolist()!r}"
-                    )
-            else:
-                value = node_ids(value)
+            value = node_ids(getattr(self, f.name))
             if value.ndim != 1:
                 raise ValidationError(f"split {f.name} must be 1-D, got shape {value.shape}")
             object.__setattr__(self, f.name, _freeze(value))
@@ -301,17 +290,28 @@ class NodeSplit:
                 raise ValidationError(f"split has no {name} node ({shown})")
         if len(set().union(*(s.tolist() for s in sets))) != sum(sizes.values()):
             raise ValidationError("split sets must be pairwise disjoint")
-        if int(self.class_histogram.sum()) != len(self.labeled):
-            raise ValidationError("class_histogram must sum to the labeled-set size")
 
 
-def node_ids(nodes) -> np.ndarray:
+def node_ids(nodes, n: int | None = None) -> np.ndarray:
     """nodes as an int64 array. ValidationError unless a nonempty nodes
-    holds integers: a float or bool id would be cast to a node silently."""
+    holds integers (a float or bool id would be cast to a node silently)
+    and, given n, each lies in [0, n)."""
     nodes = np.asarray(nodes)
     if nodes.size and nodes.dtype.kind not in "iu":
         raise ValidationError(f"node ids must be integers, got {nodes.dtype}")
-    return nodes.astype(np.int64, copy=False)
+    nodes = nodes.astype(np.int64, copy=False)
+    if n is not None and nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+        raise ValidationError(
+            f"node ids out of range for n={n}, got [{nodes.min()}, {nodes.max()}]"
+        )
+    return nodes
+
+
+def check_split(g: Graph, split: NodeSplit) -> None:
+    """ValidationError unless g is labeled and every node of split is a node of g."""
+    if g.labels is None:
+        raise ValidationError("a split needs a labeled graph")
+    node_ids(np.concatenate([split.labeled, split.validation, split.test]), g.n)
 
 
 def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> NodeSplit:
@@ -338,6 +338,4 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
     labeled = np.sort(perm[:n_train])
     validation = np.sort(perm[n_train : n_train + n_val])
     test = np.sort(perm[n_train + n_val :])
-
-    hist = np.bincount(g.labels[labeled], minlength=g.C)
-    return NodeSplit(labeled=labeled, validation=validation, test=test, class_histogram=hist)
+    return NodeSplit(labeled=labeled, validation=validation, test=test)

@@ -281,7 +281,7 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
     source. One _Workspace serves every epoch, and the loss reads only the
     labeled rows' logits. The returned params are read-only.
     """
-    idx = _node_ids(model, nodes)
+    idx = node_ids(nodes, model.n)
     targets = np.asarray(targets)
     if idx.ndim != 1 or not idx.size:
         raise ValidationError("train_submodel needs at least one labeled node")
@@ -315,17 +315,9 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
     return TrainedSubModel(model=model, params=params, loss_history=tuple(losses))
 
 
-def _node_ids(model: SubModel, nodes) -> np.ndarray:
-    """nodes as int64 ids (graph.node_ids), each a row of model."""
-    nodes = node_ids(nodes)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= model.n):
-        raise ValidationError(f"node index out of range for n={model.n}")
-    return nodes
-
-
 def predict_logits(trained: TrainedSubModel, nodes) -> np.ndarray:
     """Deterministic (dropout-off) logits, one row per requested node."""
-    nodes = _node_ids(trained.model, nodes)
+    nodes = node_ids(nodes, trained.model.n)
     logits, _ = _Workspace(trained.model, nodes).forward(trained.params)
     return logits
 
@@ -346,7 +338,7 @@ def input_gradient(
     model = trained.model
     if model.prop is not None:
         raise ValidationError(f"input_gradient needs a row-wise model, got {model.spec.kind!r}")
-    nodes = _node_ids(model, nodes)
+    nodes = node_ids(nodes, model.n)
     labels = np.asarray(labels)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValidationError("input_gradient needs a nonempty 1-D node array")

@@ -103,6 +103,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
+def score_shape(scores: np.ndarray) -> tuple[int, int]:
+    """(rows, classes) of a 2-D score array; ValidationError for any other shape."""
+    if np.ndim(scores) != 2:
+        raise ValidationError(
+            f"scores must be a 2-D (rows, classes) array, got shape {np.shape(scores)}"
+        )
+    return np.shape(scores)
+
+
 def check_targets(targets: np.ndarray, rows: int, n_classes: int) -> None:
     """ValidationError unless targets is a 1-D integer array of rows class
     ids, each in [0, n_classes)."""

@@ -186,6 +186,9 @@ def laplacian_eigenmaps(A: sp.spmatrix, k: int) -> Embedding:
     first eigenvector (the constant vector on a connected graph, which
     carries no discriminative signal). Further zero-eigenvalue vectors of a
     disconnected graph are retained: they encode component membership.
+    Known limit (ROADMAP item 1): above DENSE_EIG_LIMIT nodes, on a graph
+    of more than k + 1 components, the shift-invert solver rotates the
+    null space and skips part of it, so the coordinates vary by process.
     Eigenvector signs are canonicalized (first nonzero coordinate positive)
     and eigenvalues are returned sorted nondecreasing.
     """

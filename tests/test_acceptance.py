@@ -306,7 +306,7 @@ def test_acceptance_6_class_balancing():
     base = generate_synthetic(600, 4, 0.05, 0.02, 40, 0.25, seed=11)
     g = merge_classes(base, {0: 0, 1: 0, 2: 1, 3: 2})  # class 0 holds 50% of nodes
     split = split_nodes(g, 0.1, 0.1, seed=3)
-    quota = class_quota(split.class_histogram, 20)
+    quota = class_quota(np.bincount(g.labels[split.labeled], minlength=g.C), 20)
 
     def dominant_share(rec):
         predicted = np.array(rec.confusion).sum(axis=0)

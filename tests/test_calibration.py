@@ -15,6 +15,7 @@ from cograph.calibration import (
     nll,
     reliability_by_phase,
 )
+from cograph.cotrain import select_confident
 from cograph.nn import softmax
 
 
@@ -186,6 +187,24 @@ def test_calibration_refuses_labels_that_are_not_class_ids(entry, labels):
     logits = np.random.default_rng(0).normal(size=(6, 3))
     with pytest.raises(ValidationError, match="target"):
         entry(logits, np.array(labels))
+
+
+SCORE_ENTRIES = {
+    "nll": lambda s: nll(s, np.zeros(3, dtype=int)),
+    "fit_temperature": lambda s: fit_temperature(s, np.zeros(3, dtype=int)),
+    "reliability": lambda s: reliability(s, np.zeros(3, dtype=int)),
+    "calibrate": lambda s: calibrate(s, 1.0),
+    "select_confident-int": lambda s: select_confident(np.arange(3), s, 2),
+    "select_confident-quota": lambda s: select_confident(np.arange(3), s, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("scores", [np.full(3, 0.5), np.full((3, 2, 2), 0.5)], ids=["1-d", "3-d"])
+@pytest.mark.parametrize("entry", SCORE_ENTRIES.values(), ids=SCORE_ENTRIES.keys())
+def test_score_entry_points_refuse_scores_that_are_not_2d(entry, scores):
+    # such scores used to meet TypeError, IndexError or AxisError past the argument checks
+    with pytest.raises(ValidationError, match=r"scores must be a 2-D \(rows, classes\) array"):
+        entry(scores)
 
 
 def test_calibration_never_changes_accuracy(rng):

@@ -290,7 +290,7 @@ def test_class_balancing_toggle_changes_selection():
 
     g = generate_synthetic(**SYNTH)
     split = split_nodes(g, 0.1, 0.1, 0)
-    quota = class_quota(split.class_histogram, 8)
+    quota = class_quota(np.bincount(g.labels[split.labeled], minlength=g.C), 8)
     assert tuple(added_on) == tuple(
         q - s for q, s in zip(quota, r_on.cells[0].history[1]["shortfall_struct"])
     )
@@ -353,6 +353,22 @@ def test_apply_attack_refuses_a_split_that_is_not_a_node_split():
         apply_attack(g, AttackSetting(name="dice", method="dice", rate=0.1), 0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [AttackSetting("x", method="dice", rate=0.2, feature_ratio=0.5), AttackSetting("none")],
+    ids=["mixed", "none"],
+)
+def test_apply_attack_refuses_a_split_with_a_node_outside_the_graph(setting):
+    # a labeled id of 100 on 60 nodes used to meet numpy's IndexError at g.labels[split.labeled]
+    from cograph.graph import NodeSplit, generate_synthetic, split_nodes
+
+    g = generate_synthetic(60, 2, 0.3, 0.05, 8, 0.1, seed=0)
+    split = split_nodes(g, 0.2, 0.2, seed=0)
+    split = NodeSplit(np.append(split.labeled, 100), split.validation, split.test)
+    with pytest.raises(ValidationError, match=r"node ids out of range for n=60, got \[\d+, 100\]"):
+        apply_attack(g, setting, 0, split)
+
+
 def test_apply_attack_reads_the_split_it_is_given():
     """The victim trains on the given split's labeled nodes and the flips
     land on its test nodes; no split means split_nodes(g, 0.1, 0.1, seed)."""
@@ -392,8 +408,10 @@ def test_attacks_keep_the_node_split(tmp_path, monkeypatch, setting):
         attacked = apply_attack(g, setting, seed)
         for frac in (0.1, 0.25):
             clean, after = (split_nodes(h, frac, frac, seed) for h in (g, attacked))
-            for name in ("labeled", "validation", "test", "class_histogram"):
+            for name in ("labeled", "validation", "test"):
                 assert np.array_equal(getattr(after, name), getattr(clean, name))
+            histograms = [np.bincount(h.labels[clean.labeled], minlength=h.C) for h in (g, attacked)]
+            assert np.array_equal(*histograms)
 
 
 def test_apply_attack_mixed_budget_split():
