@@ -119,12 +119,13 @@ def random_structure_perturb(g: Graph, rate: float, seed: int) -> Graph:
     return with_edges(g, edges)
 
 
-def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) -> Graph:
+def dice_perturb(g: Graph, labels: np.ndarray, rate: float, seed: int) -> Graph:
     """Label-aware structural attack: delete internal, insert cross-class.
 
     Each budget unit deletes a random same-class edge or inserts a random
     cross-class non-edge with equal probability. When one kind of candidate
-    runs out the remaining budget goes to the other kind.
+    runs out the remaining budget goes to the other kind. labels holds
+    each node's class id, as g.labels does.
 
     An insertion draws an index over the cross-class pairs, numbered one
     class pair at a time, until it names a non-edge: uniform, in O(n)
@@ -132,7 +133,7 @@ def dice_perturb(g: Graph, labels: np.ndarray | None, rate: float, seed: int) ->
     average, which is many where nearly every cross-class pair is an edge.
     """
     _check_rate_and_seed(rate, seed)
-    labels = np.asarray(labels if labels is not None else g.labels)
+    labels = np.asarray(labels)
     if labels.shape != (g.n,):
         raise ValidationError("dice_perturb needs one label per node")
     budget = int(round(rate * g.num_edges))
@@ -284,8 +285,6 @@ def feature_flip_attack(
     kind = victim.model.spec.kind
     if kind != KIND_FMLP:
         raise ValidationError(f"feature attack needs an f-mlp victim, got {kind!r}")
-    if g.labels is None:
-        raise ValidationError("feature attack needs a labeled graph")
     if victim.model.inputs.shape != g.X.shape:
         raise ValidationError(f"victim inputs are {victim.model.inputs.shape}, graph features {g.X.shape}")
     targets = node_ids(targets if targets is not None else np.arange(g.n), g.n)

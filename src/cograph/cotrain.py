@@ -268,9 +268,9 @@ def cotrain(
     labeled histogram and each model selects n_add nodes per iteration from
     the same unlabeled snapshot. Stops after max_iters iterations or when
     the pool empties; max_iters=0 degrades to the plain calibrated
-    two-model ensemble. g must be labeled and split a split of g
-    (check_split). Reported accuracies always cover the original test
-    set, using true labels for evaluation only.
+    two-model ensemble. split must be a split of g (check_split).
+    Reported accuracies always cover the original test set, using true
+    labels for evaluation only.
 
     Within a round the two fits are independent: each trains its own
     sub-model from its own derived seed on the same labeled snapshot. From

@@ -1,8 +1,8 @@
 """Graph data model: adjacency math, synthetic generation, node splitting.
 
 Graphs are undirected, unweighted, with real node features (a dense array
-or a CSR matrix) and optional integer class labels. Instances are immutable
-after construction and safe to share across threads.
+or a CSR matrix) and one integer class label per node. Instances are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError, require_int, require_real
+from .nn import check_targets
 from .views import row_blocks
 
 Edge = tuple[int, int]
@@ -48,24 +49,28 @@ def _frozen_csr(X) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph with node features and optional labels.
+    """Undirected graph with node features and class labels.
 
     edges holds pairs (i, j) with i < j; the implied adjacency is symmetric
     with zero diagonal. X has one row of finite values per node, stored as
     a read-only float64 array or, if sparse, canonical float64 CSR over
-    read-only arrays. labels, when present, are class ids in [0, C), stored
-    as a read-only int64 array. Either is kept as is when already so stored.
+    read-only arrays. C, an integer >= 1, is stored as an int. labels is a
+    1-D integer array of one class id in [0, C) per node (nn.check_targets;
+    a float or bool label is refused, not cast), stored as a read-only
+    int64 array. X and labels are kept as is when already so stored.
     """
 
     n: int
     edges: frozenset[Edge]
     X: np.ndarray | sp.csr_matrix
-    labels: np.ndarray | None = None
-    C: int | None = None
+    labels: np.ndarray
+    C: int
 
     def __post_init__(self):
         require_int("n", self.n, 1)
         object.__setattr__(self, "n", int(self.n))
+        require_int("C", self.C, 1)
+        object.__setattr__(self, "C", int(self.C))
         X = _frozen_csr(self.X) if sp.issparse(self.X) else _freeze(self.X, np.float64)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "edges", frozenset(self.edges))  # a frozenset is kept as is
@@ -79,19 +84,9 @@ class Graph:
             i, j = _endpoints(pair)
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={self.n}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", _freeze(self.labels, np.int64))
-            if self.labels.shape != (self.n,):
-                raise ValidationError(
-                    f"labels must have shape ({self.n},), got {self.labels.shape}"
-                )
-            if self.C is None or self.C < 1:
-                raise ValidationError("labeled graph requires a positive class count")
-            if self.labels.min() < 0 or self.labels.max() >= self.C:
-                raise ValidationError(
-                    f"labels must lie in [0, {self.C}), got range "
-                    f"[{self.labels.min()}, {self.labels.max()}]"
-                )
+        labels = np.asarray(self.labels)
+        check_targets(labels, self.n, self.C)
+        object.__setattr__(self, "labels", _freeze(labels, np.int64))
 
     @property
     def m(self) -> int:
@@ -102,17 +97,17 @@ class Graph:
         return len(self.edges)
 
 
-def make_graph(n, edges, X, labels=None, C=None) -> Graph:
+def make_graph(n, edges, X, labels, C=None) -> Graph:
     """Build a Graph, normalizing the edge set.
 
     Input pairs are symmetrized by union (both (i,j) and (j,i) collapse to
     one undirected edge), duplicates are dropped, and self-loops are
-    silently discarded. X and labels are stored as Graph stores them. C
-    defaults to one more than the largest label.
+    silently discarded. X, labels and C are stored and checked as Graph
+    stores and checks them. C defaults to one more than the largest label.
     """
-    if labels is not None and C is None:
-        labels = np.asarray(labels, dtype=np.int64)
-        C = int(labels.max()) + 1 if labels.size else 0
+    if C is None:
+        labels = np.asarray(labels)  # labels that are not integers get C = 1, and Graph refuses them
+        C = int(labels.max()) + 1 if labels.size and labels.dtype.kind in "iu" else 1
     return Graph(n=n, edges=_edge_set(edges), X=X, labels=labels, C=C)
 
 
@@ -308,9 +303,7 @@ def node_ids(nodes, n: int | None = None) -> np.ndarray:
 
 
 def check_split(g: Graph, split: NodeSplit) -> None:
-    """ValidationError unless g is labeled and every node of split is a node of g."""
-    if g.labels is None:
-        raise ValidationError("a split needs a labeled graph")
+    """ValidationError unless every node of split is a node of g."""
     node_ids(np.concatenate([split.labeled, split.validation, split.test]), g.n)
 
 
@@ -327,8 +320,6 @@ def split_nodes(g: Graph, train_frac: float, val_frac: float, seed: int) -> Node
         raise ValidationError(
             f"fractions must be positive with sum <= 1, got {train_frac}, {val_frac}"
         )
-    if g.labels is None:
-        raise ValidationError("split_nodes requires a labeled graph")
     require_int("seed", seed, 0)
     n_train = int(train_frac * g.n)
     n_val = int(val_frac * g.n)

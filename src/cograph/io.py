@@ -136,8 +136,7 @@ def save_dataset_dir(g: Graph, dataset_dir) -> None:
     d.mkdir(parents=True, exist_ok=True)
     save_edge_list(g, d / "edges.tsv")
     save_features_csv(g.X, d / "features.csv")
-    if g.labels is not None:
-        save_labels_csv(g.labels, d / "labels.csv")
+    save_labels_csv(g.labels, d / "labels.csv")
 
 
 def write_json(payload: dict, path) -> None:

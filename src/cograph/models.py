@@ -148,8 +148,6 @@ def _maybe_sparse(X):
 
 def build_submodel(spec: SubModelSpec, g: Graph) -> SubModel:
     """Precompute the view artifact once and bind it to the spec."""
-    if g.labels is None or g.C is None:
-        raise ValidationError("sub-models require a labeled graph")
     if spec.kind == KIND_GCN:
         inputs, prop = _maybe_sparse(g.X), normalized_adjacency(g)
     elif spec.kind == KIND_FMLP:

@@ -121,7 +121,9 @@ def check_targets(targets: np.ndarray, rows: int, n_classes: int) -> None:
             f"got {targets.dtype} of shape {targets.shape}"
         )
     if rows and (targets.min() < 0 or targets.max() >= n_classes):
-        raise ValidationError("target class out of range")
+        raise ValidationError(
+            f"target class ids must lie in [0, {n_classes}), got [{targets.min()}, {targets.max()}]"
+        )
 
 
 def softmax_xent(

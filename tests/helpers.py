@@ -89,11 +89,7 @@ def graphs_equal(a: Graph, b: Graph) -> bool:
     """Exact (bitwise) equality of two graphs."""
     if a.n != b.n or a.edges != b.edges or a.C != b.C:
         return False
-    if not np.array_equal(a.X, b.X):
-        return False
-    if (a.labels is None) != (b.labels is None):
-        return False
-    return a.labels is None or np.array_equal(a.labels, b.labels)
+    return np.array_equal(a.X, b.X) and np.array_equal(a.labels, b.labels)
 
 
 def finite_diff_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-4) -> float:

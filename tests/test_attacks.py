@@ -41,7 +41,7 @@ FAST = TrainHyper(epochs=60)
     "attack",
     [
         lambda g, rate, seed: random_structure_perturb(g, rate, seed),
-        lambda g, rate, seed: dice_perturb(g, None, rate, seed),
+        lambda g, rate, seed: dice_perturb(g, g.labels, rate, seed),
     ],
     ids=["random", "dice"],
 )
@@ -457,10 +457,6 @@ def test_feature_flip_feeds_csr_victims_canonical_inputs(monkeypatch):
         assert np.array_equal(inputs.data, rebuilt.data)
 
 
-def _unlabeled(g):
-    return make_graph(g.n, g.edges, g.X)
-
-
 def _first_nodes(g, n):
     return make_graph(n, [e for e in g.edges if e[1] < n], g.X[:n], g.labels[:n], g.C)
 
@@ -477,11 +473,10 @@ def _wider(g):
         (lambda g: g, [[1, 2]]),
         (lambda g: g, [1.0, 2.0]),
         (lambda g: g, np.array([], dtype=np.int64)),
-        (_unlabeled, None),
         (lambda g: _first_nodes(g, 200), None),
         (_wider, None),
     ],
-    ids=["negative", "beyond-n", "2-d", "float", "empty", "unlabeled", "victim-n", "victim-width"],
+    ids=["negative", "beyond-n", "2-d", "float", "empty", "victim-n", "victim-width"],
 )
 def test_feature_flip_rejects_bad_inputs(attack_graph, fmlp_victim, make, targets):
     with pytest.raises(ValidationError):

@@ -11,13 +11,13 @@ from helpers import components_cover, graphs_equal
 
 
 def test_make_graph_symmetrizes_and_drops_self_loops():
-    g = make_graph(3, [(0, 1), (1, 0), (2, 2), (1, 2)], np.eye(3))
+    g = make_graph(3, [(0, 1), (1, 0), (2, 2), (1, 2)], np.eye(3), [0, 1, 0])
     assert g.edges == frozenset({(0, 1), (1, 2)})
 
 
 def test_graph_rejects_out_of_range_edges():
     with pytest.raises(ValidationError):
-        make_graph(2, [(0, 5)], np.eye(2))
+        make_graph(2, [(0, 5)], np.eye(2), [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -29,8 +29,8 @@ def test_make_graph_refuses_edge_endpoints_that_are_not_integers(edges):
     # a float or bool endpoint used to be cast to a node, and a triple met a bare ValueError
     pair = list(edges)[0]
     with pytest.raises(ValidationError, match=re.escape(f"edge {pair!r} is not a pair of integer node ids")):
-        make_graph(3, edges, np.eye(3))
-    g = make_graph(3, [], np.eye(3))
+        make_graph(3, edges, np.eye(3), [0, 1, 0])
+    g = make_graph(3, [], np.eye(3), [0, 1, 0])
     with pytest.raises(ValidationError, match="not a pair of integer node ids"):
         with_edges(g, edges)
 
@@ -39,14 +39,14 @@ def test_make_graph_refuses_edge_endpoints_that_are_not_integers(edges):
 def test_graph_refuses_edge_endpoints_that_are_not_integers(pair):
     # edge_array would truncate a stored float edge
     with pytest.raises(ValidationError, match=re.escape(f"edge {pair!r} is not a pair of integer node ids")):
-        Graph(3, frozenset({pair}), np.eye(3))
+        Graph(3, frozenset({pair}), np.eye(3), [0, 1, 0], 2)
 
 
 @pytest.mark.parametrize(
     "build, n",
     [
         (lambda: Graph(3.0, frozenset({(0, 1)}), np.eye(3), np.array([0, 1, 0]), 2), 3.0),
-        (lambda: Graph(True, frozenset(), np.eye(1)), True),
+        (lambda: Graph(True, frozenset(), np.eye(1), [0], 1), True),
         (lambda: make_graph(3.9, [(0, 1)], np.eye(3), [0, 1, 0]), 3.9),
     ],
     ids=["float-graph", "bool-graph", "float-make_graph"],
@@ -58,12 +58,12 @@ def test_graph_refuses_a_node_count_that_is_not_an_integer(build, n):
 
 
 def test_graph_stores_a_numpy_node_count_as_an_int():
-    g = Graph(np.int64(3), frozenset({(0, 1)}), np.eye(3))
+    g = Graph(np.int64(3), frozenset({(0, 1)}), np.eye(3), [0, 1, 0], 2)
     assert type(g.n) is int and g.n == 3
 
 
 def test_make_graph_takes_numpy_integer_endpoints_as_ints():
-    g = make_graph(3, np.array([[1, 0], [2, 1]], dtype=np.int32), np.eye(3))
+    g = make_graph(3, np.array([[1, 0], [2, 1]], dtype=np.int32), np.eye(3), [0, 1, 0])
     assert g.edges == frozenset({(0, 1), (1, 2)})
     assert all(type(v) is int for e in g.edges for v in e)
 
@@ -73,9 +73,48 @@ def test_graph_rejects_bad_labels():
         make_graph(2, [], np.eye(2), labels=np.array([0, 7]), C=2)
 
 
+NOT_CLASS_IDS = {
+    "float": [0.5, 1.9, 0.2],
+    "float-whole": [0.0, 1.0, 0.0],
+    "nan": [np.nan, 0.0, 1.0],
+    "bool": [True, False, True],
+    "str": ["a", "b", "a"],
+}
+
+
+@pytest.mark.parametrize("labels", NOT_CLASS_IDS.values(), ids=NOT_CLASS_IDS.keys())
+def test_graph_refuses_labels_that_are_not_integers(labels):
+    # make_graph and Graph used to cast these: [0.5, 1.9, 0.2] was stored as classes [0, 1, 0]
+    message = rf"targets must be a 1-D integer array of 3 class ids, got {np.asarray(labels).dtype}"
+    with pytest.raises(ValidationError, match=message):
+        make_graph(3, [(0, 1)], np.eye(3), labels)
+    with pytest.raises(ValidationError, match=message):
+        Graph(3, frozenset(), np.eye(3), np.array(labels), 2)
+
+
+@pytest.mark.parametrize(
+    "C, message",
+    [(2.5, "C must be an integer, got 2.5"), (True, "C must be an integer, got True"), (0, "C must be >= 1, got 0")],
+    ids=["float", "bool", "zero"],
+)
+def test_graph_refuses_a_class_count_that_is_not_a_positive_integer(C, message):
+    # C=2.5 was stored, and cotrain then met TypeError building its class counts; C=True was stored too
+    edges = [(i, i + 1) for i in range(29)]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make_graph(30, edges, np.eye(30), np.arange(30) % 2, C=C)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Graph(3, frozenset(), np.eye(3), np.array([0, 0, 0]), C)
+
+
+def test_graph_stores_a_numpy_class_count_as_an_int():
+    g = make_graph(3, [(0, 1)], np.eye(3), [0, 1, 0], np.int64(2))
+    assert type(g.C) is int and g.C == 2
+    assert type(make_graph(3, [(0, 1)], np.eye(3), np.array([0, 1, 0], dtype=np.int32)).C) is int
+
+
 def test_feature_matrix_shape_checked():
     with pytest.raises(ValidationError):
-        make_graph(3, [], np.eye(2))
+        make_graph(3, [], np.eye(2), [0, 1, 0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -100,7 +139,7 @@ def test_make_graph_stores_csr_features_canonical_and_read_only():
         (np.array([1, 2, 1, 0, 1, -1]), np.array([2, 0, 2, 1, 1, 1]), np.array([0, 3, 4, 6])), shape=(3, 3)
     )
     data_before = X.data.copy()
-    g = make_graph(3, [(0, 1)], X)
+    g = make_graph(3, [(0, 1)], X, [0, 1, 0])
     assert sp.isspmatrix_csr(g.X) and g.X.dtype == np.float64
     assert g.X.indptr.tolist() == [0, 2, 2, 2]
     assert g.X.indices.tolist() == [0, 2]
@@ -113,7 +152,7 @@ def test_make_graph_stores_csr_features_canonical_and_read_only():
     # read-only values over writable index arrays: still copied and frozen
     shared = sp.csr_matrix((np.array([1.0, 2.0]), np.array([0, 2]), np.array([0, 1, 1, 2])), shape=(3, 3))
     shared.data.flags.writeable = False
-    stored = make_graph(3, [], shared).X
+    stored = make_graph(3, [], shared, [0, 1, 0]).X
     assert stored is not shared and not np.shares_memory(stored.indices, shared.indices)
     assert not any(a.flags.writeable for a in (stored.data, stored.indices, stored.indptr))
     shared.indices[0] = 1  # the caller's arrays stay theirs
@@ -121,29 +160,29 @@ def test_make_graph_stores_csr_features_canonical_and_read_only():
 
 
 def test_graph_is_immutable():
-    g = make_graph(2, [(0, 1)], np.eye(2))
+    g = make_graph(2, [(0, 1)], np.eye(2), [0, 1])
     with pytest.raises(ValueError):
         g.X[0, 0] = 5.0
 
 
 def test_graph_freezes_a_callers_edge_set():
     edges = {(0, 1)}
-    g = Graph(3, edges, np.eye(3))
+    g = Graph(3, edges, np.eye(3), [0, 1, 0], 2)
     edges.add((2, 5))
     assert g.edges == frozenset({(0, 1)}) and g.num_edges == 1
     frozen = frozenset({(0, 1)})
-    assert Graph(3, frozen, np.eye(3)).edges is frozen  # kept as is, not copied
+    assert Graph(3, frozen, np.eye(3), [0, 1, 0], 2).edges is frozen  # kept as is, not copied
 
 
 def test_normalized_adjacency_two_nodes():
-    g = make_graph(2, [(0, 1)], np.eye(2))
+    g = make_graph(2, [(0, 1)], np.eye(2), [0, 1])
     A_hat = normalized_adjacency(g).toarray()
     # degrees of A+I are (2, 2), so every entry is 1/2
     assert A_hat == pytest.approx(np.full((2, 2), 0.5))
 
 
 def test_normalized_adjacency_isolated_node():
-    g = make_graph(1, [], np.ones((1, 1)))
+    g = make_graph(1, [], np.ones((1, 1)), [0])
     assert normalized_adjacency(g).toarray() == pytest.approx(np.array([[1.0]]))
 
 
@@ -363,7 +402,7 @@ def test_graph_constructor_rejects_non_finite_features(bad):
     X = np.ones((3, 2))
     X[2, 1] = bad
     with pytest.raises(ValidationError, match="NaN or infinite"):
-        Graph(3, frozenset({(0, 1)}), X)
+        Graph(3, frozenset({(0, 1)}), X, [0, 1, 0], 2)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
@@ -414,4 +453,4 @@ def test_graph_takes_no_flag_to_skip_its_checks():
     X = np.ones((3, 2))
     X[0, 0] = np.nan
     with pytest.raises(TypeError, match="_X_checked"):
-        Graph(3, frozenset(), X, _X_checked=True)
+        Graph(3, frozenset(), X, [0, 1, 0], 2, _X_checked=True)

@@ -12,7 +12,7 @@ from helpers import cosine_similarity
 
 
 def graph_of(n, edges):
-    return make_graph(n, edges, np.eye(n))
+    return make_graph(n, edges, np.eye(n), np.zeros(n, dtype=int))
 
 
 # --- kNN feature graph ---------------------------------------------------
