@@ -288,8 +288,8 @@ def feature_flip_attack(
     if victim.model.inputs.shape != g.X.shape:
         raise ValidationError(f"victim inputs are {victim.model.inputs.shape}, graph features {g.X.shape}")
     targets = node_ids(targets if targets is not None else np.arange(g.n), g.n)
-    if targets.ndim != 1 or targets.size == 0:
-        raise ValidationError("attack targets must be a nonempty 1-D array of node ids")
+    if targets.size == 0:
+        raise ValidationError("attack targets must be a nonempty array of node ids")
     if np.unique(targets).size != targets.size:
         raise ValidationError("attack targets must not repeat a node id")
     targets = np.sort(targets)  # ascending, so row-major order over the t rows is X's

@@ -26,6 +26,7 @@ def nll(logits: np.ndarray, labels: np.ndarray, T: float = 1.0) -> float:
     the loss the models train on, so a temperature is fit on that loss.
     labels must hold one class id in [0, C) per row of logits, and there
     must be a row: the mean over none is undefined."""
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     check_targets(labels, *score_shape(logits))
     if not labels.size:

@@ -263,8 +263,9 @@ class NodeSplit:
 
     Every set must hold a node: training needs a labeled one, temperature
     fitting a validation one and evaluation a test one. The three sets are
-    1-D and stored read-only, a caller's writable array as a copy. A split
-    is not tied to the graph it came from; check_split ties it to one.
+    stored read-only, a caller's writable array as a copy; a set node_ids
+    refuses raises ValidationError naming the set. A split is not tied to
+    the graph it came from; check_split ties it to one.
     """
 
     labeled: np.ndarray
@@ -273,9 +274,10 @@ class NodeSplit:
 
     def __post_init__(self):
         for f in fields(self):
-            value = node_ids(getattr(self, f.name))
-            if value.ndim != 1:
-                raise ValidationError(f"split {f.name} must be 1-D, got shape {value.shape}")
+            try:
+                value = node_ids(getattr(self, f.name))
+            except ValidationError as e:
+                raise ValidationError(f"split {f.name}: {e}") from None
             object.__setattr__(self, f.name, _freeze(value))
         sets = (self.labeled, self.validation, self.test)
         sizes = dict(zip(("labeled", "validation", "test"), map(len, sets)))
@@ -288,10 +290,12 @@ class NodeSplit:
 
 
 def node_ids(nodes, n: int | None = None) -> np.ndarray:
-    """nodes as an int64 array. ValidationError unless a nonempty nodes
-    holds integers (a float or bool id would be cast to a node silently)
-    and, given n, each lies in [0, n)."""
+    """nodes as a 1-D int64 array. ValidationError unless nodes is 1-D, a
+    nonempty nodes holds integers (a float or bool id would be cast to a
+    node silently) and, given n, each lies in [0, n)."""
     nodes = np.asarray(nodes)
+    if nodes.ndim != 1:
+        raise ValidationError(f"node ids must be 1-D, got shape {nodes.shape}")
     if nodes.size and nodes.dtype.kind not in "iu":
         raise ValidationError(f"node ids must be integers, got {nodes.dtype}")
     nodes = nodes.astype(np.int64, copy=False)

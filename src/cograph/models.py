@@ -281,7 +281,7 @@ def train_submodel(model: SubModel, nodes, targets, seed: int = 0) -> TrainedSub
     """
     idx = node_ids(nodes, model.n)
     targets = np.asarray(targets)
-    if idx.ndim != 1 or not idx.size:
+    if not idx.size:
         raise ValidationError("train_submodel needs at least one labeled node")
     if (np.diff(idx) <= 0).any():
         raise ValidationError("labeled node ids must be strictly increasing")
@@ -338,8 +338,8 @@ def input_gradient(
         raise ValidationError(f"input_gradient needs a row-wise model, got {model.spec.kind!r}")
     nodes = node_ids(nodes, model.n)
     labels = np.asarray(labels)
-    if nodes.ndim != 1 or nodes.size == 0:
-        raise ValidationError("input_gradient needs a nonempty 1-D node array")
+    if nodes.size == 0:
+        raise ValidationError("input_gradient needs a nonempty node array")
     if np.unique(nodes).size != nodes.size:
         raise ValidationError("input_gradient node ids must be distinct")
     check_targets(labels, nodes.size, model.n_classes)

@@ -169,6 +169,12 @@ def test_reliability_refuses_a_fractional_bin_count():
         reliability(np.full((2, 2), 0.5), np.zeros(2, dtype=int), bins=2.5)
 
 
+def test_nll_takes_logits_as_a_list():
+    # a list used to meet TypeError at logits / T; fit_temperature and reliability convert theirs
+    logits, labels = [[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]], [1, 0, 1]
+    assert nll(logits, labels, 1.5) == nll(np.array(logits), np.array(labels), 1.5)
+
+
 BAD_LABELS = {
     "negative": [-1, 1, 2, 0, 1, 2],  # numpy indexing would read -1 as class C - 1
     "too-large": [5, 1, 2, 0, 1, 2],

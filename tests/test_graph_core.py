@@ -371,7 +371,7 @@ def test_node_split_refuses_a_set_that_is_not_1d(bad):
     # a 2-D set used to fail the disjointness check with TypeError: unhashable type: 'list'
     arrays = {"labeled": np.array([0]), "validation": np.array([1]), "test": np.array([2])}
     arrays[bad] = arrays[bad][None, :]
-    with pytest.raises(ValidationError, match=rf"split {bad} must be 1-D, got shape \(1, 1\)"):
+    with pytest.raises(ValidationError, match=rf"split {bad}: node ids must be 1-D, got shape \(1, 1\)"):
         NodeSplit(**arrays)
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,9 @@ from cograph import (
     predict_logits,
     train_submodel,
 )
-from cograph.cotrain import PROV_FEAT, PROVENANCE, CoTrainState
-from cograph.graph import make_graph, with_edges, with_features
+from cograph.attacks import feature_flip_attack
+from cograph.cotrain import PROV_FEAT, PROVENANCE, CoTrainState, select_confident
+from cograph.graph import NodeSplit, make_graph, with_edges, with_features
 from cograph.models import ALL_KINDS, TrainedSubModel, _Workspace, input_gradient
 from cograph.nn import (
     ADAM_BETA1,
@@ -482,6 +484,32 @@ def test_input_gradient_refuses_node_ids_that_are_not_integers(easy_graph, easy_
     trained = _fmlp(easy_graph, easy_split)
     with pytest.raises(ValidationError, match="node ids must be integers"):
         input_gradient(trained, nodes, np.array([0, 1]))
+
+
+# each entry point takes node ids through graph.node_ids: (graph, trained f-mlp, trained gcn, nodes)
+NODE_ID_ENTRIES = {
+    "predict-f-mlp": lambda g, fmlp, gcn, nodes: predict_logits(fmlp, nodes),
+    "predict-gcn": lambda g, fmlp, gcn, nodes: predict_logits(gcn, nodes),
+    "train": lambda g, fmlp, gcn, nodes: train_submodel(fmlp.model, nodes, np.zeros(4, dtype=int)),
+    "input-gradient": lambda g, fmlp, gcn, nodes: input_gradient(fmlp, nodes, np.zeros(4, dtype=int)),
+    "select-confident": lambda g, fmlp, gcn, nodes: select_confident(nodes, np.full((4, 3), 0.5), 2),
+    "feature-flip": lambda g, fmlp, gcn, nodes: feature_flip_attack(g, fmlp, 2, nodes),
+    "node-split": lambda g, fmlp, gcn, nodes: NodeSplit(nodes, np.array([10]), np.array([11])),
+}
+
+
+@pytest.mark.parametrize("nodes", [np.array([[0, 1], [2, 3]]), np.int64(5)], ids=["2-d", "0-d"])
+@pytest.mark.parametrize("entry", NODE_ID_ENTRIES.values(), ids=NODE_ID_ENTRIES.keys())
+def test_entry_points_refuse_node_ids_that_are_not_1d(easy_graph, easy_split, entry, nodes):
+    # predict_logits returned (2, 2, C) logits from an f-mlp for 2-d ids and a
+    # row from a gcn for 0-d ones; select_confident met numpy's ValueError
+    gcn = train_submodel(
+        build_submodel(SubModelSpec(kind="gcn", hyper=TrainHyper(epochs=5)), easy_graph),
+        *truth(easy_graph, easy_split.labeled),
+        seed=0,
+    )
+    with pytest.raises(ValidationError, match=rf"node ids must be 1-D, got shape {re.escape(str(nodes.shape))}"):
+        entry(easy_graph, _fmlp(easy_graph, easy_split), gcn, nodes)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
