@@ -498,7 +498,7 @@ NODE_ID_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("nodes", [np.array([[0, 1], [2, 3]]), np.int64(5)], ids=["2-d", "0-d"])
+@pytest.mark.parametrize("nodes", [np.array([[0, 1], [2, 3]]), 5], ids=["2-d", "0-d"])
 @pytest.mark.parametrize("entry", NODE_ID_ENTRIES.values(), ids=NODE_ID_ENTRIES.keys())
 def test_entry_points_refuse_node_ids_that_are_not_1d(easy_graph, easy_split, entry, nodes):
     # predict_logits returned (2, 2, C) logits from an f-mlp for 2-d ids and a
@@ -508,7 +508,7 @@ def test_entry_points_refuse_node_ids_that_are_not_1d(easy_graph, easy_split, en
         *truth(easy_graph, easy_split.labeled),
         seed=0,
     )
-    with pytest.raises(ValidationError, match=rf"node ids must be 1-D, got shape {re.escape(str(nodes.shape))}"):
+    with pytest.raises(ValidationError, match=rf"node ids must be 1-D, got shape {re.escape(str(np.shape(nodes)))}"):
         entry(easy_graph, _fmlp(easy_graph, easy_split), gcn, nodes)
 
 
